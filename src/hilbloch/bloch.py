@@ -62,38 +62,37 @@ def _divergence(xs, qs) -> tuple[bool, float]:
     return flag, summary.log_slope
 
 
-def _angle_count(f: TaylorSeries, angles: int | None) -> int:
-    if angles is not None:
-        return int(angles)
-    return 1 if f.has_nonnegative_coefficients else 256
-
-
 def norm_direct(
     f: TaylorSeries,
     w: NormalWeight,
     radial_depth: int = 12,
-    angles: int | None = None,
     refine: bool = True,
 ) -> NormEstimate:
     """Grid supremum of nu |f'| over dyadic radii, polished by a local 1-d search.
 
-    Nonnegative coefficients need only the positive axis; otherwise 256
-    equispaced angles are scanned.  The local search around the best rung
-    recovers interior maxima that dyadic rungs straddle.
+    Nonnegative coefficients need only the positive axis.  Otherwise each
+    radius takes one FFT of k a_k r^(k-1) on M equispaced angles, M the larger
+    of 256 and the power of two at or above 8 times the degree, so the circle
+    maximum is resolved at every degree.  The local search around the best
+    rung recovers interior maxima that dyadic rungs straddle.
     """
     df = f.derivative()
-    k = _angle_count(f, angles)
     radii = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, radial_depth + 1, dtype=float)])
+    nonzero = np.nonzero(np.abs(f.coefficients) > 0.0)[0]
+    degree = int(nonzero[-1]) if len(nonzero) else 0
 
-    if k == 1:
+    if f.has_nonnegative_coefficients:
+        angles = 1
         amplitude = lambda r: np.abs(df(np.asarray(r, dtype=float)))  # noqa: E731
     else:
-        circle = np.exp(2j * np.pi * np.arange(k) / k)
+        angles = max(256, 1 << (8 * degree - 1).bit_length())
+        slopes = df.coefficients[: max(degree, 1)]
+        exponents = np.arange(len(slopes), dtype=float)
 
         def amplitude(r):
             r = np.asarray(r, dtype=float)
-            flat = np.abs(df(r.reshape(-1, 1) * circle)).max(axis=1)
-            return flat.reshape(r.shape)
+            flat = [np.abs(np.fft.fft(slopes * rho**exponents, angles)).max() for rho in r.reshape(-1)]
+            return np.asarray(flat).reshape(r.shape)
 
     profile = np.asarray(w.value(radii), dtype=float) * amplitude(radii)
     best = int(np.argmax(profile))
@@ -114,8 +113,6 @@ def norm_direct(
     # Rungs with 1/(1-r) beyond the (effective) degree see a saturated
     # derivative, not growth; drop them from the trend for deep truncations.
     xs, trend_profile = 1.0 / (1.0 - radii[1:]), profile[1:]
-    nonzero = np.nonzero(np.abs(f.coefficients) > 0.0)[0]
-    degree = int(nonzero[-1]) if len(nonzero) else 0
     if degree > 256:
         keep = xs <= degree
         if np.count_nonzero(keep) >= 2:
@@ -125,7 +122,7 @@ def norm_direct(
     return NormEstimate(
         value,
         METHOD_DIRECT,
-        {"radial_depth": radial_depth, "angles": k, "refined": bool(refine)},
+        {"radial_depth": radial_depth, "angles": angles, "refined": bool(refine)},
         divergent,
         slope,
     )

@@ -30,18 +30,23 @@ from .weights import (
 DEFAULT_SERIES_TRUNCATION = 2**10
 
 
+# Name -> factory tables: a lookup builds only the named entry, and every call
+# returns a fresh object (a measure holds its own moment grids).
+_WEIGHT_FACTORIES = {
+    "power_0.5": lambda: power_weight(0.5),
+    "power_1": lambda: power_weight(1.0),
+    "power_2": lambda: power_weight(2.0),
+    "power_log_1_1": lambda: power_log_weight(1.0, 1.0),
+    "log_power_-2": lambda: log_power_weight(-2.0),
+    "log_power_-1": lambda: log_power_weight(-1.0),
+    "log_power_0": lambda: log_power_weight(0.0),
+    "log_power_1": lambda: log_power_weight(1.0),
+}
+
+
 def builtin_weights() -> dict[str, NormalWeight]:
     """Named normal weights spanning the power, power-log, and log-power kinds."""
-    return {
-        "power_0.5": power_weight(0.5),
-        "power_1": power_weight(1.0),
-        "power_2": power_weight(2.0),
-        "power_log_1_1": power_log_weight(1.0, 1.0),
-        "log_power_-2": log_power_weight(-2.0),
-        "log_power_-1": log_power_weight(-1.0),
-        "log_power_0": log_power_weight(0.0),
-        "log_power_1": log_power_weight(1.0),
-    }
+    return {name: make() for name, make in _WEIGHT_FACTORIES.items()}
 
 
 def atom_ladder(levels: int = 16) -> RadialMeasure:
@@ -50,17 +55,20 @@ def atom_ladder(levels: int = 16) -> RadialMeasure:
     return radial_measure(atoms=atoms, label=f"atom ladder ({levels} levels)")
 
 
+_MEASURE_FACTORIES = {
+    "lebesgue": lebesgue,
+    "atom_half": lambda: point_mass(0.5),
+    "density_1": lambda: radial_measure(density=power_log_density(1.0)),
+    "density_2": lambda: radial_measure(density=power_log_density(2.0)),
+    "density_-0.5": lambda: radial_measure(density=power_log_density(-0.5)),
+    "density_1_log-1": lambda: radial_measure(density=power_log_density(1.0, -1.0)),
+    "atom_ladder_16": lambda: atom_ladder(16),
+}
+
+
 def builtin_measures() -> dict[str, RadialMeasure]:
     """Named measures: point mass, densities with closed-form tails, atom ladders."""
-    return {
-        "lebesgue": lebesgue(),
-        "atom_half": point_mass(0.5),
-        "density_1": radial_measure(density=power_log_density(1.0)),
-        "density_2": radial_measure(density=power_log_density(2.0)),
-        "density_-0.5": radial_measure(density=power_log_density(-0.5)),
-        "density_1_log-1": radial_measure(density=power_log_density(1.0, -1.0)),
-        "atom_ladder_16": atom_ladder(16),
-    }
+    return {name: make() for name, make in _MEASURE_FACTORIES.items()}
 
 
 # -- series ---------------------------------------------------------------------
@@ -158,15 +166,18 @@ def catalog_builtin() -> dict[str, dict]:
 # -- spec resolution --------------------------------------------------------------
 
 
+def _build_named(factories: dict, kind: str, name: str):
+    if name not in factories:
+        raise DomainError(f"unknown {kind} name {name!r}; known: {sorted(factories)}")
+    return factories[name]()
+
+
 def resolve_weight(spec) -> NormalWeight:
     """Catalog name or JSON descriptor to a weight."""
     if isinstance(spec, NormalWeight):
         return spec
     if isinstance(spec, str):
-        table = builtin_weights()
-        if spec not in table:
-            raise DomainError(f"unknown weight name {spec!r}; known: {sorted(table)}")
-        return table[spec]
+        return _build_named(_WEIGHT_FACTORIES, "weight", spec)
     return weight_from_json(spec)
 
 
@@ -175,10 +186,7 @@ def resolve_measure(spec) -> RadialMeasure:
     if isinstance(spec, RadialMeasure):
         return spec
     if isinstance(spec, str):
-        table = builtin_measures()
-        if spec not in table:
-            raise DomainError(f"unknown measure name {spec!r}; known: {sorted(table)}")
-        return table[spec]
+        return _build_named(_MEASURE_FACTORIES, "measure", spec)
     return measure_from_json(spec)
 
 

@@ -14,9 +14,11 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PreconditionError
+
+# Elements per temporary in `_evaluate`: 2^16 complex values are 1 MiB.
+_CHUNK_ELEMENTS = 2**16
 
 
 class TaylorSeries:
@@ -37,7 +39,7 @@ class TaylorSeries:
         return len(self.coefficients) - 1
 
     def __call__(self, z):
-        return npoly.polyval(z, self.coefficients)
+        return _evaluate(self.coefficients, z)
 
     def derivative(self) -> "TaylorSeries":
         if len(self.coefficients) == 1:
@@ -68,6 +70,45 @@ class TaylorSeries:
 
     def __repr__(self) -> str:
         return f"TaylorSeries<N={self.truncation}>"
+
+
+def _evaluate(coeffs: np.ndarray, z):
+    """sum_k coeffs[k] z^k elementwise, with the shape of z (a scalar for a scalar).
+
+    The coefficients, cut after the last nonzero, are split into blocks of B.
+    Powers z^0..z^(B-1) come from one cumulative product, every block from one
+    matrix product, and Horner's rule runs across the blocks in z^B, so the
+    Python loop takes about sqrt(N) steps instead of N.  Points are taken in
+    chunks that keep each temporary near 1 MiB.
+    """
+    z = np.asarray(z)
+    dtype = np.result_type(coeffs, z, float)
+    flat = z.astype(dtype, copy=False).reshape(-1)
+    out = np.zeros(flat.shape, dtype=dtype)
+    nonzero = np.flatnonzero(coeffs)
+    n = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    if n:
+        block = 1 << ((n - 1).bit_length() + 1) // 2
+        count = -(-n // block)
+        table = np.zeros(count * block, dtype=coeffs.dtype)
+        table[:n] = coeffs[:n]
+        table = table.reshape(count, block)
+        chunk = max(1, _CHUNK_ELEMENTS // max(block, count))
+        for start in range(0, len(flat), chunk):
+            x = flat[start : start + chunk]
+            powers = np.empty((block, len(x)), dtype=dtype)
+            powers[0] = 1.0
+            powers[1:] = x
+            np.cumprod(powers, axis=0, out=powers)
+            blocks = table @ powers
+            step = powers[-1] * x
+            acc = blocks[-1]
+            for row in blocks[-2::-1]:
+                acc *= step
+                acc += row
+            out[start : start + chunk] = acc
+    out = out.reshape(z.shape)
+    return out if out.shape else out[()]
 
 
 # -- serialization ----------------------------------------------------------

@@ -60,7 +60,7 @@ class NormalWeight:
     def value_from_gap(self, gap):
         """nu at r = 1 - gap, evaluated directly from the gap for deep radii."""
         gap = np.asarray(gap, dtype=float)
-        if np.any(gap <= 0) or np.any(gap > 1):
+        if ((gap <= 0) | (gap > 1)).any():
             raise DomainError("gap must lie in (0, 1]")
         x = gap * (2.0 - gap)  # 1 - r^2
         if self.kind == "power":
@@ -81,7 +81,7 @@ class NormalWeight:
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0) or np.any(r >= 1):
+        if ((r < 0) | (r >= 1)).any():
             raise DomainError("radius must lie in [0, 1)")
         return self.value_from_gap(1.0 - r)
 
@@ -384,7 +384,7 @@ def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
     """
     if levels < 1:
         raise ConstructionError("need at least one level")
-    probe = w.value(1.0 - _dyadic_gaps(max(8, levels + 4)))
+    probe = w.value_from_gap(_dyadic_gaps(max(8, levels + 4)))
     if np.any(np.diff(probe) >= 0):
         raise ConstructionError(f"{w.label} is not strictly decreasing on the dyadic grid")
     gaps = np.empty(levels)

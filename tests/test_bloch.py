@@ -19,7 +19,7 @@ from hilbloch.bloch import (
     norm_dyadic_blocks,
     norm_monotone,
 )
-from hilbloch.catalog import builtin_weights, monotone_family, series_catalog
+from hilbloch.catalog import builtin_weights, monotone_family, random_signed_polynomials, series_catalog
 from hilbloch.errors import PreconditionError
 from hilbloch.series import TaylorSeries
 from hilbloch.weights import power_weight
@@ -66,6 +66,38 @@ class TestNormDirect:
         est = norm_direct(TaylorSeries(coeffs), power_weight(1.0))
         plus = norm_direct(TaylorSeries(np.abs(coeffs)), power_weight(1.0))
         assert est.value == pytest.approx(plus.value, rel=1e-8)
+
+    def test_circle_scan_resolves_high_degree(self):
+        # nu(r) max|f'| from an FFT with 8 samples per degree on the rungs is
+        # a lower bound; a fixed 256-angle scan fell about 23 % below it.
+        (_, f), = random_signed_polynomials(1, 2**13, 0)
+        w = builtin_weights()["power_0.5"]
+        est = norm_direct(f, w)
+        a = f.coefficients
+        slopes = np.arange(1, len(a)) * a[1:]
+        lower = abs(a[1])
+        for gap in 2.0 ** -np.arange(1, 13):
+            scaled = slopes * np.exp(np.arange(len(slopes)) * math.log1p(-gap))
+            peak = np.max(np.abs(np.fft.fft(scaled, 8 * len(slopes))))
+            lower = max(lower, w.value_from_gap(gap) * peak)
+        assert est.resolution["angles"] == 2**16
+        assert est.value - abs(a[0]) >= lower * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "seed, degree, weight, old",
+        [
+            (3, 31, "power_0.5", 16.286597146731175),
+            (3, 31, "power_1", 4.9546380299988835),
+            (3, 31, "power_log_1_1", 15.164580401750529),
+            (5, 20, "power_1", 4.015344097521288),
+        ],
+    )
+    def test_low_degree_keeps_256_angles(self, seed, degree, weight, old):
+        # `old` is the value of the earlier (radii x 256 angles) Horner scan.
+        (_, f), = random_signed_polynomials(1, degree, seed)
+        est = norm_direct(f, builtin_weights()[weight])
+        assert est.resolution["angles"] == 256
+        assert est.value == pytest.approx(old, rel=1e-12)
 
     def test_estimate_serializes(self):
         est = norm_direct(TaylorSeries([1.0, 2.0]), power_weight(1.0))

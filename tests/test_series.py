@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,66 @@ class TestTaylorSeries:
         h = 1e-7
         numeric = (f(z + h) - f(z - h)) / (2.0 * h)
         assert f.derivative()(z) == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+
+
+def _mp_horner(coeffs, z):
+    with mpmath.workdps(30):
+        z = mpmath.mpc(complex(z))
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * z + mpmath.mpc(complex(c))
+        return complex(acc)
+
+
+class TestEvaluator:
+    """TaylorSeries.__call__ against 30-digit Horner and against its own contract."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0 - 2.0**-16])
+    def test_dense_series_matches_mpmath(self, r):
+        coeffs = np.random.default_rng(7).uniform(-1.0, 1.0, 2**14)
+        f = TaylorSeries(coeffs)
+        for z in (r, -r, r * np.exp(0.3j), r * np.exp(2.0j)):
+            scale = np.sum(np.abs(coeffs) * abs(z) ** np.arange(len(coeffs)))
+            assert abs(f(z) - _mp_horner(coeffs, z)) <= 1e-12 * scale
+
+    def test_chunked_points_match_reference(self):
+        # 2^14 coefficients in blocks of 128 take 512 points per chunk.
+        coeffs = np.random.default_rng(8).uniform(-1.0, 1.0, 2**14)
+        z = 0.999 * np.exp(2j * np.pi * np.arange(1500) / 1500)
+        scale = np.sum(np.abs(coeffs) * 0.999 ** np.arange(len(coeffs)))
+        reference = np.polynomial.polynomial.polyval(z, coeffs)
+        assert np.max(np.abs(TaylorSeries(coeffs)(z) - reference)) <= 1e-12 * scale
+
+    def test_trailing_zeros_do_not_change_values(self):
+        z = np.array([0.3, -0.7, 0.5 + 0.5j])
+        short = TaylorSeries([1.0, -2.0, 3.0])
+        padded = short.pad(5000)
+        assert np.array_equal(padded(z), short(z))
+
+    def test_all_zero_series(self):
+        f = TaylorSeries(np.zeros(9))
+        assert f(0.5) == 0.0 and np.ndim(f(0.5)) == 0
+        out = f(np.full((2, 3), 0.5 + 0.5j))
+        assert out.shape == (2, 3) and np.iscomplexobj(out) and not np.any(out)
+
+    def test_complex_coefficients(self):
+        coeffs = np.random.default_rng(9).normal(size=300) + 1j * np.random.default_rng(10).normal(size=300)
+        f = TaylorSeries(coeffs)
+        for z in (0.8, 0.6 - 0.7j):
+            assert f(z) == pytest.approx(_mp_horner(coeffs, z), rel=1e-12, abs=1e-12)
+
+    def test_shapes_follow_the_input(self):
+        f = TaylorSeries(np.arange(1.0, 70.0))
+        scalar = f(0.5)
+        assert isinstance(scalar, np.floating) and np.ndim(scalar) == 0
+        zero_d = f(np.array(0.5))
+        assert np.ndim(zero_d) == 0 and zero_d == scalar
+        assert f([0.5]).shape == (1,)
+        grid = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+        values = f(grid)
+        assert values.shape == (3, 4)
+        assert np.allclose(values.ravel(), [f(z) for z in grid.ravel()], rtol=1e-14, atol=0.0)
+        assert isinstance(f(0.5j), np.complexfloating)
 
 
 class TestSeriesIO:

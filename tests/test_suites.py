@@ -126,13 +126,13 @@ class TestRunSuite:
         report = run_suite(default_config("E3.1"))
         assert report.agreement == all(case.agree for case in report.cases)
 
-    def test_verdicts_survive_resolution_doubling(self):
-        for suite in ("E3.1", "L2.4"):
-            base = run_suite(default_config(suite))
-            deep = run_suite(ExperimentConfig(suite=suite, resolution_scale=2.0))
-            for b, d in zip(base.cases, deep.cases):
-                assert b.label == d.label
-                assert (b.left_verdict, b.right_verdict) == (d.left_verdict, d.right_verdict)
+    @pytest.mark.parametrize("suite", ALL_SUITES)
+    def test_verdicts_survive_resolution_doubling(self, suite):
+        base = run_suite(default_config(suite))
+        deep = run_suite(ExperimentConfig(suite=suite, resolution_scale=2.0))
+        assert [b.label for b in base.cases] == [d.label for d in deep.cases]
+        for b, d in zip(base.cases, deep.cases):
+            assert (b.left_verdict, b.right_verdict) == (d.left_verdict, d.right_verdict), b.label
 
     def test_case_errors_are_captured_not_raised(self):
         # delta = 10^0 = 1 is outside the admissible Laplace range; every case

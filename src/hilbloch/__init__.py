@@ -62,7 +62,6 @@ from .hilbert_op import (
     well_defined_check,
 )
 from .measures import (
-    CarlesonQuery,
     RadialMeasure,
     ReweightAgreement,
     carleson_sup,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bloch import METHOD_DIRECT, bloch_norm
 from .catalog import probe_functions, resolve_measure, resolve_series, resolve_weight
-from .errors import HilblochError
+from .errors import ConstructionError, HilblochError
 from .hilbert_op import (
     OperatorConfig,
     apply_coefficient,
@@ -34,14 +34,21 @@ from .series import series_from_csv, series_to_csv
 from .suites import ExperimentConfig, config_from_json, default_config, list_suites, run_suite
 
 
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConstructionError(f"{source} is not valid JSON: {exc}") from None
+
+
 def _load_spec(value: str):
     """Catalog name, inline JSON, or path to a JSON document."""
     text = value.strip()
     if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
+        return _parse_json(text, "inline spec")
     path = Path(value)
     if path.suffix.lower() == ".json" and path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
+        return _parse_json(path.read_text(encoding="utf-8"), str(path))
     return value
 
 
@@ -71,7 +78,7 @@ def _write_text(text: str, out: str | None) -> None:
 def _cmd_verify(args) -> int:
     configs: list[ExperimentConfig] = []
     for path in args.config or []:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _parse_json(Path(path).read_text(encoding="utf-8"), path)
         configs.append(config_from_json(doc))
     for suite in args.suite or []:
         configs.append(default_config(suite))
@@ -252,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except HilblochError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (HilblochError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check used when parsing descriptors."""
+
+import math
+import numbers
 
 
 class HilblochError(Exception):
@@ -19,3 +22,10 @@ class ConstructionError(HilblochError, ValueError):
 
 class NumericsError(HilblochError, ArithmeticError):
     """A numerical routine failed to converge or detected divergence."""
+
+
+def require_number(value, what: str, error: type[HilblochError] = ConstructionError) -> float:
+    """value as a float; anything but a finite real number (bools and numeric strings too) raises error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return float(value)

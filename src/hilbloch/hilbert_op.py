@@ -31,7 +31,6 @@ from .trend import (
     VERDICT_INCONCLUSIVE,
     CriterionResult,
     index_ladder,
-    radius_ladder,
     summarize_ladder,
 )
 from .weights import NormalWeight, growth_gauge, growth_gauge_from_gaps
@@ -47,10 +46,17 @@ PROBE_INCONCLUSIVE = "inconclusive"
 # -- gamma coefficient table ---------------------------------------------------
 
 
+def _require_alpha(alpha: float) -> float:
+    """alpha as a float; anything outside (-1, inf), NaN included, raises DomainError."""
+    alpha = float(alpha)
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed -1, got {alpha}")
+    return alpha
+
+
 def gamma_table(n_max: int, alpha: float) -> np.ndarray:
     """Kernel coefficients c_0..c_n with c_n = c_{n-1} (n+alpha)/n, c_0 = 1."""
-    if alpha <= -1.0:
-        raise DomainError("alpha must exceed -1")
+    alpha = _require_alpha(alpha)
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError("table length must be nonnegative")
@@ -82,8 +88,7 @@ class OperatorConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.alpha <= -1.0:
-            raise DomainError("alpha must exceed -1")
+        _require_alpha(self.alpha)
         if int(self.truncation) < 1:
             raise DomainError("truncation must be at least 1")
         object.__setattr__(self, "truncation", int(self.truncation))
@@ -256,13 +261,6 @@ def hankel_apply(
 
 
 # -- criteria ---------------------------------------------------------------------
-
-
-def _require_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if alpha <= -1.0:
-        raise DomainError("alpha must exceed -1")
-    return alpha
 
 
 def _finite_integral(mu: RadialMeasure, fn, what: str, rel_tol: float = 1e-8) -> float:
@@ -458,13 +456,6 @@ def criterion_beta_spaces(
     return out
 
 
-def _tail_quantities(mu: RadialMeasure, factor, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    radii = radius_ladder(depth)
-    gaps = 2.0 ** -np.arange(1, depth + 1, dtype=float)
-    tails = np.array([mu.tail(t) for t in radii])
-    return 1.0 / gaps, tails * factor(gaps)
-
-
 def criterion_log_spaces(
     mu: RadialMeasure,
     alpha: float,
@@ -516,8 +507,8 @@ def criterion_log_spaces(
 
     x, q = _index_quantities(mu, phi, alpha + 1.0, None, -gamma, n_max, rel_tol)
     moment = summarize_ladder(x, q, quantity=moment_name, details=dict(base))
-    tx, tq = _tail_quantities(mu, factor, depth)
-    tail = summarize_ladder(tx, tq, quantity=tail_name, details={"depth": depth})
+    gaps, tails = mu.tail_ladder(depth)
+    tail = summarize_ladder(1.0 / gaps, tails * factor(gaps), quantity=tail_name, details={"depth": depth})
     out = _combined(moment, tail, "tail_form")
     if beta < -1.0:
         out.details["compactness"] = out.verdict

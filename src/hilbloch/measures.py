@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, NumericsError
+from .errors import ConstructionError, DomainError, NumericsError, require_number
 from .quadrature import integrate_radial, panel_points
 from .trend import CriterionResult, radius_ladder, summarize_ladder
 
@@ -91,8 +91,8 @@ class RadialMeasure:
             t, wgt = float(t), float(wgt)
             if not 0.0 <= t < 1.0:
                 raise ConstructionError(f"atom position {t} outside [0, 1)")
-            if wgt <= 0.0:
-                raise ConstructionError(f"atom weight {wgt} must be positive")
+            if not 0.0 < wgt < math.inf:
+                raise ConstructionError(f"atom weight {wgt} must be positive and finite")
             cleaned.append((t, wgt))
         self.atoms = tuple(sorted(cleaned))
         self.density = density
@@ -113,8 +113,8 @@ class RadialMeasure:
                 density_mass = integrate_radial(density.eval, 0.0, 1.0, rel_tol=1e-10)
             except NumericsError as exc:
                 raise ConstructionError(f"density mass diverges: {exc}") from exc
-            if density_mass < 0:
-                raise ConstructionError("density must be nonnegative")
+            if not density_mass >= 0.0:
+                raise ConstructionError(f"density must be nonnegative, got mass {density_mass}")
         self.mass = density_mass + sum(wgt for _, wgt in self.atoms)
         if self.tail_fn is not None:
             self._check_tail_consistency()
@@ -131,11 +131,6 @@ class RadialMeasure:
 
     def __repr__(self) -> str:
         return f"RadialMeasure<{self.label}>"
-
-    def clear_caches(self) -> None:
-        self._moment_cache.clear()
-        self._node_cache.clear()
-        self._grid_spec = None
 
     def _check_tail_consistency(self) -> None:
         # tail_fn covers the density part only; atoms are summed separately.
@@ -281,15 +276,21 @@ class RadialMeasure:
         return self.moment(n + k)
 
     def integral(
-        self, fn, rel_tol: float = 1e-10, breakpoints: Sequence[float] = (), abs_floor: float = 0.0
+        self,
+        fn,
+        rel_tol: float = 1e-10,
+        breakpoints: Sequence[float] = (),
+        abs_floor: float = 0.0,
+        upper: float = 1.0,
     ) -> float:
-        """Integral of fn(t, 1-t) against the measure; divergence raises NumericsError."""
-        total = sum(wgt * float(fn(np.asarray([t]), np.asarray([1.0 - t]))[0]) for t, wgt in self.atoms)
+        """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError."""
+        atoms = [(t, wgt) for t, wgt in self.atoms if t <= upper]
+        total = sum(wgt * float(fn(np.asarray([t]), np.asarray([1.0 - t]))[0]) for t, wgt in atoms)
         if self.density is not None:
             total += integrate_radial(
                 lambda t, omt: np.asarray(fn(t, omt), dtype=float) * self.density.eval(t, omt),
                 0.0,
-                1.0,
+                upper,
                 rel_tol=rel_tol,
                 breakpoints=breakpoints,
                 abs_floor=abs_floor,
@@ -297,12 +298,6 @@ class RadialMeasure:
         return total
 
     # -- tails ---------------------------------------------------------------
-
-    def _tail_numeric(self, t: float) -> float:
-        total = sum(wgt for pos, wgt in self.atoms if pos >= t)
-        if self.density is not None:
-            total += integrate_radial(self.density.eval, t, 1.0, rel_tol=1e-11)
-        return total
 
     def tail(self, t: float) -> float:
         """mu([t, 1))."""
@@ -314,6 +309,11 @@ class RadialMeasure:
         if self.tail_fn is not None:
             return atom_part + float(self.tail_fn(t))
         return atom_part + integrate_radial(self.density.eval, t, 1.0, rel_tol=1e-11)
+
+    def tail_ladder(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gaps 2^-m and tails mu([1 - 2^-m, 1)) for m = 1..depth."""
+        gaps = 2.0 ** -np.arange(1, depth + 1, dtype=float)
+        return gaps, np.array([self.tail(t) for t in radius_ladder(depth)])
 
 
 # -- constructors ---------------------------------------------------------
@@ -348,16 +348,25 @@ def measure_from_json(doc: dict) -> RadialMeasure:
     extra = set(doc) - _MEASURE_KEYS
     if extra:
         raise ConstructionError(f"unknown keys in measure descriptor: {sorted(extra)}")
-    atoms = [(float(t), float(wgt)) for t, wgt in doc.get("atoms", [])]
+    pairs = doc.get("atoms") or []
+    if not isinstance(pairs, (list, tuple)) or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ConstructionError(f"atoms must be a list of [t, weight] pairs, got {pairs!r}")
+    atoms = [(require_number(t, "atom position"), require_number(wgt, "atom weight")) for t, wgt in pairs]
+    if not isinstance(doc.get("label"), (str, type(None))):
+        raise ConstructionError(f"measure label must be a string, got {doc['label']!r}")
     density = None
     if doc.get("density") is not None:
         d = doc["density"]
+        if not isinstance(d, dict):
+            raise ConstructionError(f"density descriptor must be an object, got {d!r}")
         if d.get("kind") != "power_log":
             raise ConstructionError(f"unknown density kind {d.get('kind')!r}")
         extra = set(d) - _DENSITY_KEYS
         if extra:
             raise ConstructionError(f"unknown keys in density descriptor: {sorted(extra)}")
-        density = power_log_density(float(d.get("s", 0.0)), float(d.get("gamma", 0.0)))
+        density = power_log_density(
+            require_number(d.get("s", 0.0), "density exponent s"), require_number(d.get("gamma", 0.0), "density gamma")
+        )
     return RadialMeasure(atoms, density, label=doc.get("label"))
 
 
@@ -387,15 +396,6 @@ def moments_to_csv(mu: RadialMeasure, n_max: int, stream=None) -> str:
 # -- Carleson quantities -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CarlesonQuery:
-    """Parameters of a logarithmic Carleson bound: tail * log^gamma_log(e/(1-t)) <= C (1-t)^s."""
-
-    gamma_log: float
-    s: float
-    depth: int = 24
-
-
 def carleson_sup(
     mu: RadialMeasure,
     gamma_log: float = 0.0,
@@ -403,9 +403,7 @@ def carleson_sup(
     depth: int = 24,
 ) -> CriterionResult:
     """Probe sup over t of mu([t,1)) log^gamma_log(e/(1-t)) / (1-t)^s on a dyadic ladder."""
-    radii = radius_ladder(depth)
-    gaps = 2.0 ** -np.arange(1, depth + 1, dtype=float)
-    tails = np.array([mu.tail(t) for t in radii])
+    gaps, tails = mu.tail_ladder(depth)
     quantities = tails * (1.0 - np.log(gaps)) ** gamma_log / gaps**s
     return summarize_ladder(
         1.0 / gaps,

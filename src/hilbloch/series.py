@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, require_number
 
 # Elements per temporary in `_evaluate`: 2^16 complex values are 1 MiB.
 _CHUNK_ELEMENTS = 2**16
@@ -117,7 +117,7 @@ def _evaluate(coeffs: np.ndarray, z):
 def series_from_json(doc) -> TaylorSeries:
     if not isinstance(doc, (list, tuple)) or len(doc) == 0:
         raise DomainError("series JSON must be a nonempty array of coefficients")
-    return TaylorSeries(np.asarray(doc, dtype=float))
+    return TaylorSeries([require_number(c, "series coefficient") for c in doc])
 
 
 def series_to_json(f: TaylorSeries) -> list[float]:

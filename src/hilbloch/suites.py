@@ -2,9 +2,16 @@
 
 Every suite computes one statement two ways (an estimator against a direct
 computation, a moment form against a tail form, a criterion against an
-operator probe) and records per-case agreement.  Suite ids are opaque
-registry keys; ``run_suite`` is deterministic for a fixed config, and
-numeric failures are captured per case instead of aborting the run.
+operator probe) and records per-case agreement.  A suite is data: a
+``Suite`` spec holds its option defaults, how those options scale with
+``resolution_scale``, a builder for its case list, and a pure per-case
+``compare`` that returns a ``CaseResult``.  One shared ``run_suite`` merges
+and checks the options, runs the cases, and turns a numeric failure inside a
+case into an error row instead of aborting the run.  Suite ids are opaque
+registry keys, and a run is deterministic for a fixed config.
+
+Compares reach library functions through this module's names at call time,
+so a wrapper installed on those names (a profiler, a tracer) sees the calls.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .catalog import (
     resolve_weight,
     series_catalog,
 )
-from .errors import DomainError, HilblochError
+from .errors import DomainError, HilblochError, require_number
 from .hilbert_op import (
     PROBE_GROWING,
     PROBE_STABLE,
@@ -38,8 +45,7 @@ from .hilbert_op import (
     operator_norm_probe,
     well_defined_check,
 )
-from .measures import RadialMeasure, lebesgue, measure_from_json, reweight_agreement
-from .quadrature import integrate_radial
+from .measures import measure_from_json, reweight_agreement
 from .trend import (
     VERDICT_BOUNDED,
     VERDICT_INCONCLUSIVE,
@@ -81,10 +87,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise DomainError(f"unsupported config version {self.version!r}; expected {CONFIG_VERSION}")
-        if not self.resolution_scale > 0.0:
-            raise DomainError("resolution_scale must be positive")
+        if not 0.0 < self.resolution_scale < math.inf:
+            raise DomainError("resolution_scale must be positive and finite")
         if not isinstance(self.options, dict):
             raise DomainError("options must be an object")
+
+
+def _config_field(doc: dict, key: str, kind: type, default):
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"config key {key!r}: {exc}") from None
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -95,12 +108,13 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         raise DomainError(f"unknown config keys: {sorted(extra)}")
     if "suite" not in doc:
         raise DomainError("config needs a 'suite' key")
+    options = doc.get("options") or {}
     cfg = ExperimentConfig(
         suite=str(doc["suite"]),
-        version=int(doc.get("version", CONFIG_VERSION)),
-        resolution_scale=float(doc.get("resolution_scale", 1.0)),
-        seed=int(doc.get("seed", DEFAULT_SEED)),
-        options=dict(doc.get("options") or {}),
+        version=_config_field(doc, "version", int, CONFIG_VERSION),
+        resolution_scale=_config_field(doc, "resolution_scale", float, 1.0),
+        seed=_config_field(doc, "seed", int, DEFAULT_SEED),
+        options=dict(options) if isinstance(options, dict) else options,
     )
     if cfg.suite not in _REGISTRY:
         raise DomainError(f"unknown suite {cfg.suite!r}; known ids: {sorted(_REGISTRY)}")
@@ -133,20 +147,7 @@ class CaseResult:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _json_safe(
-            {
-                "label": self.label,
-                "left_name": self.left_name,
-                "right_name": self.right_name,
-                "left": self.left,
-                "right": self.right,
-                "ratio": self.ratio,
-                "left_verdict": self.left_verdict,
-                "right_verdict": self.right_verdict,
-                "agree": self.agree,
-                "detail": self.detail,
-            }
-        )
+        return _json_safe(vars(self))
 
 
 @dataclass
@@ -185,44 +186,115 @@ def _json_safe(value):
     return value
 
 
-# -- shared helpers -----------------------------------------------------------
+# -- suite specs and the shared runner ------------------------------------------
 
 
-def _options(cfg: ExperimentConfig, defaults: dict) -> dict:
-    extra = set(cfg.options) - set(defaults)
+class Case(NamedTuple):
+    """One row to compute: its label, the names of its two sides, and what compare reads."""
+
+    label: str
+    left_name: str
+    right_name: str
+    item: Any
+
+    def result(self, left, right, left_verdict, right_verdict, agree, detail, ratio=None) -> CaseResult:
+        """This row's CaseResult; ratio defaults to left / right (NaN when that is undefined)."""
+        ratio = _safe_ratio(left, right) if ratio is None else ratio
+        return CaseResult(
+            self.label, self.left_name, self.right_name, left, right, ratio, left_verdict, right_verdict, agree, detail
+        )
+
+
+class Suite(NamedTuple):
+    """A verification suite as data; ``run_suite`` does the rest.
+
+    ``scale(opts, resolution_scale)`` returns the resolution-dependent values.
+    They are merged over the options into the context ``ctx`` that ``cases``
+    and ``compare`` read, and ``report`` names the context keys recorded under
+    the report's ``resolution``.  ``cases(ctx)`` yields ``(label, item)`` per
+    row, or ``(label, item, names)`` for a row whose two sides are not
+    ``names``; ``compare(case, ctx)`` computes one row.  ``case_keys`` maps
+    each option that holds case specs to the keys a spec needs and the keys it
+    may add.  Each row builds its own measures inside ``compare``, so no two
+    rows share moment caches.
+    """
+
+    defaults: dict
+    scale: Callable[[dict, float], dict]
+    report: tuple[str, ...]
+    names: tuple[str, str]
+    cases: Callable[[dict], Iterable[tuple]]
+    compare: Callable[[Case, dict], CaseResult]
+    case_keys: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def _options(cfg: ExperimentConfig, suite: Suite) -> dict:
+    """Defaults overlaid by the config's options; malformed options raise DomainError."""
+    extra = set(cfg.options) - set(suite.defaults)
     if extra:
         raise DomainError(f"unknown options for suite {cfg.suite}: {sorted(extra)}")
-    merged = dict(defaults)
-    merged.update(cfg.options)
-    return merged
+    opts = {**suite.defaults, **cfg.options}
+    for key, default in suite.defaults.items():
+        value = opts[key]
+        if isinstance(default, list) and not isinstance(value, (list, tuple)):
+            raise DomainError(f"suite {cfg.suite}: option {key!r} must be a list, got {value!r}")
+        if isinstance(default, float | int):
+            require_number(value, f"suite {cfg.suite}: option {key!r}", DomainError)
+    for key, (required, optional) in suite.case_keys.items():
+        for i, spec in enumerate(opts[key]):
+            where = f"suite {cfg.suite}: {key}[{i}]"
+            if not isinstance(spec, dict):
+                raise DomainError(f"{where} must be an object, got {spec!r}")
+            missing = [name for name in required if name not in spec]
+            if missing:
+                raise DomainError(f"{where} lacks the key {missing[0]!r}")
+            unknown = sorted(set(spec) - set(required) - set(optional))
+            if unknown:
+                raise DomainError(f"{where} has unknown key {unknown[0]!r}")
+    return opts
+
+
+def run_suite(cfg: ExperimentConfig) -> VerificationReport:
+    """Execute one suite; unknown ids and malformed options raise, case-level numerics do not."""
+    suite = _REGISTRY.get(cfg.suite)
+    if suite is None:
+        raise DomainError(f"unknown suite {cfg.suite!r}; known ids: {sorted(_REGISTRY)}")
+    start = time.perf_counter()
+    ctx = _options(cfg, suite)
+    ctx.update(suite.scale(ctx, cfg.resolution_scale))
+    cases: list[CaseResult] = []
+    for label, item, *names in suite.cases(ctx):
+        case = Case(label, *(names[0] if names else suite.names), item)
+        try:
+            cases.append(suite.compare(case, ctx))
+        except (HilblochError, ArithmeticError) as exc:
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            cases.append(case.result(math.nan, math.nan, FLAG_ERROR, FLAG_ERROR, False, error))
+    resolution = {key: ctx[key] for key in suite.report}
+    resolution["resolution_scale"] = cfg.resolution_scale
+    resolution["seed"] = cfg.seed
+    return VerificationReport(
+        suite=cfg.suite,
+        agreement=all(case.agree for case in cases),
+        cases=cases,
+        resolution=resolution,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+# -- shared helpers -----------------------------------------------------------
 
 
 def _scaled(base: float, scale: float, floor: int, cap: int) -> int:
     return int(max(floor, min(cap, round(base * float(scale)))))
 
 
-_resolve_weight = resolve_weight
-_resolve_measure = resolve_measure
+def _n_max(opts: dict, scale: float) -> int:
+    return 2 ** _scaled(opts["n_max_exponent"], scale, 10, 26)
 
 
-def _guarded(cases: list, label: str, left_name: str, right_name: str, body: Callable[[], CaseResult]):
-    try:
-        cases.append(body())
-    except (HilblochError, ArithmeticError) as exc:
-        cases.append(
-            CaseResult(
-                label,
-                left_name,
-                right_name,
-                math.nan,
-                math.nan,
-                math.nan,
-                FLAG_ERROR,
-                FLAG_ERROR,
-                False,
-                {"error": f"{type(exc).__name__}: {exc}"},
-            )
-        )
+def _depth(opts: dict, scale: float) -> int:
+    return _scaled(opts["depth"], scale, 10, 50)
 
 
 def _flag(divergent: bool) -> str:
@@ -251,15 +323,46 @@ def _safe_ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _split_forms(result, secondary_name: str) -> tuple[str, str, float, bool]:
-    """Primary / secondary verdicts, secondary sup, and the forms_agree flag."""
+def _forms_result(case: Case, result, secondary_name: str, expected: str | None, detail: dict) -> CaseResult:
+    """A combined criterion's primary form against its secondary form, and its verdict against expected."""
     secondary = result.details[secondary_name]
-    return (
-        result.details.get("primary_verdict", result.verdict),
-        secondary["verdict"],
-        float(secondary["sup_value"]),
-        bool(result.details["forms_agree"]),
-    )
+    primary_verdict = result.details.get("primary_verdict", result.verdict)
+    agree = bool(result.details["forms_agree"]) and (expected is None or result.verdict == expected)
+    right = float(secondary["sup_value"])
+    return case.result(result.sup_value, right, primary_verdict, secondary["verdict"], agree, detail)
+
+
+def _name(item) -> str:
+    """A catalog name as given; for a descriptor its "label", else its "kind", else "custom"."""
+    if isinstance(item, str):
+        return item
+    if isinstance(item, dict):
+        return item.get("label", item.get("kind", "custom"))
+    return "custom"
+
+
+def _per_weight(ctx: dict):
+    """One row per name in the "weights" option, with the weight resolved."""
+    return [(name, resolve_weight(name)) for name in ctx["weights"]]
+
+
+def _per_spec(template: str):
+    """Rows from the "cases" option, labelled by template over each spec (measures and weights by name)."""
+
+    def cases(ctx: dict):
+        for spec in ctx["cases"]:
+            fields = {key: _name(value) if key in ("measure", "omega", "nu") else value for key, value in spec.items()}
+            try:
+                label = template.format(**fields)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"case {spec!r}: {exc}") from None
+            yield label, spec
+
+    return cases
+
+
+# Read by perfbench/test_tracer.py, which checks that the tracer also wraps aliased names.
+_resolve_weight = resolve_weight
 
 
 # -- norm comparison suites (coefficient sums, blocks, monotone) --------------
@@ -279,285 +382,135 @@ _NORM_FUNCTIONS = [
 ]
 
 
-def _norm_comparison(cfg: ExperimentConfig, estimator: Callable, estimator_name: str):
-    opts = _options(
-        cfg,
-        {
+def _truncation(opts: dict, scale: float) -> dict:
+    exponent = _scaled(opts["truncation_exponent"], scale, 6, 16)
+    return {"exponent": exponent, "truncation": 2**exponent}
+
+
+def _norm_cases(ctx: dict, catalog: dict, kind: str):
+    """One row per (weight, function); a weight object is shared by its row of functions."""
+    cases = []
+    for weight_name in ctx["weights"]:
+        weight = resolve_weight(weight_name)
+        for fn_name in ctx["functions"]:
+            if fn_name not in catalog:
+                raise DomainError(f"unknown {kind} {fn_name!r}; known: {sorted(catalog)}")
+            cases.append((f"{weight_name}|{fn_name}", (weight, catalog[fn_name])))
+    return cases
+
+
+def _compare_norms(case: Case, ctx: dict) -> CaseResult:
+    """Direct norm against an estimator at the truncation and at twice it; the ratio must hold still."""
+    estimator = {"coefficient_sum": norm_coefficient_sum, "dyadic_block": norm_dyadic_blocks}[case.right_name]
+    weight, series = case.item
+    ratios = []
+    for n, depth in ((ctx["truncation"], ctx["exponent"] + 2), (2 * ctx["truncation"], ctx["exponent"] + 3)):
+        fn = series.pad(n)
+        direct = norm_direct(fn, weight, radial_depth=depth)
+        estimate = estimator(fn, weight)
+        ratios.append(_safe_ratio(direct.value, estimate.value))
+    drift = abs(ratios[1] - ratios[0]) / abs(ratios[0])
+    in_band = 1.0 / ctx["band"] <= ratios[1] <= ctx["band"]
+    agree = direct.divergent == estimate.divergent and in_band and drift <= ctx["drift_cap"]
+    detail = {"base_ratio": ratios[0], "drift": drift, "in_band": in_band}
+    return case.result(direct.value, estimate.value, _flag(direct.divergent), _flag(estimate.divergent), agree, detail)
+
+
+def _norm_suite(estimator_name: str) -> Suite:
+    """L2.1 and T3.1: the direct norm against one coefficient-side estimator."""
+    return Suite(
+        defaults={
             "weights": _NORM_WEIGHTS,
             "functions": _NORM_FUNCTIONS,
             "truncation_exponent": 13,
             "band": 50.0,
             "drift_cap": 0.2,
         },
+        scale=_truncation,
+        report=("truncation", "band", "drift_cap"),
+        names=("direct_norm", estimator_name),
+        cases=lambda ctx: _norm_cases(ctx, series_catalog(2 * ctx["truncation"]), "series name"),
+        compare=_compare_norms,
     )
-    exponent = _scaled(opts["truncation_exponent"], cfg.resolution_scale, 6, 16)
-    n_base = 2**exponent
-    catalog = series_catalog(2 * n_base)
-    cases: list[CaseResult] = []
-    for weight_name in opts["weights"]:
-        weight = _resolve_weight(weight_name)
-        for fn_name in opts["functions"]:
-            if fn_name not in catalog:
-                raise DomainError(f"unknown series name {fn_name!r}; known: {sorted(catalog)}")
-            series = catalog[fn_name]
-            label = f"{weight_name}|{fn_name}"
-
-            def body(series=series, weight=weight, label=label):
-                ratios = {}
-                flags = {}
-                values = {}
-                for tag, n, depth in (("base", n_base, exponent + 2), ("doubled", 2 * n_base, exponent + 3)):
-                    fn = series.pad(n)
-                    direct = norm_direct(fn, weight, radial_depth=depth)
-                    estimate = estimator(fn, weight)
-                    ratios[tag] = _safe_ratio(direct.value, estimate.value)
-                    flags[tag] = (direct.divergent, estimate.divergent)
-                    values[tag] = (direct.value, estimate.value)
-                direct_flag, estimate_flag = flags["doubled"]
-                drift = abs(ratios["doubled"] - ratios["base"]) / abs(ratios["base"])
-                in_band = 1.0 / opts["band"] <= ratios["doubled"] <= opts["band"]
-                agree = direct_flag == estimate_flag and in_band and drift <= opts["drift_cap"]
-                left, right = values["doubled"]
-                return CaseResult(
-                    label,
-                    "direct_norm",
-                    estimator_name,
-                    left,
-                    right,
-                    ratios["doubled"],
-                    _flag(direct_flag),
-                    _flag(estimate_flag),
-                    agree,
-                    {"base_ratio": ratios["base"], "drift": drift, "in_band": in_band},
-                )
-
-            _guarded(cases, label, "direct_norm", estimator_name, body)
-    return cases, {"truncation": n_base, "band": opts["band"], "drift_cap": opts["drift_cap"]}
 
 
-def _suite_coefficient_norm(cfg: ExperimentConfig):
-    return _norm_comparison(cfg, norm_coefficient_sum, "coefficient_sum")
-
-
-def _suite_block_norm(cfg: ExperimentConfig):
-    return _norm_comparison(cfg, norm_dyadic_blocks, "dyadic_block")
-
-
-def _suite_monotone_norm(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "weights": _NORM_WEIGHTS,
-            "functions": list(monotone_family(8).keys()),
-            "truncation_exponent": 13,
-            "band": 50.0,
-        },
+def _compare_monotone(case: Case, ctx: dict) -> CaseResult:
+    weight, series = case.item
+    simple = norm_monotone(series, weight)
+    reference = norm_coefficient_sum(series, weight)
+    in_band = simple.divergent or (1.0 / ctx["band"] <= _safe_ratio(simple.value, reference.value) <= ctx["band"])
+    agree = simple.divergent == reference.divergent and in_band
+    detail = {"slopes": [simple.slope, reference.slope]}
+    return case.result(
+        simple.value, reference.value, _flag(simple.divergent), _flag(reference.divergent), agree, detail
     )
-    exponent = _scaled(opts["truncation_exponent"], cfg.resolution_scale, 6, 16)
-    n_base = 2**exponent
-    catalog = monotone_family(n_base)
-    cases: list[CaseResult] = []
-    for weight_name in opts["weights"]:
-        weight = _resolve_weight(weight_name)
-        for fn_name in opts["functions"]:
-            if fn_name not in catalog:
-                raise DomainError(f"unknown monotone series {fn_name!r}; known: {sorted(catalog)}")
-            series = catalog[fn_name]
-            label = f"{weight_name}|{fn_name}"
-
-            def body(series=series, weight=weight, label=label):
-                simple = norm_monotone(series, weight)
-                reference = norm_coefficient_sum(series, weight)
-                ratio = _safe_ratio(simple.value, reference.value)
-                flags_match = simple.divergent == reference.divergent
-                in_band = simple.divergent or (1.0 / opts["band"] <= ratio <= opts["band"])
-                return CaseResult(
-                    label,
-                    "monotone_bound",
-                    "coefficient_sum",
-                    simple.value,
-                    reference.value,
-                    ratio,
-                    _flag(simple.divergent),
-                    _flag(reference.divergent),
-                    flags_match and in_band,
-                    {"slopes": [simple.slope, reference.slope]},
-                )
-
-            _guarded(cases, label, "monotone_bound", "coefficient_sum", body)
-    return cases, {"truncation": n_base, "band": opts["band"]}
 
 
 # -- weight geometry suites ----------------------------------------------------
 
 
-def _suite_extremal(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "weights": ["power_0.5", "power_1", "power_2", "power_log_1_1", "log_power_1"],
-            "levels": 10,
-            "band_cap": 32.0,
-            "growth_cap": 1.5,
-        },
-    )
-    levels = _scaled(opts["levels"], cfg.resolution_scale, 4, 40)
-    cases: list[CaseResult] = []
-    for weight_name in opts["weights"]:
-        weight = _resolve_weight(weight_name)
-        label = weight_name
-
-        def body(weight=weight, label=label):
-            base = build_extremal(weight, levels)
-            deep = build_extremal(weight, levels + 2)
-            band_base = base.upper_bound / base.lower_bound
-            band_deep = deep.upper_bound / deep.lower_bound
-            ratio = _safe_ratio(band_deep, band_base)
-            verdicts = [
-                "in_band" if band <= opts["band_cap"] else "out_of_band" for band in (band_deep, band_base)
-            ]
-            agree = verdicts[0] == "in_band" and verdicts[1] == "in_band" and ratio <= opts["growth_cap"]
-            return CaseResult(
-                label,
-                "deep_profile_band",
-                "base_profile_band",
-                band_deep,
-                band_base,
-                ratio,
-                verdicts[0],
-                verdicts[1],
-                agree,
-                {
-                    "bounds_deep": [deep.lower_bound, deep.upper_bound],
-                    "bounds_base": [base.lower_bound, base.upper_bound],
-                    "top_exponent": int(deep.exponents[-1]),
-                },
-            )
-
-        _guarded(cases, label, "deep_profile_band", "base_profile_band", body)
-    return cases, {"levels": levels, "band_cap": opts["band_cap"]}
+def _compare_extremal(case: Case, ctx: dict) -> CaseResult:
+    """Profile band of the extremal series, and its growth when two levels are added."""
+    base = build_extremal(case.item, ctx["levels"])
+    deep = build_extremal(case.item, ctx["levels"] + 2)
+    band_base = base.upper_bound / base.lower_bound
+    band_deep = deep.upper_bound / deep.lower_bound
+    left, right = ("in_band" if band <= ctx["band_cap"] else "out_of_band" for band in (band_deep, band_base))
+    agree = left == right == "in_band" and _safe_ratio(band_deep, band_base) <= ctx["growth_cap"]
+    detail = {
+        "bounds_deep": [deep.lower_bound, deep.upper_bound],
+        "bounds_base": [base.lower_bound, base.upper_bound],
+        "top_exponent": int(deep.exponents[-1]),
+    }
+    return case.result(band_deep, band_base, left, right, agree, detail)
 
 
-def _suite_ratio_bound(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "weights": _NORM_WEIGHTS + ["log_power_1", "log_power_-1"],
-            "grid_depth": 12,
-            "cap": 4.0,
-            "growth_cap": 1.25,
-        },
-    )
-    depth = _scaled(opts["grid_depth"], cfg.resolution_scale, 8, 40)
-    cases: list[CaseResult] = []
-    for weight_name in opts["weights"]:
-        weight = _resolve_weight(weight_name)
-        label = weight_name
-
-        def body(weight=weight, label=label):
-            base = weight_ratio_bound(weight, grid_depth=depth)
-            deep = weight_ratio_bound(weight, grid_depth=depth + 4)
-            ratio = _safe_ratio(deep, base)
-            verdicts = ["within_cap" if val <= opts["cap"] else "exceeds_cap" for val in (deep, base)]
-            agree = verdicts[0] == "within_cap" and verdicts[1] == "within_cap" and ratio <= opts["growth_cap"]
-            return CaseResult(
-                label,
-                "deep_grid_bound",
-                "base_grid_bound",
-                deep,
-                base,
-                ratio,
-                verdicts[0],
-                verdicts[1],
-                agree,
-                {"grid_depth": depth},
-            )
-
-        _guarded(cases, label, "deep_grid_bound", "base_grid_bound", body)
-    return cases, {"grid_depth": depth, "cap": opts["cap"]}
+def _compare_ratio_bound(case: Case, ctx: dict) -> CaseResult:
+    base = weight_ratio_bound(case.item, grid_depth=ctx["grid_depth"])
+    deep = weight_ratio_bound(case.item, grid_depth=ctx["grid_depth"] + 4)
+    left, right = ("within_cap" if val <= ctx["cap"] else "exceeds_cap" for val in (deep, base))
+    agree = left == right == "within_cap" and _safe_ratio(deep, base) <= ctx["growth_cap"]
+    return case.result(deep, base, left, right, agree, {"grid_depth": ctx["grid_depth"]})
 
 
-def _suite_laplace_tail(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "weights": ["power_0.5", "power_1", "power_log_1_1"],
-            "delta_exponents": [2, 3, 4, 5, 6],
-            "spread_cap": 100.0,
-            "slope_cap": 0.05,
-        },
-    )
+def _laplace_exponents(opts: dict, scale: float) -> dict:
     exponents = sorted(int(e) for e in opts["delta_exponents"])
-    deepest = _scaled(max(exponents), cfg.resolution_scale, max(exponents), 7)
+    deepest = _scaled(max(exponents), scale, max(exponents), 7)
     exponents = sorted(set(exponents) | set(range(max(exponents) + 1, deepest + 1)))
-    deltas = [10.0**-e for e in exponents]
-    cases: list[CaseResult] = []
-    for weight_name in opts["weights"]:
-        weight = _resolve_weight(weight_name)
-        label = weight_name
-
-        def body(weight=weight, label=label):
-            report = laplace_tail_sweep(weight, deltas)
-            spread_ok = report.spread <= opts["spread_cap"]
-            trend_ok = report.slope <= opts["slope_cap"]
-            return CaseResult(
-                label,
-                "sweep_max",
-                "sweep_min",
-                float(np.max(report.values)),
-                float(np.min(report.values)),
-                report.spread,
-                "bounded_spread" if spread_ok else "wide_spread",
-                "non_increasing" if trend_ok else "increasing",
-                spread_ok and trend_ok,
-                {"slope": report.slope, "values": report.values, "deltas": report.deltas},
-            )
-
-        _guarded(cases, label, "sweep_max", "sweep_min", body)
-    return cases, {"delta_exponents": exponents, "spread_cap": opts["spread_cap"]}
+    return {"delta_exponents": exponents, "deltas": [10.0**-e for e in exponents]}
 
 
-def _suite_dyadic_sum(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "weights": _NORM_WEIGHTS,
-            "base_depth": 16,
-            "deep_depth": 20,
-            "growth_cap": 2.0,
-        },
+def _compare_laplace_tail(case: Case, ctx: dict) -> CaseResult:
+    report = laplace_tail_sweep(case.item, ctx["deltas"])
+    spread_ok = report.spread <= ctx["spread_cap"]
+    trend_ok = report.slope <= ctx["slope_cap"]
+    return case.result(
+        float(np.max(report.values)),
+        float(np.min(report.values)),
+        "bounded_spread" if spread_ok else "wide_spread",
+        "non_increasing" if trend_ok else "increasing",
+        spread_ok and trend_ok,
+        {"slope": report.slope, "values": report.values, "deltas": report.deltas},
+        ratio=report.spread,
     )
-    base_depth = _scaled(opts["base_depth"], cfg.resolution_scale, 8, 44)
-    deep_depth = max(base_depth + 4, _scaled(opts["deep_depth"], cfg.resolution_scale, 12, 48))
-    cases: list[CaseResult] = []
-    for weight_name in opts["weights"]:
-        weight = _resolve_weight(weight_name)
-        label = weight_name
 
-        def body(weight=weight, label=label):
-            def ladder_sup(depth: int) -> float:
-                radii = 1.0 - 2.0 ** -np.arange(1.0, depth + 1.0)
-                return max(dyadic_sum_ratio(weight, r, j_max=depth + 30) for r in radii)
 
-            base = ladder_sup(base_depth)
-            deep = ladder_sup(deep_depth)
-            ratio = _safe_ratio(deep, base)
-            agree = math.isfinite(deep) and ratio < opts["growth_cap"]
-            return CaseResult(
-                label,
-                "deep_ladder_sup",
-                "base_ladder_sup",
-                deep,
-                base,
-                ratio,
-                FLAG_FINITE if math.isfinite(deep) else FLAG_DIVERGENT,
-                FLAG_FINITE if math.isfinite(base) else FLAG_DIVERGENT,
-                agree,
-                {"base_depth": base_depth, "deep_depth": deep_depth},
-            )
+def _dyadic_depths(opts: dict, scale: float) -> dict:
+    base_depth = _scaled(opts["base_depth"], scale, 8, 44)
+    return {"base_depth": base_depth, "deep_depth": max(base_depth + 4, _scaled(opts["deep_depth"], scale, 12, 48))}
 
-        _guarded(cases, label, "deep_ladder_sup", "base_ladder_sup", body)
-    return cases, {"base_depth": base_depth, "deep_depth": deep_depth}
+
+def _compare_dyadic_sum(case: Case, ctx: dict) -> CaseResult:
+    def ladder_sup(depth: int) -> float:
+        radii = 1.0 - 2.0 ** -np.arange(1.0, depth + 1.0)
+        return max(dyadic_sum_ratio(case.item, r, j_max=depth + 30) for r in radii)
+
+    base = ladder_sup(ctx["base_depth"])
+    deep = ladder_sup(ctx["deep_depth"])
+    left, right = (FLAG_FINITE if math.isfinite(val) else FLAG_DIVERGENT for val in (deep, base))
+    agree = math.isfinite(deep) and _safe_ratio(deep, base) < ctx["growth_cap"]
+    detail = {"base_depth": ctx["base_depth"], "deep_depth": ctx["deep_depth"]}
+    return case.result(deep, base, left, right, agree, detail)
 
 
 # -- Carleson reweighting suite -------------------------------------------------
@@ -574,33 +527,14 @@ _REWEIGHT_CASES = [
 ]
 
 
-def _suite_reweight(cfg: ExperimentConfig):
-    opts = _options(cfg, {"cases": _REWEIGHT_CASES, "depth": 24})
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        beta = float(spec["beta"])
-        gamma = float(spec["gamma"])
-        label = f"{spec['measure'] if isinstance(spec['measure'], str) else 'custom'}|beta={beta:g}|gamma={gamma:g}"
-
-        def body(spec=spec, beta=beta, gamma=gamma, label=label):
-            mu = _resolve_measure(spec["measure"])
-            report = reweight_agreement(mu, beta, gamma, depth=depth)
-            return CaseResult(
-                label,
-                "combined_exponent_sup",
-                "reweighted_sup",
-                report.original.sup_value,
-                report.transformed.sup_value,
-                _safe_ratio(report.original.sup_value, report.transformed.sup_value),
-                report.original.verdict,
-                report.transformed.verdict,
-                report.agree,
-                {"beta": beta, "gamma": gamma, "depth": depth},
-            )
-
-        _guarded(cases, label, "combined_exponent_sup", "reweighted_sup", body)
-    return cases, {"depth": depth}
+def _compare_reweight(case: Case, ctx: dict) -> CaseResult:
+    beta, gamma = float(case.item["beta"]), float(case.item["gamma"])
+    report = reweight_agreement(resolve_measure(case.item["measure"]), beta, gamma, depth=ctx["depth"])
+    original, transformed = report.original, report.transformed
+    detail = {"beta": beta, "gamma": gamma, "depth": ctx["depth"]}
+    return case.result(
+        original.sup_value, transformed.sup_value, original.verdict, transformed.verdict, report.agree, detail
+    )
 
 
 # -- well-definedness suite -----------------------------------------------------
@@ -630,23 +564,6 @@ def _witness_values(weight: NormalWeight, gap_target: float):
     return values
 
 
-def _partial_gauge_integral(mu: RadialMeasure, weight: NormalWeight, r: float) -> float:
-    """Integral of (gauge + 1) d mu over [0, r]; finite-interval quadrature only."""
-
-    def fn(t, omt):
-        return growth_gauge_from_gaps(weight, omt) + 1.0
-
-    total = sum(wgt * float(fn(np.asarray([t]), np.asarray([1.0 - t]))[0]) for t, wgt in mu.atoms if t <= r)
-    if mu.density is not None:
-        total += integrate_radial(
-            lambda t, omt: fn(t, omt) * mu.density.eval(t, omt),
-            lower=0.0,
-            upper=r,
-            rel_tol=1e-9,
-        )
-    return total
-
-
 _WELL_DEFINED_FIXED = [
     {"measure": "lebesgue", "weight": "power_1"},
     {"measure": "lebesgue", "weight": "power_2"},
@@ -655,88 +572,61 @@ _WELL_DEFINED_FIXED = [
 ]
 
 
-def _suite_well_defined(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "ladder_weights": ["power_0.5", "power_1", "power_2"],
-            "ladder_levels": [6, 10, 14, 18, 22],
-            "fixed_cases": _WELL_DEFINED_FIXED,
-            "partial_depths": [4, 8, 12, 16, 20],
-        },
-    )
-    scale = cfg.resolution_scale
-    ladder_levels = sorted({_scaled(lv, scale, 4, 44) for lv in opts["ladder_levels"]})
-    partial_depths = sorted({_scaled(d, scale, 4, 40) for d in opts["partial_depths"]})
-    cases: list[CaseResult] = []
+def _well_defined_ladders(opts: dict, scale: float) -> dict:
+    return {
+        "ladder_levels": sorted({_scaled(lv, scale, 4, 44) for lv in opts["ladder_levels"]}),
+        "partial_depths": sorted({_scaled(d, scale, 4, 40) for d in opts["partial_depths"]}),
+    }
 
-    for weight_name in opts["ladder_weights"]:
-        weight = _resolve_weight(weight_name)
-        label = f"atom_family|{weight_name}"
 
-        def body(weight=weight, label=label):
-            witness = _witness_values(weight, 2.0 ** -max(ladder_levels))
-            xs = np.array([2.0**lv for lv in ladder_levels])
-            gauge_side = np.empty(len(ladder_levels))
-            apply_side = np.empty(len(ladder_levels))
-            for i, lv in enumerate(ladder_levels):
-                mu = atom_ladder(lv)
-                gauge_side[i] = well_defined_check(mu, weight).integral
-                apply_side[i] = mu.integral(lambda t, omt: witness(t))
-            gauge_trend = summarize_ladder(xs, gauge_side, "gauge integral over atom family")
-            apply_trend = summarize_ladder(xs, apply_side, "witness image at the origin")
-            left_flag = _trend_flag(gauge_trend.verdict)
-            right_flag = _trend_flag(apply_trend.verdict)
-            return CaseResult(
-                label,
-                "gauge_integral",
-                "witness_image",
-                float(gauge_side[-1]),
-                float(apply_side[-1]),
-                _safe_ratio(gauge_side[-1], apply_side[-1]),
-                left_flag,
-                right_flag,
-                left_flag == right_flag and left_flag != VERDICT_INCONCLUSIVE,
-                {
-                    "levels": list(ladder_levels),
-                    "gauge_values": gauge_side,
-                    "witness_values": apply_side,
-                    "slopes": [gauge_trend.log_slope, apply_trend.log_slope],
-                },
-            )
+def _well_defined_cases(ctx: dict):
+    """Atom families per ladder weight (resolved here), then the fixed (measure, weight) rows."""
+    cases = [(f"atom_family|{name}", resolve_weight(name)) for name in ctx["ladder_weights"]]
+    fixed_names = ("adaptive_integral", "truncated_ladder")
+    cases += [(f"fixed|{_name(s['measure'])}|{_name(s['weight'])}", s, fixed_names) for s in ctx["fixed_cases"]]
+    return cases
 
-        _guarded(cases, label, "gauge_integral", "witness_image", body)
 
-    for spec in opts["fixed_cases"]:
-        m_name = spec["measure"] if isinstance(spec["measure"], str) else "custom"
-        w_name = spec["weight"] if isinstance(spec["weight"], str) else "custom"
-        label = f"fixed|{m_name}|{w_name}"
+def _compare_atom_family(case: Case, ctx: dict) -> CaseResult:
+    """Gauge integral against the witness image over a family of atom ladders."""
+    levels = ctx["ladder_levels"]
+    witness = _witness_values(case.item, 2.0 ** -max(levels))
+    xs = np.array([2.0**lv for lv in levels])
+    gauge_side = np.empty(len(levels))
+    apply_side = np.empty(len(levels))
+    for i, lv in enumerate(levels):
+        mu = atom_ladder(lv)
+        gauge_side[i] = well_defined_check(mu, case.item).integral
+        apply_side[i] = mu.integral(lambda t, omt: witness(t))
+    gauge_trend = summarize_ladder(xs, gauge_side, "gauge integral over atom family")
+    apply_trend = summarize_ladder(xs, apply_side, "witness image at the origin")
+    left, right = _trend_flag(gauge_trend.verdict), _trend_flag(apply_trend.verdict)
+    agree = left == right and left != VERDICT_INCONCLUSIVE
+    detail = {
+        "levels": list(levels),
+        "gauge_values": gauge_side,
+        "witness_values": apply_side,
+        "slopes": [gauge_trend.log_slope, apply_trend.log_slope],
+    }
+    return case.result(float(gauge_side[-1]), float(apply_side[-1]), left, right, agree, detail)
 
-        def body(spec=spec, label=label):
-            mu = _resolve_measure(spec["measure"])
-            weight = _resolve_weight(spec["weight"])
-            report = well_defined_check(mu, weight)
-            radii = 1.0 - 2.0 ** -np.asarray(partial_depths, dtype=float)
-            partials = np.array([_partial_gauge_integral(mu, weight, r) for r in radii])
-            trend = summarize_ladder(2.0 ** np.asarray(partial_depths, dtype=float), partials, "partial gauge integral")
-            left_flag = _flag(not report.finite)
-            right_flag = _trend_flag(trend.verdict)
-            return CaseResult(
-                label,
-                "adaptive_integral",
-                "truncated_ladder",
-                report.integral,
-                float(partials[-1]),
-                _safe_ratio(report.integral, partials[-1]),
-                left_flag,
-                right_flag,
-                left_flag == right_flag and right_flag != VERDICT_INCONCLUSIVE,
-                {"partials": partials, "depths": list(partial_depths), "slope": trend.log_slope},
-            )
 
-        _guarded(cases, label, "adaptive_integral", "truncated_ladder", body)
-
-    return cases, {"ladder_levels": ladder_levels, "partial_depths": partial_depths}
+def _compare_well_defined(case: Case, ctx: dict) -> CaseResult:
+    """Adaptive gauge integral against its truncated ladder; atom families go to the witness."""
+    if case.left_name == "gauge_integral":
+        return _compare_atom_family(case, ctx)
+    mu = resolve_measure(case.item["measure"])
+    weight = resolve_weight(case.item["weight"])
+    report = well_defined_check(mu, weight)
+    depths = ctx["partial_depths"]
+    radii = 1.0 - 2.0 ** -np.asarray(depths, dtype=float)
+    gauge = lambda t, omt: growth_gauge_from_gaps(weight, omt) + 1.0  # noqa: E731
+    partials = np.array([mu.integral(gauge, rel_tol=1e-9, upper=r) for r in radii])
+    trend = summarize_ladder(2.0 ** np.asarray(depths, dtype=float), partials, "partial gauge integral")
+    left, right = _flag(not report.finite), _trend_flag(trend.verdict)
+    agree = left == right and right != VERDICT_INCONCLUSIVE
+    detail = {"partials": partials, "depths": list(depths), "slope": trend.log_slope}
+    return case.result(report.integral, float(partials[-1]), left, right, agree, detail)
 
 
 # -- operator criteria against probes -------------------------------------------
@@ -766,95 +656,51 @@ _MOMENT_CASES = [
 ]
 
 
-def _case_label(spec: dict) -> str:
-    def name(item):
-        return item if isinstance(item, str) else item.get("label", item.get("kind", "custom"))
+def _operator_args(case: Case) -> tuple:
+    """Fresh measure and weights of one row, plus its alpha."""
+    spec = case.item
+    mu = resolve_measure(spec["measure"])
+    return mu, resolve_weight(spec["omega"]), resolve_weight(spec["nu"]), float(spec["alpha"])
 
-    return f"{name(spec['measure'])}|{name(spec['omega'])}->{name(spec['nu'])}|alpha={spec['alpha']:g}"
 
-
-def _run_probe(mu, omega, nu, alpha, probe_exponent):
-    n_base = 2**probe_exponent
+def _run_probe(mu, omega, nu, alpha, ctx: dict):
+    """Norm-ratio probe at the suite's probe truncation, and the verdict it reads as."""
+    n_base = ctx["probe_truncation"]
     functions = probe_functions(omega, 2 * n_base)
-    return operator_norm_probe(OperatorConfig(alpha, mu, n_base), omega, nu, functions)
+    probe = operator_norm_probe(OperatorConfig(alpha, mu, n_base), omega, nu, functions)
+    return probe, _probe_verdict(probe.classification)
 
 
-def _suite_general_criterion(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {"cases": _GENERAL_CASES, "n_max_exponent": 18, "probe_exponent": 10},
+def _compare_general(case: Case, ctx: dict) -> CaseResult:
+    mu, omega, nu, alpha = _operator_args(case)
+    crit = criterion_general(mu, omega, nu, alpha, n_max=ctx["n_max"])
+    probe, verdict = _run_probe(mu, omega, nu, alpha, ctx)
+    detail = {"criterion": crit.to_dict(), "probe": probe.to_dict()}
+    agree = crit.verdict == verdict
+    return case.result(crit.sup_value, probe.ratio, crit.verdict, verdict, agree, detail, ratio=probe.growth)
+
+
+def _compare_moment(case: Case, ctx: dict) -> CaseResult:
+    mu, omega, nu, alpha = _operator_args(case)
+    plain = criterion_moment(mu, omega, nu, alpha, n_max=ctx["n_max"])
+    general = criterion_general(mu, omega, nu, alpha, n_max=ctx["n_max"])
+    probe, verdict = _run_probe(mu, omega, nu, alpha, ctx)
+    agree = plain.verdict == general.verdict == verdict
+    detail = {"probe_verdict": verdict, "probe_growth": probe.growth, "compactness": plain.details.get("compactness")}
+    return case.result(plain.sup_value, general.sup_value, plain.verdict, general.verdict, agree, detail)
+
+
+def _operator_suite(cases: list, names: tuple[str, str], compare) -> Suite:
+    """T4.2 and T4.3: criteria on (measure, omega, nu, alpha) cases, each against the norm-ratio probe."""
+    return Suite(
+        defaults={"cases": cases, "n_max_exponent": 18, "probe_exponent": 10},
+        scale=lambda o, s: {"n_max": _n_max(o, s), "probe_truncation": 2 ** _scaled(o["probe_exponent"], s, 7, 13)},
+        report=("n_max", "probe_truncation"),
+        names=names,
+        cases=_per_spec("{measure}|{omega}->{nu}|alpha={alpha:g}"),
+        compare=compare,
+        case_keys={"cases": (("measure", "omega", "nu", "alpha"), ())},
     )
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    probe_exp = _scaled(opts["probe_exponent"], cfg.resolution_scale, 7, 13)
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        label = _case_label(spec)
-
-        def body(spec=spec, label=label):
-            mu = _resolve_measure(spec["measure"])
-            omega = _resolve_weight(spec["omega"])
-            nu = _resolve_weight(spec["nu"])
-            alpha = float(spec["alpha"])
-            crit = criterion_general(mu, omega, nu, alpha, n_max=2**n_exp)
-            probe = _run_probe(mu, omega, nu, alpha, probe_exp)
-            probe_verdict = _probe_verdict(probe.classification)
-            return CaseResult(
-                label,
-                "gauge_moment_criterion",
-                "norm_ratio_probe",
-                crit.sup_value,
-                probe.ratio,
-                probe.growth,
-                crit.verdict,
-                probe_verdict,
-                crit.verdict == probe_verdict,
-                {"criterion": crit.to_dict(), "probe": probe.to_dict()},
-            )
-
-        _guarded(cases, label, "gauge_moment_criterion", "norm_ratio_probe", body)
-    return cases, {"n_max": 2**n_exp, "probe_truncation": 2**probe_exp}
-
-
-def _suite_moment_criterion(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {"cases": _MOMENT_CASES, "n_max_exponent": 18, "probe_exponent": 10},
-    )
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    probe_exp = _scaled(opts["probe_exponent"], cfg.resolution_scale, 7, 13)
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        label = _case_label(spec)
-
-        def body(spec=spec, label=label):
-            mu = _resolve_measure(spec["measure"])
-            omega = _resolve_weight(spec["omega"])
-            nu = _resolve_weight(spec["nu"])
-            alpha = float(spec["alpha"])
-            plain = criterion_moment(mu, omega, nu, alpha, n_max=2**n_exp)
-            general = criterion_general(mu, omega, nu, alpha, n_max=2**n_exp)
-            probe = _run_probe(mu, omega, nu, alpha, probe_exp)
-            probe_verdict = _probe_verdict(probe.classification)
-            agree = plain.verdict == general.verdict == probe_verdict
-            return CaseResult(
-                label,
-                "plain_moment_criterion",
-                "gauge_moment_criterion",
-                plain.sup_value,
-                general.sup_value,
-                _safe_ratio(plain.sup_value, general.sup_value),
-                plain.verdict,
-                general.verdict,
-                agree,
-                {
-                    "probe_verdict": probe_verdict,
-                    "probe_growth": probe.growth,
-                    "compactness": plain.details.get("compactness"),
-                },
-            )
-
-        _guarded(cases, label, "plain_moment_criterion", "gauge_moment_criterion", body)
-    return cases, {"n_max": 2**n_exp, "probe_truncation": 2**probe_exp}
 
 
 # -- target-growth criteria ------------------------------------------------------
@@ -872,154 +718,73 @@ _LOG_TARGET_CASES = [
 ]
 
 
-def _suite_log_target(cfg: ExperimentConfig):
-    opts = _options(cfg, {"cases": _LOG_TARGET_CASES, "n_max_exponent": 18, "depth": 24})
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        m_name = spec["measure"] if isinstance(spec["measure"], str) else spec["measure"].get("label", "custom")
-        label = f"{m_name}|alpha={spec['alpha']:g}|gamma={spec['gamma']:g}"
-
-        def body(spec=spec, label=label):
-            mu = _resolve_measure(spec["measure"])
-            result = criterion_bloch_to_gamma(
-                mu, float(spec["alpha"]), float(spec["gamma"]), mode="carleson", n_max=2**n_exp, depth=depth
-            )
-            if result.details.get("automatic"):
-                return CaseResult(
-                    label,
-                    "carleson_form",
-                    "moment_form",
-                    0.0,
-                    0.0,
-                    1.0,
-                    result.verdict,
-                    result.verdict,
-                    result.verdict == VERDICT_BOUNDED,
-                    {"automatic": True},
-                )
-            left_verdict, right_verdict, right_sup, forms_agree = _split_forms(result, "moment_form")
-            return CaseResult(
-                label,
-                "carleson_form",
-                "moment_form",
-                result.sup_value,
-                right_sup,
-                _safe_ratio(result.sup_value, right_sup),
-                left_verdict,
-                right_verdict,
-                forms_agree,
-                {"verdict": result.verdict},
-            )
-
-        _guarded(cases, label, "carleson_form", "moment_form", body)
-    return cases, {"n_max": 2**n_exp, "depth": depth}
-
-
-def _suite_beta_large(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "alpha": 0.5,
-            "beta": 2.0,
-            "gamma": 1.0,
-            "sigma_offsets": [-0.75, -0.25, 0.25, 0.75],
-            "depth": 24,
-        },
+def _compare_log_target(case: Case, ctx: dict) -> CaseResult:
+    spec = case.item
+    mu = resolve_measure(spec["measure"])
+    result = criterion_bloch_to_gamma(
+        mu, float(spec["alpha"]), float(spec["gamma"]), mode="carleson", n_max=ctx["n_max"], depth=ctx["depth"]
     )
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    alpha, beta, gamma = float(opts["alpha"]), float(opts["beta"]), float(opts["gamma"])
-    threshold = alpha + beta - gamma
-    cases: list[CaseResult] = []
-    for offset in opts["sigma_offsets"]:
-        sigma = threshold + float(offset)
-        expected = VERDICT_BOUNDED if offset > 0 else VERDICT_UNBOUNDED
-        label = f"sigma={sigma:g}"
-
-        def body(sigma=sigma, expected=expected, label=label):
-            mu = measure_from_json(
-                {"density": {"kind": "power_log", "s": sigma, "gamma": 0.0}, "label": f"(1-t)^{sigma:g} dt"}
-            )
-            result = criterion_beta_spaces(mu, alpha, beta, gamma, depth=depth)
-            left_verdict, right_verdict, right_sup, forms_agree = _split_forms(result, "reweighted_form")
-            return CaseResult(
-                label,
-                "combined_carleson",
-                "reweighted_carleson",
-                result.sup_value,
-                right_sup,
-                _safe_ratio(result.sup_value, right_sup),
-                left_verdict,
-                right_verdict,
-                forms_agree and result.verdict == expected,
-                {"expected": expected, "threshold": threshold, "verdict": result.verdict},
-            )
-
-        _guarded(cases, label, "combined_carleson", "reweighted_carleson", body)
-    return cases, {"depth": depth, "threshold": threshold}
+    if result.details.get("automatic"):
+        verdict = result.verdict
+        return case.result(0.0, 0.0, verdict, verdict, verdict == VERDICT_BOUNDED, {"automatic": True}, ratio=1.0)
+    return _forms_result(case, result, "moment_form", None, {"verdict": result.verdict})
 
 
-def _suite_beta_small(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "alpha": 0.5,
-            "beta": 0.5,
-            "gamma": 1.0,
-            "sigma_offsets": [-0.75, -0.25, 0.25, 0.75],
-            "depth": 24,
-        },
-    )
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    alpha, beta, gamma = float(opts["alpha"]), float(opts["beta"]), float(opts["gamma"])
-    threshold = alpha + 1.0 - gamma
-    cases: list[CaseResult] = []
-    for offset in opts["sigma_offsets"]:
-        sigma = threshold + float(offset)
-        expected = VERDICT_BOUNDED if offset > 0 else VERDICT_UNBOUNDED
-        label = f"sigma={sigma:g}"
-
-        def body(sigma=sigma, expected=expected, label=label):
-            mu = measure_from_json(
-                {"density": {"kind": "power_log", "s": sigma, "gamma": 0.0}, "label": f"(1-t)^{sigma:g} dt"}
-            )
-            result = criterion_beta_spaces(mu, alpha, beta, gamma, depth=depth)
-            compactness = result.details.get("compactness")
-            return CaseResult(
-                label,
-                "carleson_sup",
-                "threshold_prediction",
-                result.sup_value,
-                sigma - threshold,
-                math.nan,
-                result.verdict,
-                expected,
-                result.verdict == expected and compactness == result.verdict,
-                {"threshold": threshold, "compactness": compactness},
-            )
-
-        _guarded(cases, label, "carleson_sup", "threshold_prediction", body)
-    return cases, {"depth": depth, "threshold": threshold}
+def _sigma_cases(ctx: dict):
+    """Densities (1-t)^sigma at the given offsets from the suite's threshold, with the verdict each should get."""
+    for offset in ctx["sigma_offsets"]:
+        sigma = ctx["threshold"] + float(offset)
+        yield f"sigma={sigma:g}", (sigma, VERDICT_BOUNDED if offset > 0 else VERDICT_UNBOUNDED)
 
 
-def _log_space_case(mu, label, alpha, beta, gamma, expected, n_exp, depth):
-    result = criterion_log_spaces(mu, alpha, beta, gamma, n_max=2**n_exp, depth=depth)
-    left_verdict, right_verdict, right_sup, forms_agree = _split_forms(result, "tail_form")
-    agree = forms_agree and (expected is None or result.verdict == expected)
-    return CaseResult(
-        label,
-        "moment_form",
-        "tail_form",
-        result.sup_value,
-        right_sup,
-        _safe_ratio(result.sup_value, right_sup),
-        left_verdict,
-        right_verdict,
-        agree,
-        {"expected": expected, "verdict": result.verdict, "compactness": result.details.get("compactness")},
+def _beta_result(case: Case, ctx: dict):
+    sigma = case.item[0]
+    mu = measure_from_json({"density": {"kind": "power_log", "s": sigma, "gamma": 0.0}, "label": f"(1-t)^{sigma:g} dt"})
+    return criterion_beta_spaces(mu, ctx["alpha"], ctx["beta"], ctx["gamma"], depth=ctx["depth"])
+
+
+def _compare_beta_large(case: Case, ctx: dict) -> CaseResult:
+    """Both Carleson readings of the beta > 1 criterion, and the predicted verdict."""
+    result = _beta_result(case, ctx)
+    expected = case.item[1]
+    detail = {"expected": expected, "threshold": ctx["threshold"], "verdict": result.verdict}
+    return _forms_result(case, result, "reweighted_form", expected, detail)
+
+
+def _compare_beta_small(case: Case, ctx: dict) -> CaseResult:
+    """The beta < 1 criterion against the threshold prediction; compactness must match."""
+    sigma, expected = case.item
+    result = _beta_result(case, ctx)
+    compactness = result.details.get("compactness")
+    agree = result.verdict == expected and compactness == result.verdict
+    detail = {"threshold": ctx["threshold"], "compactness": compactness}
+    return case.result(result.sup_value, sigma - ctx["threshold"], result.verdict, expected, agree, detail, math.nan)
+
+
+def _beta_suite(beta: float, threshold: Callable, names: tuple[str, str], compare) -> Suite:
+    """T5.3 and T5.4: the same sigma sweep around threshold(alpha, beta, gamma)."""
+
+    def scale(opts: dict, s: float) -> dict:
+        alpha, beta, gamma = float(opts["alpha"]), float(opts["beta"]), float(opts["gamma"])
+        return {
+            "depth": _depth(opts, s),
+            "alpha": alpha,
+            "beta": beta,
+            "gamma": gamma,
+            "threshold": threshold(alpha, beta, gamma),
+        }
+
+    return Suite(
+        defaults={"alpha": 0.5, "beta": beta, "gamma": 1.0, "sigma_offsets": [-0.75, -0.25, 0.25, 0.75], "depth": 24},
+        scale=scale,
+        report=("depth", "threshold"),
+        names=names,
+        cases=_sigma_cases,
+        compare=compare,
     )
 
+
+# -- logarithmic spaces: T5.6, T5.7, T5.8 and remark5 share one spec ---------------
 
 _LOG_SOURCE_CASES = [
     {"beta": 0.0, "gamma": 1.0, "expected": VERDICT_BOUNDED},
@@ -1027,54 +792,10 @@ _LOG_SOURCE_CASES = [
     {"beta": 0.0, "gamma": 0.0, "expected": VERDICT_UNBOUNDED},
 ]
 
-
-def _suite_log_sources(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {"measure": "lebesgue", "alpha": 0.0, "cases": _LOG_SOURCE_CASES, "n_max_exponent": 18, "depth": 24},
-    )
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    alpha = float(opts["alpha"])
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        beta, gamma = float(spec["beta"]), float(spec["gamma"])
-        label = f"beta={beta:g}|gamma={gamma:g}"
-
-        def body(spec=spec, beta=beta, gamma=gamma, label=label):
-            mu = _resolve_measure(opts["measure"])
-            return _log_space_case(mu, label, alpha, beta, gamma, spec.get("expected"), n_exp, depth)
-
-        _guarded(cases, label, "moment_form", "tail_form", body)
-    return cases, {"n_max": 2**n_exp, "depth": depth, "alpha": alpha}
-
-
 _LOG_BORDER_CASES = [
     {"gamma": 0.0, "expected": VERDICT_UNBOUNDED},
     {"gamma": 1.0, "expected": VERDICT_BOUNDED},
 ]
-
-
-def _suite_log_border(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {"measure": "lebesgue", "alpha": 0.0, "cases": _LOG_BORDER_CASES, "n_max_exponent": 18, "depth": 24},
-    )
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    alpha = float(opts["alpha"])
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        gamma = float(spec["gamma"])
-        label = f"gamma={gamma:g}"
-
-        def body(spec=spec, gamma=gamma, label=label):
-            mu = _resolve_measure(opts["measure"])
-            return _log_space_case(mu, label, alpha, -1.0, gamma, spec.get("expected"), n_exp, depth)
-
-        _guarded(cases, label, "moment_form", "tail_form", body)
-    return cases, {"n_max": 2**n_exp, "depth": depth, "alpha": alpha}
-
 
 _LOG_FAST_CASES = [
     {"gamma": -1.0, "expected": VERDICT_UNBOUNDED},
@@ -1083,76 +804,171 @@ _LOG_FAST_CASES = [
 ]
 
 
-def _suite_log_fast(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {
-            "measure": "lebesgue",
-            "alpha": 0.0,
-            "beta": -2.0,
-            "cases": _LOG_FAST_CASES,
-            "n_max_exponent": 18,
-            "depth": 24,
-        },
-    )
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    alpha, beta = float(opts["alpha"]), float(opts["beta"])
-    cases: list[CaseResult] = []
-    for spec in opts["cases"]:
-        gamma = float(spec["gamma"])
-        label = f"gamma={gamma:g}"
-
-        def body(spec=spec, gamma=gamma, label=label):
-            mu = _resolve_measure(opts["measure"])
-            return _log_space_case(mu, label, alpha, beta, gamma, spec.get("expected"), n_exp, depth)
-
-        _guarded(cases, label, "moment_form", "tail_form", body)
-    return cases, {"n_max": 2**n_exp, "depth": depth, "beta": beta}
-
-
-def _suite_log_shift(cfg: ExperimentConfig):
-    opts = _options(
-        cfg,
-        {"alpha": 0.0, "betas": [-2.0, -1.0, -0.5, 0.0, 1.0], "n_max_exponent": 18, "depth": 24},
-    )
-    n_exp = _scaled(opts["n_max_exponent"], cfg.resolution_scale, 10, 26)
-    depth = _scaled(opts["depth"], cfg.resolution_scale, 10, 50)
-    alpha = float(opts["alpha"])
-    cases: list[CaseResult] = []
-    for beta in opts["betas"]:
+def _log_shift_cases(ctx: dict):
+    """remark5: target exponent one above each source exponent; bounded exactly when beta > -1."""
+    for beta in ctx["betas"]:
         beta = float(beta)
         expected = VERDICT_BOUNDED if beta > -1.0 else VERDICT_UNBOUNDED
-        label = f"beta={beta:g}->gamma={beta + 1:g}"
+        yield f"beta={beta:g}->gamma={beta + 1:g}", {"beta": beta, "gamma": beta + 1.0, "expected": expected}
 
-        def body(beta=beta, expected=expected, label=label):
-            return _log_space_case(lebesgue(), label, alpha, beta, beta + 1.0, expected, n_exp, depth)
 
-        _guarded(cases, label, "moment_form", "tail_form", body)
-    return cases, {"n_max": 2**n_exp, "depth": depth, "alpha": alpha}
+def _compare_log_spaces(case: Case, ctx: dict) -> CaseResult:
+    """Moment form against tail form of the log-space criterion, and the expected verdict if any.
+
+    The source exponent comes from the case (T5.6, remark5), else from the options (T5.8), else is -1 (T5.7).
+    """
+    spec = case.item
+    beta = float(spec.get("beta", ctx.get("beta", -1.0)))
+    mu = resolve_measure(ctx.get("measure", "lebesgue"))
+    result = criterion_log_spaces(mu, ctx["alpha"], beta, float(spec["gamma"]), n_max=ctx["n_max"], depth=ctx["depth"])
+    expected = spec.get("expected")
+    detail = {"expected": expected, "verdict": result.verdict, "compactness": result.details.get("compactness")}
+    return _forms_result(case, result, "tail_form", expected, detail)
+
+
+def _log_scale(opts: dict, scale: float) -> dict:
+    out = {"n_max": _n_max(opts, scale), "depth": _depth(opts, scale), "alpha": float(opts["alpha"])}
+    if "beta" in opts:
+        out["beta"] = float(opts["beta"])
+    return out
+
+
+def _log_suite(defaults: dict, cases: Callable, recorded: str, case_keys: tuple | None = None) -> Suite:
+    return Suite(
+        defaults={"alpha": 0.0, **defaults, "n_max_exponent": 18, "depth": 24},
+        scale=_log_scale,
+        report=("n_max", "depth", recorded),
+        names=("moment_form", "tail_form"),
+        cases=cases,
+        compare=_compare_log_spaces,
+        case_keys={"cases": case_keys} if case_keys else {},
+    )
 
 
 # -- registry -------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[[ExperimentConfig], tuple[list[CaseResult], dict]]] = {
-    "L2.1": _suite_block_norm,
-    "L2.2": _suite_extremal,
-    "L2.3": _suite_ratio_bound,
-    "L2.4": _suite_laplace_tail,
-    "L2.5": _suite_reweight,
-    "T3.1": _suite_coefficient_norm,
-    "E3.1": _suite_dyadic_sum,
-    "T3.3": _suite_monotone_norm,
-    "P4.1": _suite_well_defined,
-    "T4.2": _suite_general_criterion,
-    "T4.3": _suite_moment_criterion,
-    "T5.1": _suite_log_target,
-    "T5.3": _suite_beta_large,
-    "T5.4": _suite_beta_small,
-    "T5.6": _suite_log_sources,
-    "T5.7": _suite_log_border,
-    "T5.8": _suite_log_fast,
-    "remark5": _suite_log_shift,
+_REGISTRY: dict[str, Suite] = {
+    "L2.1": _norm_suite("dyadic_block"),
+    "L2.2": Suite(
+        defaults={
+            "weights": ["power_0.5", "power_1", "power_2", "power_log_1_1", "log_power_1"],
+            "levels": 10,
+            "band_cap": 32.0,
+            "growth_cap": 1.5,
+        },
+        scale=lambda o, s: {"levels": _scaled(o["levels"], s, 4, 40)},
+        report=("levels", "band_cap"),
+        names=("deep_profile_band", "base_profile_band"),
+        cases=_per_weight,
+        compare=_compare_extremal,
+    ),
+    "L2.3": Suite(
+        defaults={
+            "weights": _NORM_WEIGHTS + ["log_power_1", "log_power_-1"],
+            "grid_depth": 12,
+            "cap": 4.0,
+            "growth_cap": 1.25,
+        },
+        scale=lambda o, s: {"grid_depth": _scaled(o["grid_depth"], s, 8, 40)},
+        report=("grid_depth", "cap"),
+        names=("deep_grid_bound", "base_grid_bound"),
+        cases=_per_weight,
+        compare=_compare_ratio_bound,
+    ),
+    "L2.4": Suite(
+        defaults={
+            "weights": ["power_0.5", "power_1", "power_log_1_1"],
+            "delta_exponents": [2, 3, 4, 5, 6],
+            "spread_cap": 100.0,
+            "slope_cap": 0.05,
+        },
+        scale=_laplace_exponents,
+        report=("delta_exponents", "spread_cap"),
+        names=("sweep_max", "sweep_min"),
+        cases=_per_weight,
+        compare=_compare_laplace_tail,
+    ),
+    "L2.5": Suite(
+        defaults={"cases": _REWEIGHT_CASES, "depth": 24},
+        scale=lambda o, s: {"depth": _depth(o, s)},
+        report=("depth",),
+        names=("combined_exponent_sup", "reweighted_sup"),
+        cases=_per_spec("{measure}|beta={beta:g}|gamma={gamma:g}"),
+        compare=_compare_reweight,
+        case_keys={"cases": (("measure", "beta", "gamma"), ())},
+    ),
+    "T3.1": _norm_suite("coefficient_sum"),
+    "E3.1": Suite(
+        defaults={"weights": _NORM_WEIGHTS, "base_depth": 16, "deep_depth": 20, "growth_cap": 2.0},
+        scale=_dyadic_depths,
+        report=("base_depth", "deep_depth"),
+        names=("deep_ladder_sup", "base_ladder_sup"),
+        cases=_per_weight,
+        compare=_compare_dyadic_sum,
+    ),
+    "T3.3": Suite(
+        defaults={
+            "weights": _NORM_WEIGHTS,
+            "functions": list(monotone_family(1)),
+            "truncation_exponent": 13,
+            "band": 50.0,
+        },
+        scale=_truncation,
+        report=("truncation", "band"),
+        names=("monotone_bound", "coefficient_sum"),
+        cases=lambda ctx: _norm_cases(ctx, monotone_family(ctx["truncation"]), "monotone series"),
+        compare=_compare_monotone,
+    ),
+    "P4.1": Suite(
+        defaults={
+            "ladder_weights": ["power_0.5", "power_1", "power_2"],
+            "ladder_levels": [6, 10, 14, 18, 22],
+            "fixed_cases": _WELL_DEFINED_FIXED,
+            "partial_depths": [4, 8, 12, 16, 20],
+        },
+        scale=_well_defined_ladders,
+        report=("ladder_levels", "partial_depths"),
+        names=("gauge_integral", "witness_image"),
+        cases=_well_defined_cases,
+        compare=_compare_well_defined,
+        case_keys={"fixed_cases": (("measure", "weight"), ())},
+    ),
+    "T4.2": _operator_suite(_GENERAL_CASES, ("gauge_moment_criterion", "norm_ratio_probe"), _compare_general),
+    "T4.3": _operator_suite(_MOMENT_CASES, ("plain_moment_criterion", "gauge_moment_criterion"), _compare_moment),
+    "T5.1": Suite(
+        defaults={"cases": _LOG_TARGET_CASES, "n_max_exponent": 18, "depth": 24},
+        scale=lambda o, s: {"n_max": _n_max(o, s), "depth": _depth(o, s)},
+        report=("n_max", "depth"),
+        names=("carleson_form", "moment_form"),
+        cases=_per_spec("{measure}|alpha={alpha:g}|gamma={gamma:g}"),
+        compare=_compare_log_target,
+        case_keys={"cases": (("measure", "alpha", "gamma"), ())},
+    ),
+    "T5.3": _beta_suite(
+        2.0, lambda a, b, g: a + b - g, ("combined_carleson", "reweighted_carleson"), _compare_beta_large
+    ),
+    "T5.4": _beta_suite(
+        0.5, lambda a, b, g: a + 1.0 - g, ("carleson_sup", "threshold_prediction"), _compare_beta_small
+    ),
+    "T5.6": _log_suite(
+        {"measure": "lebesgue", "cases": _LOG_SOURCE_CASES},
+        _per_spec("beta={beta:g}|gamma={gamma:g}"),
+        "alpha",
+        (("beta", "gamma"), ("expected",)),
+    ),
+    "T5.7": _log_suite(
+        {"measure": "lebesgue", "cases": _LOG_BORDER_CASES},
+        _per_spec("gamma={gamma:g}"),
+        "alpha",
+        (("gamma",), ("expected",)),
+    ),
+    "T5.8": _log_suite(
+        {"measure": "lebesgue", "beta": -2.0, "cases": _LOG_FAST_CASES},
+        _per_spec("gamma={gamma:g}"),
+        "beta",
+        (("gamma",), ("expected",)),
+    ),
+    "remark5": _log_suite({"betas": [-2.0, -1.0, -0.5, 0.0, 1.0]}, _log_shift_cases, "alpha"),
 }
 
 
@@ -1164,22 +980,3 @@ def default_config(suite: str) -> ExperimentConfig:
     if suite not in _REGISTRY:
         raise DomainError(f"unknown suite {suite!r}; known ids: {sorted(_REGISTRY)}")
     return ExperimentConfig(suite=suite)
-
-
-def run_suite(cfg: ExperimentConfig) -> VerificationReport:
-    """Execute one suite; unknown ids raise, case-level numerics do not."""
-    checker = _REGISTRY.get(cfg.suite)
-    if checker is None:
-        raise DomainError(f"unknown suite {cfg.suite!r}; known ids: {sorted(_REGISTRY)}")
-    start = time.perf_counter()
-    cases, resolution = checker(cfg)
-    resolution = dict(resolution)
-    resolution["resolution_scale"] = cfg.resolution_scale
-    resolution["seed"] = cfg.seed
-    return VerificationReport(
-        suite=cfg.suite,
-        agreement=all(case.agree for case in cases),
-        cases=cases,
-        resolution=resolution,
-        wall_time=time.perf_counter() - start,
-    )

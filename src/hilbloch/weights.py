@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, NumericsError
+from .errors import ConstructionError, DomainError, NumericsError, require_number
 from .quadrature import integrate_radial, integrate_segments, integrate_tail, panel_points
 
 # Relative increment between ladder depths 20 and 25 above which the gauge
@@ -148,7 +148,10 @@ def log_power_weight(beta: float, a: float | None = None, b: float | None = None
 
 def table_weight(samples: Sequence[Sequence[float]], a: float, b: float) -> NormalWeight:
     """Piecewise-linear weight through (r, nu) samples; rescaled so nu(0) = 1."""
-    arr = np.asarray(samples, dtype=float)
+    try:
+        arr = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConstructionError(f"samples must be numeric (r, nu) pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConstructionError("samples must be a sequence of (r, nu) pairs")
     return NormalWeight("table", {"r": arr[:, 0], "nu": arr[:, 1]}, a, b)
@@ -156,34 +159,36 @@ def table_weight(samples: Sequence[Sequence[float]], a: float, b: float) -> Norm
 
 # -- JSON interface -----------------------------------------------------
 
-_JSON_KEYS = {
-    "power": {"kind", "gamma", "a", "b"},
-    "power_log": {"kind", "t", "delta", "a", "b"},
-    "log_power": {"kind", "beta", "a", "b"},
-    "table": {"kind", "samples", "a", "b"},
+# Required keys per kind; "a" and "b" are optional for every kind but "table".
+_JSON_PARAMS = {
+    "power": ("gamma",),
+    "power_log": ("t", "delta"),
+    "log_power": ("beta",),
+    "table": ("samples",),
 }
 
 
 def weight_from_json(doc: dict) -> NormalWeight:
-    """Build a weight from its JSON descriptor; unknown kinds or keys are rejected."""
+    """Build a weight from its JSON descriptor; malformed descriptors raise ConstructionError."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConstructionError("weight descriptor must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind not in _JSON_KEYS:
+    if not isinstance(kind, str) or kind not in _JSON_PARAMS:
         raise ConstructionError(f"unknown weight kind {kind!r}")
-    extra = set(doc) - _JSON_KEYS[kind]
+    params = _JSON_PARAMS[kind]
+    extra = set(doc) - {"kind", "a", "b", *params}
     if extra:
         raise ConstructionError(f"unknown keys in weight descriptor: {sorted(extra)}")
-    a, b = doc.get("a"), doc.get("b")
-    if kind == "power":
-        return power_weight(doc["gamma"], a, b)
-    if kind == "power_log":
-        return power_log_weight(doc["t"], doc["delta"], a, b)
-    if kind == "log_power":
-        return log_power_weight(doc["beta"], a, b)
-    if a is None or b is None:
-        raise ConstructionError("table weights need explicit a and b")
-    return table_weight(doc["samples"], a, b)
+    missing = [key for key in params if key not in doc]
+    if missing:
+        raise ConstructionError(f"{kind} weight descriptor lacks the key {missing[0]!r}")
+    a, b = (None if doc.get(key) is None else require_number(doc[key], key) for key in ("a", "b"))
+    if kind == "table":
+        if a is None or b is None:
+            raise ConstructionError("table weights need explicit a and b")
+        return table_weight(doc["samples"], a, b)
+    factory = {"power": power_weight, "power_log": power_log_weight, "log_power": log_power_weight}[kind]
+    return factory(*(require_number(doc[key], key) for key in params), a, b)
 
 
 def weight_to_json(w: NormalWeight) -> dict:

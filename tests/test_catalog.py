@@ -1,5 +1,7 @@
 """Catalog layer: builtin object sets, probe families, name/JSON resolvers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,10 @@ from hilbloch.catalog import (
     resolve_weight,
     series_catalog,
 )
-from hilbloch.errors import DomainError
-from hilbloch.measures import RadialMeasure
-from hilbloch.series import TaylorSeries
-from hilbloch.weights import NormalWeight, power_weight
+from hilbloch.errors import ConstructionError, DomainError
+from hilbloch.measures import RadialMeasure, measure_from_json
+from hilbloch.series import TaylorSeries, series_from_json
+from hilbloch.weights import NormalWeight, power_weight, weight_from_json
 
 
 class TestBuiltins:
@@ -150,3 +152,35 @@ class TestResolvers:
 
     def test_default_series_truncation_constant(self):
         assert resolve_series("harmonic").truncation == DEFAULT_SERIES_TRUNCATION
+
+
+class TestMalformedDescriptors:
+    @pytest.mark.parametrize(
+        "build, doc",
+        [
+            (weight_from_json, {"kind": "power", "gamma": "1"}),
+            (weight_from_json, {"kind": "power"}),
+            (weight_from_json, {"kind": "power_log", "t": 1.0}),
+            (weight_from_json, {"kind": "power", "gamma": 1.0, "a": "x"}),
+            (weight_from_json, {"kind": "power", "gamma": math.nan}),
+            (weight_from_json, {"kind": ["power"]}),
+            (weight_from_json, {"kind": "table", "samples": [["a", 1.0]], "a": 1.0, "b": 1.0}),
+            (measure_from_json, {"density": 3}),
+            (measure_from_json, {"density": {"kind": "power_log", "s": "1"}}),
+            (measure_from_json, {"atoms": [[0.5]]}),
+            (measure_from_json, {"atoms": "0.5"}),
+            (measure_from_json, {"atoms": [[0.5, math.inf]]}),
+            (measure_from_json, {"label": 3}),
+            (series_from_json, [1.0, "a"]),
+            (series_from_json, [[1.0, 2.0], [3.0]]),
+            (series_from_json, [1.0, math.nan]),
+        ],
+    )
+    def test_raises_construction_error(self, build, doc):
+        with pytest.raises(ConstructionError):
+            build(doc)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0])
+    def test_atom_weight_must_be_positive_and_finite(self, weight):
+        with pytest.raises(ConstructionError):
+            RadialMeasure(atoms=[(0.5, weight)])

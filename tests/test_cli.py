@@ -1,9 +1,14 @@
 """CLI layer: subcommand behavior, exit codes, file outputs."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hilbloch
 from hilbloch.cli import main
 from hilbloch.measures import moments_to_csv
 from hilbloch.measures import lebesgue
@@ -181,3 +186,21 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code = main(["verify", "--config", "/nonexistent/cfg.json"])
         assert code == 2
+
+    def test_bad_inline_json_exits_2_without_traceback(self):
+        # Run the installed entry point in a child process so an escaping
+        # exception would show as a traceback on stderr.
+        src = str(pathlib.Path(hilbloch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        cmd = [sys.executable, "-m", "hilbloch.cli", "bloch-norm", "--weight", '{"kind":', "--series", "constant"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not valid JSON" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "weight", ['{"kind": "power", "gamma": "1"}', '{"kind": "power"}', '{"kind": "power", "gamma": NaN}']
+    )
+    def test_malformed_weight_descriptor_exits_2(self, weight, capsys):
+        assert main(["bloch-norm", "--weight", weight, "--series", "constant"]) == 2
+        assert "error:" in capsys.readouterr().err

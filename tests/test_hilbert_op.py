@@ -60,6 +60,22 @@ class TestGammaCoefficients:
             gamma_table(4, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0, -2.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda alpha: gamma_table(4, alpha),
+        lambda alpha: OperatorConfig(alpha=alpha, measure=point_mass(0.5), truncation=8),
+        lambda alpha: criterion_moment(lebesgue(), power_weight(0.5), power_weight(1.0), alpha, n_max=2**10),
+    ],
+    ids=["gamma_table", "OperatorConfig", "criterion_moment"],
+)
+def test_alpha_outside_the_domain_is_rejected(build, alpha):
+    # NaN and inf must not slip through to a verdict: -1 < alpha < inf is checked in one place.
+    with pytest.raises(DomainError, match="alpha"):
+        build(alpha)
+
+
 class TestOperatorConfig:
     def test_round_trip(self):
         cfg = OperatorConfig(alpha=0.5, measure=point_mass(0.5), truncation=64)

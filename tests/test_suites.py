@@ -1,6 +1,7 @@
 """Harness layer: config contract, registry, determinism, report rendering."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -38,6 +39,21 @@ ALL_SUITES = [
     "T5.8",
     "remark5",
 ]
+
+
+PINNED_ROWS = json.loads((pathlib.Path(__file__).parent / "data" / "suite_rows.json").read_text())
+
+# Suites whose options hold case specs: the option, and one valid spec.
+CASE_OPTIONS = {
+    "L2.5": ("cases", {"measure": "lebesgue", "beta": 0.5, "gamma": 0.5}),
+    "P4.1": ("fixed_cases", {"measure": "lebesgue", "weight": "power_1"}),
+    "T4.2": ("cases", {"measure": "atom_half", "omega": "power_1", "nu": "power_1", "alpha": 0.0}),
+    "T4.3": ("cases", {"measure": "atom_half", "omega": "power_0.5", "nu": "power_1", "alpha": 0.0}),
+    "T5.1": ("cases", {"measure": "lebesgue", "alpha": 0.0, "gamma": 1.0}),
+    "T5.6": ("cases", {"beta": 0.0, "gamma": 1.0, "expected": "bounded"}),
+    "T5.7": ("cases", {"gamma": 1.0, "expected": "bounded"}),
+    "T5.8": ("cases", {"gamma": 1.0}),
+}
 
 
 def report_fingerprint(report):
@@ -94,6 +110,48 @@ class TestConfig:
         with pytest.raises(DomainError):
             run_suite(cfg)
 
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("resolution_scale", "deep"), ("version", None)])
+    def test_malformed_config_field_rejected(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            config_from_json({"suite": "E3.1", key: value})
+
+    @pytest.mark.parametrize(
+        "suite, key, value", [("L2.2", "weights", "power_1"), ("T5.1", "depth", "24"), ("L2.4", "spread_cap", math.nan)]
+    )
+    def test_option_of_the_wrong_type_rejected(self, suite, key, value):
+        with pytest.raises(DomainError, match=f"{suite}.*'{key}'"):
+            run_suite(ExperimentConfig(suite=suite, options={key: value}))
+
+
+@pytest.mark.parametrize("suite", sorted(CASE_OPTIONS))
+class TestCaseSpecs:
+    """Malformed case specs raise DomainError naming the suite and the key, before any case runs."""
+
+    def _run(self, suite, cases):
+        option, _ = CASE_OPTIONS[suite]
+        return run_suite(ExperimentConfig(suite=suite, options={option: cases}))
+
+    def test_missing_key(self, suite):
+        _, spec = CASE_OPTIONS[suite]
+        for key in [k for k in spec if k != "expected"]:
+            partial = {k: v for k, v in spec.items() if k != key}
+            with pytest.raises(DomainError, match=f"{suite}.*'{key}'"):
+                self._run(suite, [partial])
+
+    def test_unknown_key(self, suite):
+        _, spec = CASE_OPTIONS[suite]
+        with pytest.raises(DomainError, match=f"{suite}.*'bogus'"):
+            self._run(suite, [{**spec, "bogus": 1}])
+
+    def test_spec_list_given_a_single_spec(self, suite):
+        option, spec = CASE_OPTIONS[suite]
+        with pytest.raises(DomainError, match=f"{suite}.*'{option}'"):
+            self._run(suite, spec)
+
+    def test_spec_that_is_not_an_object(self, suite):
+        with pytest.raises(DomainError, match=suite):
+            self._run(suite, ["lebesgue"])
+
 
 class TestRunSuite:
     def test_unknown_suite_id(self):
@@ -133,6 +191,10 @@ class TestRunSuite:
         assert [b.label for b in base.cases] == [d.label for d in deep.cases]
         for b, d in zip(base.cases, deep.cases):
             assert (b.left_verdict, b.right_verdict) == (d.left_verdict, d.right_verdict), b.label
+        # Labels, side names, verdicts and agreement at scale 1 are pinned: the
+        # benchmark's oracles key on the labels, and the file holds no floats.
+        rows = [[c.label, c.left_name, c.right_name, c.left_verdict, c.right_verdict, c.agree] for c in base.cases]
+        assert rows == PINNED_ROWS[suite]
 
     def test_case_errors_are_captured_not_raised(self):
         # delta = 10^0 = 1 is outside the admissible Laplace range; every case

@@ -23,6 +23,8 @@ from .trend import CriterionResult, radius_ladder, summarize_ladder
 TAIL_MATCH_RTOL = 1e-8
 # Deepest u = -log(1-t) reachable before e^{-u} leaves the normal range of doubles.
 _U_CAP = 680.0
+# Largest power table t_i^j (nodes x block) that contiguous_moments builds: 1 MiB of floats.
+_MOMENT_TABLE_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,13 @@ class _NodeSet:
 def _u_edges(breakpoints: Sequence[float]) -> tuple[float, ...]:
     """Map radii in (0, 1) to panel cuts on the u = -log(1-t) axis."""
     return tuple(sorted({-math.log1p(-float(b)) for b in breakpoints if 0.0 < b < 1.0}))
+
+
+def _moment_block(n_max: int, nodes: int) -> int:
+    """Block of indices for contiguous_moments: a power of two near sqrt(n_max + 1),
+    capped so that the nodes x block power table stays within 2^17 floats (1 MiB)."""
+    block = min(1 << (n_max.bit_length() + 1) // 2, max(1, _MOMENT_TABLE_ELEMENTS // nodes))
+    return 1 << (block.bit_length() - 1)
 
 
 class RadialMeasure:
@@ -162,21 +171,24 @@ class RadialMeasure:
         self._node_cache[key] = nodes
         return nodes
 
-    def _density_sums(self, ns: Sequence[int], phi, U: float, level: int, edges=()) -> np.ndarray:
+    def _density_weights(self, phi, U: float, level: int, edges) -> tuple[np.ndarray, np.ndarray]:
+        """Density nodes t and their quadrature weights base * phi(t)."""
         nodes = self._nodes(U, level, edges)
         vals = nodes.base if phi is None else nodes.base * np.asarray(phi(nodes.t, nodes.omt), dtype=float)
+        return nodes.t, vals
+
+    def _density_sums(self, ns: Sequence[int], phi, U: float, level: int, edges=()) -> np.ndarray:
+        t, vals = self._density_weights(phi, U, level, edges)
         out = np.empty(len(ns))
         for i, n in enumerate(ns):
-            out[i] = float(vals @ np.power(nodes.t, n)) if n else float(vals.sum())
+            out[i] = float(vals @ np.power(t, n)) if n else float(vals.sum())
         return out
 
     def _integrand_scale(self, phi, U: float, level: int, edges) -> float:
         """l1 mass of the weighted integrand; anchors tolerances when moments cancel."""
         if phi is None:
             return 0.0
-        nodes = self._nodes(U, level, edges)
-        vals = nodes.base * np.asarray(phi(nodes.t, nodes.omt), dtype=float)
-        return float(np.abs(vals).sum())
+        return float(np.abs(self._density_weights(phi, U, level, edges)[1]).sum())
 
     def _density_grid(self, n_top: int, phi, rel_tol: float, edges=()) -> tuple[float, int]:
         """Pick (U, level) so the hardest density moments are stable to rel_tol."""
@@ -214,12 +226,19 @@ class RadialMeasure:
 
     # -- moments -----------------------------------------------------------
 
+    def _atom_weights(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """Atom positions t and their weights wgt * phi(t)."""
+        t = np.array([pos for pos, _ in self.atoms], dtype=float)
+        w = np.array([wgt for _, wgt in self.atoms], dtype=float)
+        if phi is not None and len(t):
+            w = w * np.asarray(phi(t, 1.0 - t), dtype=float)
+        return t, w
+
     def _atom_sums(self, ns: Sequence[int], phi) -> np.ndarray:
         out = np.zeros(len(ns))
-        for t, wgt in self.atoms:
-            factor = wgt if phi is None else wgt * float(phi(np.asarray([t]), np.asarray([1.0 - t]))[0])
+        for t, factor in zip(*self._atom_weights(phi)):
             for i, n in enumerate(ns):
-                out[i] += factor * t**n
+                out[i] += factor * float(t) ** n
         return out
 
     def moments_at(
@@ -249,27 +268,46 @@ class RadialMeasure:
         self._moment_cache[n] = val
         return val
 
+    def _moment_nodes(self, n_max: int, phi, rel_tol: float, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+        """One weighted node set (t, w) for the moments up to n_max: atoms, then density nodes."""
+        t, w = self._atom_weights(phi)
+        if self.density is None:
+            return t, w
+        edges = _u_edges(breakpoints)
+        U, level = self._density_grid(n_max, phi, rel_tol, edges)
+        t_dens, w_dens = self._density_weights(phi, U, level, edges)
+        return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
+
     def contiguous_moments(
         self, n_max: int, phi=None, rel_tol: float = 1e-10, breakpoints: Sequence[float] = ()
     ) -> np.ndarray:
-        """Moments for every n = 0..n_max, sharing one node grid."""
+        """Moments for every n = 0..n_max, sharing one node grid.
+
+        The atoms, weighted wgt * phi(t), and the density nodes, weighted
+        base * phi(t), form one node set (t, w).  Indices run in blocks of B
+        (see _moment_block): the table P[i, j] = t_i^j, j < B, comes from one
+        cumulative product, each block of moments is one matrix product
+        (w t^n0) @ P, and the running weights then step by t^B.  The Python
+        loop takes (n_max + 1) / B steps, and P holds at most 2^17 floats.
+        """
         n_max = int(n_max)
+        if n_max < 0:
+            raise DomainError("moment index must be nonnegative")
+        t, w = self._moment_nodes(n_max, phi, rel_tol, breakpoints)
         out = np.zeros(n_max + 1)
-        for t, wgt in self.atoms:
-            factor = wgt if phi is None else wgt * float(phi(np.asarray([t]), np.asarray([1.0 - t]))[0])
-            out += factor * t ** np.arange(n_max + 1, dtype=float)
-        if self.density is not None:
-            edges = _u_edges(breakpoints)
-            U, level = self._density_grid(n_max, phi, rel_tol, edges)
-            nodes = self._nodes(U, level, edges)
-            vals = nodes.base if phi is None else nodes.base * np.asarray(phi(nodes.t, nodes.omt), dtype=float)
-            acc = vals.copy()
-            dens = np.empty(n_max + 1)
-            dens[0] = acc.sum()
-            for n in range(1, n_max + 1):
-                acc *= nodes.t
-                dens[n] = acc.sum()
-            out += dens
+        if not len(t):
+            return out
+        block = _moment_block(n_max, len(t))
+        powers = np.empty((len(t), block))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = t[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        # t^B by one power, not from the table, so t^n carries about n/B + B roundings instead of n.
+        step = t**block
+        acc = w.copy()
+        for start in range(0, n_max + 1, block):
+            out[start : start + block] = acc @ powers[:, : n_max + 1 - start]
+            acc *= step
         return out
 
     def hankel_entry(self, n: int, k: int) -> float:
@@ -312,6 +350,9 @@ class RadialMeasure:
 
     def tail_ladder(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Gaps 2^-m and tails mu([1 - 2^-m, 1)) for m = 1..depth."""
+        depth = int(depth)
+        if depth < 1:
+            raise DomainError("tail ladder depth must be at least 1")
         gaps = 2.0 ** -np.arange(1, depth + 1, dtype=float)
         return gaps, np.array([self.tail(t) for t in radius_ladder(depth)])
 

@@ -474,6 +474,8 @@ def _compare_ratio_bound(case: Case, ctx: dict) -> CaseResult:
 
 
 def _laplace_exponents(opts: dict, scale: float) -> dict:
+    if not opts["delta_exponents"]:
+        raise DomainError("suite L2.4: option 'delta_exponents' must not be empty")
     exponents = sorted(int(e) for e in opts["delta_exponents"])
     deepest = _scaled(max(exponents), scale, max(exponents), 7)
     exponents = sorted(set(exponents) | set(range(max(exponents) + 1, deepest + 1)))

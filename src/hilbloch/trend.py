@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericsError
+
 BOUNDED_MAX_SLOPE = 0.05
 UNBOUNDED_MIN_SLOPE = 0.15
 
@@ -103,9 +105,15 @@ class CriterionResult:
 
 
 def summarize_ladder(xs, qs, quantity: str, details: dict | None = None) -> CriterionResult:
-    """Build a CriterionResult from ladder samples of a quantity."""
+    """Build a CriterionResult from ladder samples of a quantity.
+
+    A sample of +-inf reads as unbounded; a NaN sample is no reading at all and
+    raises NumericsError.
+    """
     xs = np.asarray(xs, dtype=float)
     qs = np.asarray(qs, dtype=float)
+    if np.isnan(qs).any():
+        raise NumericsError(f"ladder of {quantity} has a NaN sample")
     trend = trend_slopes(xs, qs)
     verdict = verdict_from_trend(trend)
     finite = np.isfinite(qs)

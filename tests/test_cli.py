@@ -204,3 +204,16 @@ class TestErrors:
     def test_malformed_weight_descriptor_exits_2(self, weight, capsys):
         assert main(["bloch-norm", "--weight", weight, "--series", "constant"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--measure", "lebesgue", "--n-max", "-1"],
+            ["criterion", "--kind", "log-source", "--measure", "lebesgue"]
+            + ["--alpha", "0", "--beta", "0", "--gamma", "1", "--depth", "0"],
+        ],
+        ids=["negative-n-max", "zero-depth"],
+    )
+    def test_out_of_range_numbers_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from hilbloch.catalog import builtin_measures
 from hilbloch.errors import ConstructionError, DomainError
 from hilbloch.measures import (
+    _moment_block,
     carleson_sup,
     lebesgue,
     measure_from_json,
@@ -30,6 +32,30 @@ def harmonic(n: int) -> float:
 
 def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+# Builtin measures (1-t)^s dt, whose moments are mu_n = B(n+1, s+1).
+BETA_DENSITIES = {"lebesgue": 0.0, "density_1": 1.0, "density_2": 2.0, "density_-0.5": -0.5}
+# Indices on both sides of every power of two up to 2^18: each block edge of
+# contiguous_moments is a multiple of its power-of-two block.
+EDGE_INDICES = sorted({0, 1} | {2**k + d for k in range(1, 19) for d in (-1, 0, 1)} - {2**18 + 1})
+
+
+def reference_moments(mu, n_max, phi=None, breakpoints=()):
+    """Plain per-index loop over the weighted node set that contiguous_moments sums."""
+    t, w = mu._moment_nodes(n_max, phi, 1e-10, breakpoints)
+    out = np.empty(n_max + 1)
+    acc = w.copy()
+    for n in range(n_max + 1):
+        out[n] = acc.sum()
+        acc *= t
+    return out
+
+
+@pytest.fixture(scope="module")
+def beta_tables():
+    measures = builtin_measures()
+    return {name: measures[name].contiguous_moments(2**18) for name in BETA_DENSITIES}
 
 
 class TestMoments:
@@ -90,6 +116,58 @@ class TestMoments:
         assert mu.hankel_entry(3, 4) == pytest.approx(mu.moment(7), rel=1e-12)
 
 
+class TestBlockedMoments:
+    @pytest.mark.parametrize("name", sorted(BETA_DENSITIES))
+    def test_power_density_moments_match_beta_function(self, beta_tables, name):
+        s = BETA_DENSITIES[name]
+        with mpmath.workdps(30):
+            oracle = [float(mpmath.beta(n + 1, s + 1)) for n in EDGE_INDICES]
+        assert beta_tables[name][EDGE_INDICES] == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(BETA_DENSITIES))
+    def test_positive_measure_has_positive_decreasing_moments(self, beta_tables, name):
+        table = beta_tables[name]
+        assert np.all(table > 0.0)
+        assert np.all(np.diff(table) < 0.0)
+
+    # n_max + 1 in {4095, 4096, 4097} ends on a block one short, exactly full
+    # or one over for every power-of-two block from 2 to 1024.
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, 4094, 4095, 4096])
+    @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_with_breakpoints", "zero"])
+    def test_matches_per_index_loop(self, case, n_max):
+        atoms = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
+        phi, breakpoints = None, ()
+        if case == "atoms":
+            mu = radial_measure(atoms=atoms)
+        elif case == "atoms_and_density":
+            mu = radial_measure(atoms=atoms, density=power_log_density(0.5))
+        elif case == "phi_with_breakpoints":
+            # The |f(t)| weighting of apply_sublinear, with a kink at the root of f.
+            mu = radial_measure(atoms=atoms, density=power_log_density(-0.5, 1.0))
+            phi, breakpoints = (lambda t, omt: np.abs(1.0 - 3.0 * t)), (1.0 / 3.0,)
+        else:
+            mu = radial_measure()
+        got = mu.contiguous_moments(n_max, phi=phi, breakpoints=breakpoints)
+        ref = reference_moments(mu, n_max, phi, breakpoints)
+        assert got.shape == (n_max + 1,)
+        if case == "zero":
+            assert np.array_equal(got, np.zeros(n_max + 1))
+        else:
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("nodes", [1, 5, 1024, 3328, 2**17, 2**18])
+    @pytest.mark.parametrize("n_max", [0, 1, 100, 2**14, 2**18])
+    def test_block_is_a_capped_power_of_two(self, nodes, n_max):
+        block = _moment_block(n_max, nodes)
+        assert block & (block - 1) == 0
+        assert block * nodes <= max(2**17, nodes)
+        assert block <= 2 * math.isqrt(n_max + 1) + 1
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(DomainError):
+            lebesgue().contiguous_moments(-1)
+
+
 class TestIntegralAndTail:
     def test_kinked_integrand_with_breakpoint(self):
         val = lebesgue().integral(lambda t, omt: np.abs(2.0 * t - 1.0), breakpoints=(0.5,))
@@ -104,6 +182,13 @@ class TestIntegralAndTail:
         mu = lebesgue()
         for t in (0.0, 0.3, 0.9):
             assert mu.tail(t) == pytest.approx(1.0 - t, rel=1e-10)
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_tail_ladder_needs_a_rung(self, depth):
+        with pytest.raises(DomainError):
+            lebesgue().tail_ladder(depth)
+        with pytest.raises(DomainError):
+            carleson_sup(lebesgue(), depth=depth)
 
     def test_power_density_tail(self):
         mu = builtin_measures()["density_2"]

@@ -123,6 +123,11 @@ class TestConfig:
             run_suite(ExperimentConfig(suite=suite, options={key: value}))
 
 
+    def test_empty_delta_exponents_rejected(self):
+        with pytest.raises(DomainError, match="L2.4.*'delta_exponents'"):
+            run_suite(ExperimentConfig(suite="L2.4", options={"delta_exponents": []}))
+
+
 @pytest.mark.parametrize("suite", sorted(CASE_OPTIONS))
 class TestCaseSpecs:
     """Malformed case specs raise DomainError naming the suite and the key, before any case runs."""

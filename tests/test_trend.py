@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hilbloch.errors import NumericsError
 from hilbloch.trend import (
     BOUNDED_MAX_SLOPE,
     UNBOUNDED_MIN_SLOPE,
@@ -109,6 +110,14 @@ class TestSummarizeLadder:
         result = summarize_ladder(xs, qs, quantity="q")
         assert result.verdict == VERDICT_UNBOUNDED
         assert math.isinf(result.sup_value)
+
+    def test_negative_infinite_entry_forces_unbounded(self):
+        result = summarize_ladder(np.array([1.0, 2.0, 4.0]), np.array([1.0, -math.inf, 0.5]), quantity="q")
+        assert result.verdict == VERDICT_UNBOUNDED
+
+    def test_nan_entry_is_no_verdict(self):
+        with pytest.raises(NumericsError, match="NaN"):
+            summarize_ladder(np.array([1.0, 2.0, 4.0]), np.array([1.0, math.nan, 0.5]), quantity="q")
 
     def test_details_round_trip_json(self):
         xs = 2.0 ** np.arange(0, 8)

@@ -1,7 +1,7 @@
 """Built-in named weights, measures, and series shared by suites, probes, demos.
 
 Everything here is deterministic except the signed-polynomial generator,
-which takes an explicit seed so reports can record it.
+which takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def probe_functions(omega: NormalWeight, truncation: int) -> list[tuple[str, Tay
 
 
 def random_signed_polynomials(count: int, degree: int, seed: int) -> list[tuple[str, TaylorSeries]]:
-    """Signed-coefficient polynomials for property checks; seed goes in the report."""
+    """Signed-coefficient polynomials for property checks, drawn from numpy's generator at seed."""
     rng = np.random.default_rng(seed)
     return [
         (f"signed_{degree}_{i}", TaylorSeries(rng.uniform(-1.0, 1.0, degree + 1)))

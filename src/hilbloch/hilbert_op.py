@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bloch import norm_direct
-from .errors import DomainError, NumericsError, PreconditionError
+from .errors import DomainError, NumericsError, PreconditionError, require_number
 from .measures import (
     RadialMeasure,
     carleson_sup,
@@ -109,10 +109,10 @@ def config_from_json(doc: dict) -> OperatorConfig:
     if missing:
         raise DomainError(f"operator config missing keys: {sorted(missing)}")
     return OperatorConfig(
-        alpha=float(doc["alpha"]),
+        alpha=require_number(doc["alpha"], "alpha", DomainError),
         measure=measure_from_json(doc["measure"]),
-        truncation=int(doc["truncation"]),
-        rel_tol=float(doc.get("rel_tol", 1e-10)),
+        truncation=int(require_number(doc["truncation"], "truncation", DomainError)),
+        rel_tol=require_number(doc.get("rel_tol", 1e-10), "rel_tol", DomainError),
     )
 
 

@@ -64,18 +64,14 @@ def custom_density(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Densit
     return Density("custom", fn=fn)
 
 
-class _NodeSet:
-    __slots__ = ("t", "omt", "base")
-
-    def __init__(self, t: np.ndarray, omt: np.ndarray, base: np.ndarray):
-        self.t = t
-        self.omt = omt
-        self.base = base
-
-
 def _u_edges(breakpoints: Sequence[float]) -> tuple[float, ...]:
     """Map radii in (0, 1) to panel cuts on the u = -log(1-t) axis."""
     return tuple(sorted({-math.log1p(-float(b)) for b in breakpoints if 0.0 < b < 1.0}))
+
+
+def _power_sums(t: np.ndarray, w: np.ndarray, ns: Sequence[int]) -> np.ndarray:
+    """Sums of w * t^n over the node set, one per index n."""
+    return np.array([float(w @ np.power(t, n)) if n else float(w.sum()) for n in ns])
 
 
 def _moment_block(n_max: int, nodes: int) -> int:
@@ -107,7 +103,7 @@ class RadialMeasure:
         self.density = density
         self.label = label or self._default_label()
         self._moment_cache: dict[int, float] = {}
-        self._node_cache: dict[tuple, _NodeSet] = {}
+        self._node_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._grid_spec: tuple[float, int] | None = None
 
         if density is not None and tail_fn is None and density.kind == "power_log" and density.gamma_log == 0.0:
@@ -156,7 +152,8 @@ class RadialMeasure:
 
     # -- node grid ---------------------------------------------------------
 
-    def _nodes(self, U: float, level: int, edges: tuple[float, ...] = ()) -> _NodeSet:
+    def _nodes(self, U: float, level: int, edges: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Density nodes t, 1 - t and their quadrature weights density * (1-t) du."""
         key = (U, level, edges)
         found = self._node_cache.get(key)
         if found is not None:
@@ -166,55 +163,47 @@ class RadialMeasure:
         u, du = panel_points(cuts, panels)
         omt = np.exp(-u)
         t = -np.expm1(-u)
-        base = self.density.eval(t, omt) * omt * du
-        nodes = _NodeSet(t, omt, base)
+        nodes = (t, omt, self.density.eval(t, omt) * omt * du)
         self._node_cache[key] = nodes
         return nodes
 
-    def _density_weights(self, phi, U: float, level: int, edges) -> tuple[np.ndarray, np.ndarray]:
-        """Density nodes t and their quadrature weights base * phi(t)."""
-        nodes = self._nodes(U, level, edges)
-        vals = nodes.base if phi is None else nodes.base * np.asarray(phi(nodes.t, nodes.omt), dtype=float)
-        return nodes.t, vals
+    def _density_grid(self, n_top: int, phi, rel_tol: float, edges=()) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted density nodes (t, w) of a grid (U, level) on which the hardest moments are stable to rel_tol.
 
-    def _density_sums(self, ns: Sequence[int], phi, U: float, level: int, edges=()) -> np.ndarray:
-        t, vals = self._density_weights(phi, U, level, edges)
-        out = np.empty(len(ns))
-        for i, n in enumerate(ns):
-            out[i] = float(vals @ np.power(t, n)) if n else float(vals.sum())
-        return out
+        phi is evaluated once on each grid tried; the probe sums and the
+        tolerance floor (the l1 mass of the weighted integrand, which anchors
+        the tolerance when moments cancel) all read those weights.
+        """
+        weighted: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _integrand_scale(self, phi, U: float, level: int, edges) -> float:
-        """l1 mass of the weighted integrand; anchors tolerances when moments cancel."""
-        if phi is None:
-            return 0.0
-        return float(np.abs(self._density_weights(phi, U, level, edges)[1]).sum())
+        def nodes(U: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+            if (U, level) not in weighted:
+                t, omt, base = self._nodes(U, level, edges)
+                w = base if phi is None else base * np.asarray(phi(t, omt), dtype=float)
+                weighted[U, level] = (t, w)
+            return weighted[U, level]
 
-    def _density_grid(self, n_top: int, phi, rel_tol: float, edges=()) -> tuple[float, int]:
-        """Pick (U, level) so the hardest density moments are stable to rel_tol."""
         if self._grid_spec is not None and phi is None and not edges:
             U, level = self._grid_spec
             if U >= math.log(n_top + 1.0) + 8.0:
-                return self._grid_spec
+                return nodes(U, level)
         probe = sorted({0, int(n_top)})
         U = max(16.0, math.log(n_top + 1.0) + 8.0)
+        cur = _power_sums(*nodes(U, 1), probe)
         while True:
-            step = max(8.0, 0.5 * U)
-            cur = self._density_sums(probe, phi, U, 1, edges)
-            ext = self._density_sums(probe, phi, U + step, 1, edges)
-            floor = 0.01 * self._integrand_scale(phi, U + step, 1, edges)
-            if np.all(np.abs(ext - cur) <= 0.25 * rel_tol * (np.abs(ext) + floor) + 1e-300):
-                U = U + step
+            U = U + max(8.0, 0.5 * U)
+            nxt = _power_sums(*nodes(U, 1), probe)
+            floor = 0.0 if phi is None else 0.01 * float(np.abs(nodes(U, 1)[1]).sum())
+            if np.all(np.abs(nxt - cur) <= 0.25 * rel_tol * (np.abs(nxt) + floor) + 1e-300):
                 break
-            U = U + step
             if U > _U_CAP:
                 raise NumericsError("density moments did not stabilize in the tail; measure nearly divergent")
-        floor = 0.01 * self._integrand_scale(phi, U, 1, edges)
+            cur = nxt
         level = 1
-        cur = self._density_sums(probe, phi, U, level, edges)
+        cur = _power_sums(*nodes(U, level), probe)
         while level < 10:
-            nxt = self._density_sums(probe, phi, U, level + 1, edges)
             level += 1
+            nxt = _power_sums(*nodes(U, level), probe)
             if np.all(np.abs(nxt - cur) <= rel_tol * (np.abs(nxt) + floor) + 1e-300):
                 break
             cur = nxt
@@ -222,24 +211,19 @@ class RadialMeasure:
             raise NumericsError("density moment refinement did not converge")
         if phi is None and not edges:
             self._grid_spec = (U, level)
-        return U, level
+        return nodes(U, level)
 
     # -- moments -----------------------------------------------------------
 
-    def _atom_weights(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        """Atom positions t and their weights wgt * phi(t)."""
-        t = np.array([pos for pos, _ in self.atoms], dtype=float)
-        w = np.array([wgt for _, wgt in self.atoms], dtype=float)
+    def _moment_nodes(self, n_max: int, phi, rel_tol: float, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+        """One weighted node set (t, w) for the moments up to n_max: atoms wgt * phi(t), then density nodes."""
+        t, w = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         if phi is not None and len(t):
             w = w * np.asarray(phi(t, 1.0 - t), dtype=float)
-        return t, w
-
-    def _atom_sums(self, ns: Sequence[int], phi) -> np.ndarray:
-        out = np.zeros(len(ns))
-        for t, factor in zip(*self._atom_weights(phi)):
-            for i, n in enumerate(ns):
-                out[i] += factor * float(t) ** n
-        return out
+        if self.density is None:
+            return t, w
+        t_dens, w_dens = self._density_grid(n_max, phi, rel_tol, _u_edges(breakpoints))
+        return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
 
     def moments_at(
         self, ns: Sequence[int], phi=None, rel_tol: float = 1e-10, breakpoints: Sequence[float] = ()
@@ -252,12 +236,7 @@ class RadialMeasure:
         ns = [int(n) for n in ns]
         if any(n < 0 for n in ns):
             raise DomainError("moment index must be nonnegative")
-        out = self._atom_sums(ns, phi)
-        if self.density is not None:
-            edges = _u_edges(breakpoints)
-            U, level = self._density_grid(max(ns), phi, rel_tol, edges)
-            out = out + self._density_sums(ns, phi, U, level, edges)
-        return out
+        return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol, breakpoints), ns)
 
     def moment(self, n: int, rel_tol: float = 1e-10) -> float:
         n = int(n)
@@ -267,16 +246,6 @@ class RadialMeasure:
         val = float(self.moments_at([n], rel_tol=rel_tol)[0])
         self._moment_cache[n] = val
         return val
-
-    def _moment_nodes(self, n_max: int, phi, rel_tol: float, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
-        """One weighted node set (t, w) for the moments up to n_max: atoms, then density nodes."""
-        t, w = self._atom_weights(phi)
-        if self.density is None:
-            return t, w
-        edges = _u_edges(breakpoints)
-        U, level = self._density_grid(n_max, phi, rel_tol, edges)
-        t_dens, w_dens = self._density_weights(phi, U, level, edges)
-        return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
 
     def contiguous_moments(
         self, n_max: int, phi=None, rel_tol: float = 1e-10, breakpoints: Sequence[float] = ()
@@ -309,9 +278,6 @@ class RadialMeasure:
             out[start : start + block] = acc @ powers[:, : n_max + 1 - start]
             acc *= step
         return out
-
-    def hankel_entry(self, n: int, k: int) -> float:
-        return self.moment(n + k)
 
     def integral(
         self,

@@ -91,8 +91,7 @@ def render_markdown(reports: VerificationReport | Sequence[VerificationReport]) 
         lines.append(f"## {rep.suite}")
         lines.append("")
         lines.append(f"Agreement: **{rep.agreement}** ({len(rep.cases)} cases, {rep.wall_time:.2f}s)")
-        resolution = {k: v for k, v in rep.resolution.items() if k != "seed"}
-        lines.append(f"Resolution: `{json.dumps(resolution, sort_keys=True)}`")
+        lines.append(f"Resolution: `{json.dumps(rep.resolution, sort_keys=True)}`")
         lines.append("")
         rows = [
             [

@@ -32,6 +32,8 @@ class TaylorSeries:
             raise DomainError("coefficients must form a nonempty 1-d array")
         if not np.iscomplexobj(arr):
             arr = arr.astype(float)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("coefficients must be finite")
         self.coefficients = arr
 
     @property

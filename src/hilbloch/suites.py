@@ -62,13 +62,12 @@ from .weights import (
 )
 
 CONFIG_VERSION = 1
-DEFAULT_SEED = 20260814
 
 FLAG_FINITE = "finite"
 FLAG_DIVERGENT = "divergent"
 FLAG_ERROR = "error"
 
-_CONFIG_KEYS = {"version", "suite", "resolution_scale", "seed", "options"}
+_CONFIG_KEYS = {"version", "suite", "resolution_scale", "options"}
 
 
 # -- config / result containers ---------------------------------------------
@@ -81,7 +80,6 @@ class ExperimentConfig:
     suite: str
     version: int = CONFIG_VERSION
     resolution_scale: float = 1.0
-    seed: int = DEFAULT_SEED
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -94,10 +92,7 @@ class ExperimentConfig:
 
 
 def _config_field(doc: dict, key: str, kind: type, default):
-    try:
-        return kind(doc.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"config key {key!r}: {exc}") from None
+    return kind(require_number(doc.get(key, default), f"config key {key!r}", DomainError))
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -113,7 +108,6 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         suite=str(doc["suite"]),
         version=_config_field(doc, "version", int, CONFIG_VERSION),
         resolution_scale=_config_field(doc, "resolution_scale", float, 1.0),
-        seed=_config_field(doc, "seed", int, DEFAULT_SEED),
         options=dict(options) if isinstance(options, dict) else options,
     )
     if cfg.suite not in _REGISTRY:
@@ -126,7 +120,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "version": cfg.version,
         "suite": cfg.suite,
         "resolution_scale": cfg.resolution_scale,
-        "seed": cfg.seed,
         "options": cfg.options,
     }
 
@@ -272,7 +265,6 @@ def run_suite(cfg: ExperimentConfig) -> VerificationReport:
             cases.append(case.result(math.nan, math.nan, FLAG_ERROR, FLAG_ERROR, False, error))
     resolution = {key: ctx[key] for key in suite.report}
     resolution["resolution_scale"] = cfg.resolution_scale
-    resolution["seed"] = cfg.seed
     return VerificationReport(
         suite=cfg.suite,
         agreement=all(case.agree for case in cases),

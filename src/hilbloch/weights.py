@@ -47,6 +47,8 @@ class NormalWeight:
             vs = np.asarray(params["nu"], dtype=float)
             if rs.ndim != 1 or rs.shape != vs.shape or len(rs) < 2:
                 raise ConstructionError("table weight needs matching 1-d sample arrays")
+            if not (np.all(np.isfinite(rs)) and np.all(np.isfinite(vs))):
+                raise ConstructionError("table samples must be finite")
             if rs[0] != 0.0:
                 raise ConstructionError("table samples must start at r = 0")
             if np.any(np.diff(rs) <= 0) or rs[-1] >= 1.0:
@@ -276,7 +278,8 @@ def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float], rel_tol: floa
 
     Working from the gaps keeps deep radii exact where t itself would round
     to 1.  Segments between consecutive depths are integrated with nested
-    Gauss panels, doubled until the cumulative profile stabilizes.
+    Gauss panels, doubled until the cumulative profile stabilizes; a profile
+    still moving at 2^10 panels per segment raises NumericsError.
     """
     gaps = np.asarray(gaps, dtype=float)
     if gaps.size == 0:
@@ -289,7 +292,7 @@ def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float], rel_tol: floa
     lo, hi = edges[:-1], edges[1:]
 
     prev_totals = None
-    for splits in (1, 2, 4, 8, 16):
+    for splits in 2 ** np.arange(11):
         width = (hi - lo) / splits
         sub_lo = lo[:, None] + width[:, None] * np.arange(splits)[None, :]
         half = 0.5 * width[:, None, None]
@@ -303,6 +306,8 @@ def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float], rel_tol: floa
         ):
             break
         prev_totals = totals
+    else:
+        raise NumericsError(f"gauge sweep not converged to rel_tol={rel_tol:g} with {splits} Gauss panels per segment")
     out = np.empty_like(totals)
     out[order] = totals
     return out
@@ -361,43 +366,33 @@ class ExtremalSeries:
         return coeffs
 
 
-def _solve_gap(w: NormalWeight, target: float) -> float:
-    """Gap g with nu(1-g) = target, solved by bisection on log2(gap)."""
-    y_hi = 0.0  # gap = 1, nu = nu(0) = 1 > target
-    y = 0.0
-    for _ in range(1100):
-        y -= 1.0
-        if w.value_from_gap(2.0**y) < target:
-            break
-    else:
-        raise ConstructionError(f"no radius found with nu = {target:g}")
-    y_lo = y
-    for _ in range(128):
-        mid = 0.5 * (y_lo + y_hi)
-        if w.value_from_gap(2.0**mid) < target:
-            y_lo = mid
-        else:
-            y_hi = mid
-    return 2.0 ** (0.5 * (y_lo + y_hi))
-
-
 def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
     """Construct the lacunary comparison series for a strictly decreasing weight.
 
     Raises ConstructionError when the weight fails to decrease through the
-    needed range or a level equation nu(r_s) = 2^{-s} has no root.
+    needed range or a level equation nu(r_s) = 2^{-s} has no root.  All
+    levels are solved together, by one bisection on y = log2(gap).
     """
     if levels < 1:
         raise ConstructionError("need at least one level")
     probe = w.value_from_gap(_dyadic_gaps(max(8, levels + 4)))
     if np.any(np.diff(probe) >= 0):
         raise ConstructionError(f"{w.label} is not strictly decreasing on the dyadic grid")
-    gaps = np.empty(levels)
-    for s in range(1, levels + 1):
-        try:
-            gaps[s - 1] = _solve_gap(w, 2.0**-s)
-        except ConstructionError as exc:
-            raise ConstructionError(f"level s={s}: {exc}") from exc
+    targets = 2.0 ** -np.arange(1, levels + 1, dtype=float)
+    # nu decreases, so the first gap 2^-k with nu below the deepest target brackets every level.
+    y_lo = -1.0
+    while w.value_from_gap(2.0**y_lo) >= targets[-1]:
+        y_lo -= 1.0
+        if y_lo < -1074.0:  # 2^-1074 is the smallest positive double
+            raise ConstructionError(f"level s={levels}: no radius found with nu = {targets[-1]:g}")
+    y_lo = np.full(levels, y_lo)
+    y_hi = np.zeros(levels)  # gap = 1, nu = nu(0) = 1 > every target
+    for _ in range(128):
+        mid = 0.5 * (y_lo + y_hi)
+        below = w.value_from_gap(2.0**mid) < targets
+        y_lo = np.where(below, mid, y_lo)
+        y_hi = np.where(below, y_hi, mid)
+    gaps = 2.0 ** (0.5 * (y_lo + y_hi))
     radii = 1.0 - gaps
     exponents = np.floor(1.0 / gaps).astype(np.int64)
     if np.any(np.diff(exponents) <= 0):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +53,13 @@ class TestGammaCoefficients:
         oracle = np.exp(gammaln(n + 1 + alpha) - gammaln(n + 1) - gammaln(1 + alpha))
         assert np.allclose(gamma_table(199, alpha), oracle, rtol=1e-13)
 
+    @pytest.mark.parametrize("alpha", [-0.75, -0.5, 0.25, 1.5, 3.0])
+    def test_table_matches_mpmath_to_2_18(self, alpha):
+        ns = sorted({0, 1} | {2**k + d for k in range(1, 19) for d in (-1, 0, 1)} - {2**18 + 1})
+        with mpmath.workdps(30):
+            oracle = [float(mpmath.gammaprod([n + alpha + 1], [alpha + 1, n + 1])) for n in ns]
+        assert gamma_table(2**18, alpha)[ns] == pytest.approx(oracle, rel=1e-12)
+
     def test_scalar_matches_table(self):
         assert gamma_coefficient(7, 0.25) == pytest.approx(gamma_table(7, 0.25)[-1], rel=1e-14)
 
@@ -93,6 +101,13 @@ class TestOperatorConfig:
     def test_alpha_floor(self):
         with pytest.raises(DomainError):
             OperatorConfig(alpha=-1.0, measure=point_mass(0.5), truncation=8)
+
+    @pytest.mark.parametrize("key, value", [("alpha", "x"), ("truncation", 1e400), ("rel_tol", None), ("alpha", True)])
+    def test_malformed_number_rejected(self, key, value):
+        doc = config_to_json(OperatorConfig(alpha=0.0, measure=point_mass(0.5), truncation=8))
+        doc[key] = value
+        with pytest.raises(DomainError, match=key):
+            config_from_json(doc)
 
 
 class TestWellDefined:

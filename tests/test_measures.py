@@ -23,7 +23,8 @@ from hilbloch.measures import (
     radial_measure,
     reweight_agreement,
 )
-from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED
+from hilbloch.series import TaylorSeries
+from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED, index_ladder
 
 
 def harmonic(n: int) -> float:
@@ -111,10 +112,6 @@ class TestMoments:
             ms = mu.contiguous_moments(64)
             assert np.all(np.diff(ms) <= 1e-12 * ms[:-1]), name
 
-    def test_hankel_entry_is_shifted_moment(self):
-        mu = lebesgue()
-        assert mu.hankel_entry(3, 4) == pytest.approx(mu.moment(7), rel=1e-12)
-
 
 class TestBlockedMoments:
     @pytest.mark.parametrize("name", sorted(BETA_DENSITIES))
@@ -154,6 +151,44 @@ class TestBlockedMoments:
             assert np.array_equal(got, np.zeros(n_max + 1))
         else:
             assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("ns", [[0], [5], [0, 1, 7, 64, 1000], list(range(40)), [4096, 0, 17]])
+    @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_with_breakpoints"])
+    def test_moments_at_reads_the_same_node_set(self, case, ns):
+        atoms = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
+        phi, breakpoints = None, ()
+        if case == "atoms":
+            mu = radial_measure(atoms=atoms)
+        elif case == "atoms_and_density":
+            mu = radial_measure(atoms=atoms, density=power_log_density(0.5))
+        else:
+            mu = radial_measure(atoms=atoms, density=power_log_density(-0.5, 1.0))
+            phi, breakpoints = (lambda t, omt: np.abs(1.0 - 3.0 * t)), (1.0 / 3.0,)
+        got = mu.moments_at(ns, phi=phi, breakpoints=breakpoints)
+        ref = reference_moments(mu, max(ns), phi, breakpoints)[ns]
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    # Grids the search tries for the harmonic series at 2^14: the tail loop
+    # steps U until the probe sums settle, then the level loop refines.
+    @pytest.mark.parametrize("name, grids", [("lebesgue", 5), ("density_1", 3), ("density_-0.5", 6)])
+    @pytest.mark.parametrize("atoms", [(), ((0.5, 1.0), (0.9, 0.25))])
+    @pytest.mark.parametrize("method", ["contiguous_moments", "moments_at"])
+    def test_phi_is_evaluated_once_per_grid(self, method, atoms, name, grids):
+        n = 2**14
+        f = TaylorSeries(np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)]))
+        seen = []
+
+        def phi(t, omt):
+            seen.append((len(t), float(t[-1])))
+            return f(t)
+
+        mu = radial_measure(atoms=atoms, density=builtin_measures()[name].density)
+        if method == "contiguous_moments":
+            mu.contiguous_moments(n, phi)
+        else:
+            mu.moments_at(index_ladder(n), phi)
+        assert len(seen) == grids + bool(atoms)
+        assert len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize("nodes", [1, 5, 1024, 3328, 2**17, 2**18])
     @pytest.mark.parametrize("n_max", [0, 1, 100, 2**14, 2**18])

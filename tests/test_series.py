@@ -43,6 +43,11 @@ class TestTaylorSeries:
         zs = np.array([0.1, 0.5 + 0.5j])
         assert np.allclose(f(zs), zs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            TaylorSeries([1.0, bad, 2.0])
+
     def test_truncation_is_top_index(self):
         assert TaylorSeries([1.0, 0.0, 2.0]).truncation == 2
 

@@ -79,7 +79,7 @@ class TestConfig:
         assert suites == set(list_suites())
 
     def test_json_round_trip(self):
-        cfg = ExperimentConfig(suite="E3.1", resolution_scale=2.0, seed=7, options={})
+        cfg = ExperimentConfig(suite="E3.1", resolution_scale=2.0, options={})
         again = config_from_json(config_to_json(cfg))
         assert again == cfg
 
@@ -94,6 +94,10 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError):
             config_from_json({"version": 1, "suite": "E3.1", "budget": 5})
+
+    def test_seed_is_an_unknown_key(self):
+        with pytest.raises(DomainError, match="unknown config keys.*seed"):
+            config_from_json({"version": 1, "suite": "E3.1", "seed": 7})
 
     def test_wrong_version_rejected(self):
         with pytest.raises(DomainError):
@@ -164,7 +168,6 @@ class TestRunSuite:
         object.__setattr__(cfg, "suite", "T9.9")
         object.__setattr__(cfg, "version", 1)
         object.__setattr__(cfg, "resolution_scale", 1.0)
-        object.__setattr__(cfg, "seed", 1)
         object.__setattr__(cfg, "options", {})
         with pytest.raises(DomainError):
             run_suite(cfg)

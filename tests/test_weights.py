@@ -2,17 +2,19 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hilbloch.catalog import builtin_weights
-from hilbloch.errors import ConstructionError, DomainError
+from hilbloch.errors import ConstructionError, DomainError, NumericsError
 from hilbloch.weights import (
     build_extremal,
     dyadic_sum_ratio,
     growth_gauge,
     growth_gauge_batch,
+    growth_gauge_from_gaps,
     laplace_tail_ratio,
     laplace_tail_sweep,
     log_power_weight,
@@ -26,6 +28,20 @@ from hilbloch.weights import (
 )
 
 ATANH_HALF = 0.5493061443340548
+
+# Gauge integral of 1/(1-s^2)^gamma over [0, t] in closed form.
+POWER_GAUGES = {
+    0.5: mpmath.asin,
+    1.0: mpmath.atanh,
+    2.0: lambda t: t / (2 * (1 - t**2)) + mpmath.atanh(t) / 2,
+}
+ORACLE_DEPTHS = [1, 4, 10, 20, 30, 40]
+
+
+def power_gauge_oracle(gamma: float, depth: int) -> float:
+    """The power-weight gauge at t = 1 - 2^-depth, to 30 digits."""
+    with mpmath.workdps(30):
+        return float(POWER_GAUGES[gamma](1 - mpmath.mpf(2) ** -depth))
 
 
 class TestConstructors:
@@ -64,6 +80,13 @@ class TestConstructors:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConstructionError):
             table_weight([[0.0, 1.0], [0.5, 0.0]], a=1.0, b=1.0)
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+    def test_non_finite_table_sample_rejected(self, bad):
+        with pytest.raises(ConstructionError, match="finite"):
+            table_weight([[0.0, 1.0], [0.5, bad]], a=1.0, b=1.0)
+        with pytest.raises(ConstructionError, match="finite"):
+            weight_from_json({"kind": "table", "samples": [[0.0, 1.0], [bad, 0.5]], "a": 1.0, "b": 1.0})
 
     def test_exponent_order_enforced(self):
         with pytest.raises(ConstructionError):
@@ -132,6 +155,22 @@ class TestGrowthGauge:
         singles = [growth_gauge(w, float(t)) for t in ts]
         assert np.allclose(batch, singles, rtol=1e-8)
 
+    @pytest.mark.parametrize("gamma", sorted(POWER_GAUGES))
+    @pytest.mark.parametrize("depth", ORACLE_DEPTHS)
+    def test_power_gauge_at_one_gap_matches_mpmath(self, gamma, depth):
+        got = growth_gauge_from_gaps(power_weight(gamma), [2.0**-depth])
+        assert got[0] == pytest.approx(power_gauge_oracle(gamma, depth), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", sorted(POWER_GAUGES))
+    def test_power_gauge_ladder_matches_mpmath(self, gamma):
+        got = growth_gauge_from_gaps(power_weight(gamma), [2.0**-m for m in ORACLE_DEPTHS])
+        assert got == pytest.approx([power_gauge_oracle(gamma, m) for m in ORACLE_DEPTHS], rel=1e-12)
+
+    def test_unconverged_sweep_raises(self):
+        # No tolerance is met: every doubling moves the totals by rounding, so the sweep runs out of panels.
+        with pytest.raises(NumericsError, match="not converged"):
+            growth_gauge_from_gaps(power_weight(1.0), [2.0**-40], rel_tol=0.0)
+
     @given(st.floats(min_value=0.05, max_value=0.9))
     def test_gauge_is_increasing(self, t):
         w = power_weight(1.0)
@@ -146,6 +185,24 @@ class TestExtremalSeries:
             nu_at_radii = np.asarray(w.value(g.radii), dtype=float)
             targets = 2.0 ** -np.arange(1.0, 9.0)
             assert np.allclose(nu_at_radii, targets, rtol=1e-6), name
+
+    # Gaps solving nu(1 - g) = 2^-s for nu = (1-r^2)^gamma: g(2 - g) = 2^(-s/gamma).  The
+    # exponent is floor(1/g); a root solved in doubles may cross an integer within 1e-13.
+    @pytest.mark.parametrize("gamma, levels", [(0.5, 26), (1.0, 52), (2.0, 62)])
+    def test_exponents_match_mpmath_roots(self, gamma, levels):
+        g = build_extremal(power_weight(gamma), levels=levels)
+        with mpmath.workdps(30):
+            inverse_gaps = [
+                float(1 / (1 - mpmath.sqrt(1 - mpmath.mpf(2) ** (-s / mpmath.mpf(gamma)))))
+                for s in range(1, levels + 1)
+            ]
+        for n, inverse_gap in zip(g.exponents.tolist(), inverse_gaps):
+            assert inverse_gap * (1.0 - 1e-13) < n + 1 and n <= inverse_gap * (1.0 + 1e-13)
+
+    def test_unreachable_level_raises(self):
+        # nu = (1-r^2)^0.01 stays above 2^-11 at every positive double gap.
+        with pytest.raises(ConstructionError, match="no radius found"):
+            build_extremal(power_weight(0.01), levels=11)
 
     def test_coefficients_are_dyadic(self):
         g = build_extremal(power_weight(1.0), levels=8)

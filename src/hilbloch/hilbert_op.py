@@ -10,8 +10,8 @@ unbounded index sets are decided by the shared trend policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -165,18 +165,21 @@ def _real_series(f: TaylorSeries, who: str) -> TaylorSeries:
     return f
 
 
-def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
-    """Output series b_n = c_n * integral of t^n f(t) dmu, n <= truncation."""
-    _real_series(f, "coefficient mode")
+def _image(cfg: OperatorConfig, phi, breakpoints: Sequence[float] = ()) -> TaylorSeries:
+    """Output series b_n = c_n * integral of t^n phi(t) dmu, n <= truncation."""
     try:
-        moments = cfg.measure.contiguous_moments(
-            cfg.truncation, phi=lambda t, omt: np.asarray(f(t), dtype=float), rel_tol=cfg.rel_tol
-        )
+        moments = cfg.measure.contiguous_moments(cfg.truncation, phi=phi, rel_tol=cfg.rel_tol, breakpoints=breakpoints)
     except NumericsError as exc:
         raise NumericsError(
             "weighted moments diverge; the operator is not well defined on this source"
         ) from exc
     return TaylorSeries(gamma_table(cfg.truncation, cfg.alpha) * moments)
+
+
+def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
+    """Output series b_n = c_n * integral of t^n f(t) dmu, n <= truncation."""
+    _real_series(f, "coefficient mode")
+    return _image(cfg, lambda t, omt: np.asarray(f(t), dtype=float))
 
 
 def sign_change_points(f: TaylorSeries, grid: int = 2048) -> tuple[float, ...]:
@@ -197,19 +200,7 @@ def sign_change_points(f: TaylorSeries, grid: int = 2048) -> tuple[float, ...]:
 def apply_sublinear(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Companion with |f(t)| in the integrand; output coefficients are nonnegative."""
     _real_series(f, "sublinear mode")
-    roots = sign_change_points(f)
-    try:
-        moments = cfg.measure.contiguous_moments(
-            cfg.truncation,
-            phi=lambda t, omt: np.abs(np.asarray(f(t), dtype=float)),
-            rel_tol=cfg.rel_tol,
-            breakpoints=roots,
-        )
-    except NumericsError as exc:
-        raise NumericsError(
-            "weighted moments diverge; the operator is not well defined on this source"
-        ) from exc
-    return TaylorSeries(gamma_table(cfg.truncation, cfg.alpha) * moments)
+    return _image(cfg, lambda t, omt: np.abs(np.asarray(f(t), dtype=float)), sign_change_points(f))
 
 
 def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> complex:
@@ -273,42 +264,36 @@ def _finite_integral(mu: RadialMeasure, fn, what: str, rel_tol: float = 1e-8) ->
     return val
 
 
-def _index_quantities(
-    mu: RadialMeasure,
-    phi,
-    n_power: float,
-    nu: NormalWeight | None,
-    log_n_power: float,
-    n_max: int,
-    rel_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _moment_form(
+    mu: RadialMeasure, phi, scale, quantity: str, details: dict, n_max: int, rel_tol: float
+) -> CriterionResult:
+    """Trend of q_n = scale(n, m_n) on the index ladder to n_max, m_n the phi-weighted moments of mu."""
+    if not n_max >= 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     ns = index_ladder(n_max)
-    weighted = mu.moments_at(ns, phi=phi, rel_tol=rel_tol)
     x = ns.astype(float)
-    q = x**n_power * weighted
-    if nu is not None:
-        q = q * nu.value_from_gap(1.0 / x)
-    if log_n_power:
-        q = q * np.log(x + 1.0) ** log_n_power
-    return x, q
+    return summarize_ladder(x, scale(x, mu.moments_at(ns, phi=phi, rel_tol=rel_tol)), quantity, details)
 
 
-def _combined(primary: CriterionResult, secondary: CriterionResult, secondary_name: str) -> CriterionResult:
-    """Primary result with the companion form attached; disagreement downgrades the verdict."""
-    agree = primary.verdict == secondary.verdict
+def _combined(
+    primary: CriterionResult, secondary: CriterionResult | None = None, secondary_name: str = "", compact: bool = False
+) -> CriterionResult:
+    """Primary result with the companion form attached; disagreement downgrades the verdict.
+
+    compact=True echoes the final verdict under details["compactness"], for the
+    regimes where boundedness coincides with compactness.
+    """
+    verdict = primary.verdict
     details = dict(primary.details)
-    details[secondary_name] = secondary.to_dict()
-    details["primary_verdict"] = primary.verdict
-    details["forms_agree"] = agree
-    return CriterionResult(
-        quantity=primary.quantity,
-        sup_value=primary.sup_value,
-        attained_at=primary.attained_at,
-        slope=primary.slope,
-        log_slope=primary.log_slope,
-        verdict=primary.verdict if agree else VERDICT_INCONCLUSIVE,
-        details=details,
-    )
+    if secondary is not None:
+        agree = verdict == secondary.verdict
+        details[secondary_name] = secondary.to_dict()
+        details["primary_verdict"] = verdict
+        details["forms_agree"] = agree
+        verdict = verdict if agree else VERDICT_INCONCLUSIVE
+    if compact:
+        details["compactness"] = verdict
+    return replace(primary, verdict=verdict, details=details)
 
 
 def criterion_general(
@@ -328,13 +313,9 @@ def criterion_general(
     def phi(t, omt):
         return growth_gauge_from_gaps(omega, omt) + 1.0
 
-    x, q = _index_quantities(mu, phi, alpha + 2.0, nu, 0.0, n_max, rel_tol)
-    return summarize_ladder(
-        x,
-        q,
-        quantity="n^(alpha+2) nu(1-1/n) gauge-weighted moment",
-        details={"alpha": alpha, "n_max": int(n_max), "gauge_integral": gate.integral},
-    )
+    scale = lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)  # noqa: E731
+    details = {"alpha": alpha, "n_max": int(n_max), "gauge_integral": gate.integral}
+    return _moment_form(mu, phi, scale, "n^(alpha+2) nu(1-1/n) gauge-weighted moment", details, n_max, rel_tol)
 
 
 def criterion_moment(
@@ -356,27 +337,10 @@ def criterion_moment(
         raise PreconditionError(
             "source gauge grows without bound; plain moments lose the gauge factor, use criterion_general"
         )
-    x, q = _index_quantities(mu, None, alpha + 2.0, nu, 0.0, n_max, rel_tol)
-    out = summarize_ladder(
-        x,
-        q,
-        quantity="n^(alpha+2) nu(1-1/n) mu_n",
-        details={"alpha": alpha, "n_max": int(n_max)},
-    )
-    out.details["compactness"] = out.verdict
-    return out
-
-
-def _automatic_bounded(alpha: float, gamma: float) -> CriterionResult:
-    return CriterionResult(
-        quantity="no test needed: target decay gamma >= alpha+2 absorbs the kernel growth",
-        sup_value=0.0,
-        attained_at=1.0,
-        slope=0.0,
-        log_slope=0.0,
-        verdict=VERDICT_BOUNDED,
-        details={"automatic": True, "alpha": alpha, "gamma": gamma},
-    )
+    scale = lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)  # noqa: E731
+    details = {"alpha": alpha, "n_max": int(n_max)}
+    moment = _moment_form(mu, None, scale, "n^(alpha+2) nu(1-1/n) mu_n", details, n_max, rel_tol)
+    return _combined(moment, compact=True)
 
 
 def criterion_bloch_to_gamma(
@@ -396,25 +360,27 @@ def criterion_bloch_to_gamma(
     evaluated; disagreement downgrades the verdict to inconclusive.
     """
     alpha = _require_alpha(alpha)
-    gamma = float(gamma)
+    gamma = require_number(gamma, "gamma", DomainError)
     if gamma <= 0.0:
         raise DomainError("target gap power gamma must be positive")
     if gamma >= alpha + 2.0:
-        return _automatic_bounded(alpha, gamma)
+        return CriterionResult(
+            quantity="no test needed: target decay gamma >= alpha+2 absorbs the kernel growth",
+            sup_value=0.0,
+            attained_at=1.0,
+            slope=0.0,
+            log_slope=0.0,
+            verdict=VERDICT_BOUNDED,
+            details={"automatic": True, "alpha": alpha, "gamma": gamma},
+        )
     if mode not in ("carleson", "moment"):
         raise DomainError(f"unknown mode {mode!r}; expected 'carleson' or 'moment'")
-    _finite_integral(mu, lambda t, omt: 1.0 - np.log(omt), "integral of log(e/(1-t))")
-
+    log_weight = lambda t, omt: 1.0 - np.log(omt)  # noqa: E731
+    _finite_integral(mu, log_weight, "integral of log(e/(1-t))")
     carleson = carleson_sup(mu, gamma_log=1.0, s=alpha + 2.0 - gamma, depth=depth)
-    x, q = _index_quantities(
-        mu, lambda t, omt: 1.0 - np.log(omt), alpha + 2.0 - gamma, None, 0.0, n_max, rel_tol
-    )
-    moment = summarize_ladder(
-        x,
-        q,
-        quantity="n^(alpha+2-gamma) log-weighted moment",
-        details={"alpha": alpha, "gamma": gamma, "n_max": int(n_max)},
-    )
+    scale = lambda x, m: x ** (alpha + 2.0 - gamma) * m  # noqa: E731
+    details = {"alpha": alpha, "gamma": gamma, "n_max": int(n_max)}
+    moment = _moment_form(mu, log_weight, scale, "n^(alpha+2-gamma) log-weighted moment", details, n_max, rel_tol)
     if mode == "carleson":
         return _combined(carleson, moment, "moment_form")
     return _combined(moment, carleson, "carleson_form")
@@ -436,24 +402,21 @@ def criterion_beta_spaces(
     and boundedness coincides with compactness.
     """
     alpha = _require_alpha(alpha)
-    beta, gamma = float(beta), float(gamma)
+    beta = require_number(beta, "beta", DomainError)
+    gamma = require_number(gamma, "gamma", DomainError)
     if not 0.0 < gamma < alpha + 2.0:
         raise DomainError("target gap power gamma must lie in (0, alpha+2)")
     if beta <= 0.0 or beta == 1.0:
         raise DomainError("source gap power beta must be positive and != 1")
     if beta > 1.0:
-        _finite_integral(
-            mu, lambda t, omt: omt ** (1.0 - beta), "integral of dmu/(1-t)^(beta-1)"
-        )
-        primary = carleson_sup(mu, gamma_log=0.0, s=alpha + 1.0 + beta - gamma, depth=depth)
-        primary.details.update({"alpha": alpha, "beta": beta, "gamma": gamma})
-        reweighted = carleson_sup(
-            power_reweight(mu, beta - 1.0), gamma_log=0.0, s=alpha + 2.0 - gamma, depth=depth
-        )
-        return _combined(primary, reweighted, "reweighted_form")
-    out = carleson_sup(mu, gamma_log=0.0, s=alpha + 2.0 - gamma, depth=depth)
-    out.details.update({"alpha": alpha, "beta": beta, "gamma": gamma, "compactness": out.verdict})
-    return out
+        _finite_integral(mu, lambda t, omt: omt ** (1.0 - beta), "integral of dmu/(1-t)^(beta-1)")
+    s = alpha + 1.0 + beta - gamma if beta > 1.0 else alpha + 2.0 - gamma
+    primary = carleson_sup(mu, gamma_log=0.0, s=s, depth=depth)
+    primary.details.update({"alpha": alpha, "beta": beta, "gamma": gamma})
+    if beta < 1.0:
+        return _combined(primary, compact=True)
+    reweighted = carleson_sup(power_reweight(mu, beta - 1.0), gamma_log=0.0, s=alpha + 2.0 - gamma, depth=depth)
+    return _combined(primary, reweighted, "reweighted_form")
 
 
 def criterion_log_spaces(
@@ -467,52 +430,42 @@ def criterion_log_spaces(
 ) -> CriterionResult:
     """Logarithmic source exponent beta to logarithmic target exponent gamma.
 
-    Dispatches on beta relative to -1; each branch evaluates the moment form
-    n^(alpha+1) log^(-gamma)(n+1) * (log-weighted moment) and the matching
-    tail-sup form, and compares their verdicts.  For beta < -1 boundedness
-    coincides with compactness.
+    The regime of beta relative to -1 fixes the moment weight and the tail
+    factor.  The moment form n^(alpha+1) log^(-gamma)(n+1) * (log-weighted
+    moment) and the matching tail-sup form are compared.  For beta < -1
+    boundedness coincides with compactness.
     """
     alpha = _require_alpha(alpha)
-    beta, gamma = float(beta), float(gamma)
-    base = {"alpha": alpha, "beta": beta, "gamma": gamma, "n_max": int(n_max)}
-
+    beta = require_number(beta, "beta", DomainError)
+    gamma = require_number(gamma, "gamma", DomainError)
     if beta > -1.0:
         # Hypothesis taken in the gauge-consistent form: the source gauge grows
         # like log^(beta+1)(e/(1-t)), so that is the factor whose mu-integral
         # must converge.
-        _finite_integral(
-            mu,
-            lambda t, omt: (1.0 - np.log(omt)) ** (beta + 1.0),
-            "integral of log^(beta+1)(e/(1-t))",
-        )
         phi = lambda t, omt: (1.0 - np.log(omt)) ** (beta + 1.0)  # noqa: E731
-        factor = lambda g: (1.0 - np.log(g)) ** (beta + 1.0 - gamma) / g ** (alpha + 1.0)  # noqa: E731
-        moment_name = "n^(alpha+1) log^(-gamma)(n+1) log^(beta+1)-weighted moment"
+        weight_name = "log^(beta+1)"
+        tail_factor = lambda g: (1.0 - np.log(g)) ** (beta + 1.0 - gamma)  # noqa: E731
         tail_name = "tail * log^(beta+1-gamma)(e/(1-t)) / (1-t)^(alpha+1)"
     elif beta == -1.0:
-        _finite_integral(
-            mu, lambda t, omt: np.log1p(-np.log(omt)), "integral of loglog(e/(1-t))"
-        )
         phi = lambda t, omt: np.log1p(-np.log(omt))  # noqa: E731
-        factor = (
-            lambda g: np.log1p(-np.log(g)) * (1.0 - np.log(g)) ** -gamma / g ** (alpha + 1.0)
-        )  # noqa: E731
-        moment_name = "n^(alpha+1) log^(-gamma)(n+1) loglog-weighted moment"
+        weight_name = "loglog"
+        tail_factor = lambda g: np.log1p(-np.log(g)) * (1.0 - np.log(g)) ** -gamma  # noqa: E731
         tail_name = "tail * loglog(e/(1-t)) / ((1-t)^(alpha+1) log^gamma(e/(1-t)))"
     else:
-        phi = None
-        factor = lambda g: (1.0 - np.log(g)) ** -gamma / g ** (alpha + 1.0)  # noqa: E731
-        moment_name = "n^(alpha+1) log^(-gamma)(n+1) mu_n"
+        phi = weight_name = None
+        tail_factor = lambda g: (1.0 - np.log(g)) ** -gamma  # noqa: E731
         tail_name = "tail * log^(-gamma)(e/(1-t)) / (1-t)^(alpha+1)"
 
-    x, q = _index_quantities(mu, phi, alpha + 1.0, None, -gamma, n_max, rel_tol)
-    moment = summarize_ladder(x, q, quantity=moment_name, details=dict(base))
+    if phi is not None:
+        _finite_integral(mu, phi, f"integral of {weight_name}(e/(1-t))")
+    scale = lambda x, m: x ** (alpha + 1.0) * m * np.log(x + 1.0) ** -gamma  # noqa: E731
+    quantity = "n^(alpha+1) log^(-gamma)(n+1) " + (f"{weight_name}-weighted moment" if weight_name else "mu_n")
+    details = {"alpha": alpha, "beta": beta, "gamma": gamma, "n_max": int(n_max)}
+    moment = _moment_form(mu, phi, scale, quantity, details, n_max, rel_tol)
     gaps, tails = mu.tail_ladder(depth)
-    tail = summarize_ladder(1.0 / gaps, tails * factor(gaps), quantity=tail_name, details={"depth": depth})
-    out = _combined(moment, tail, "tail_form")
-    if beta < -1.0:
-        out.details["compactness"] = out.verdict
-    return out
+    tail_sizes = tails * (tail_factor(gaps) / gaps ** (alpha + 1.0))
+    tail = summarize_ladder(1.0 / gaps, tail_sizes, quantity=tail_name, details={"depth": depth})
+    return _combined(moment, tail, "tail_form", compact=beta < -1.0)
 
 
 # -- empirical norm probe ----------------------------------------------------------

@@ -288,6 +288,8 @@ class RadialMeasure:
         upper: float = 1.0,
     ) -> float:
         """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError."""
+        if not 0.0 < upper <= 1.0:
+            raise DomainError(f"upper limit must lie in (0, 1], got {upper}")
         atoms = [(t, wgt) for t, wgt in self.atoms if t <= upper]
         total = sum(wgt * float(fn(np.asarray([t]), np.asarray([1.0 - t]))[0]) for t, wgt in atoms)
         if self.density is not None:

@@ -211,8 +211,14 @@ class TestErrors:
             ["moments", "--measure", "lebesgue", "--n-max", "-1"],
             ["criterion", "--kind", "log-source", "--measure", "lebesgue"]
             + ["--alpha", "0", "--beta", "0", "--gamma", "1", "--depth", "0"],
+            ["criterion", "--kind", "beta", "--measure", "lebesgue"]
+            + ["--alpha", "0.5", "--beta", "nan", "--gamma", "1"],
+            ["criterion", "--kind", "log-source", "--measure", "lebesgue"]
+            + ["--alpha", "0", "--beta", "nan", "--gamma", "1"],
+            ["criterion", "--kind", "moment", "--measure", "lebesgue", "--omega", "power_0.5", "--nu", "power_1"]
+            + ["--alpha", "0", "--n-max-exponent", "-1"],
         ],
-        ids=["negative-n-max", "zero-depth"],
+        ids=["negative-n-max", "zero-depth", "nan-beta", "nan-log-beta", "negative-n-max-exponent"],
     )
     def test_out_of_range_numbers_exit_2(self, argv, capsys):
         assert main(argv) == 2

@@ -303,6 +303,36 @@ class TestCriteria:
         result = criterion_log_spaces(lebesgue(), alpha=0.0, beta=-2.0, gamma=0.0, n_max=2**16, depth=20)
         assert result.details["compactness"] == result.verdict
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: criterion_beta_spaces(lebesgue(), 0.5, math.nan, 1.0),
+            lambda: criterion_beta_spaces(lebesgue(), 0.5, 0.5, math.nan),
+            lambda: criterion_log_spaces(lebesgue(), 0.0, math.nan, 1.0),
+            lambda: criterion_log_spaces(lebesgue(), 0.0, 0.0, math.nan),
+            lambda: criterion_bloch_to_gamma(lebesgue(), 0.0, math.nan),
+            lambda: criterion_bloch_to_gamma(lebesgue(), 0.0, math.inf),
+        ],
+        ids=["beta-spaces-beta", "beta-spaces-gamma", "log-beta", "log-gamma", "bloch-gamma-nan", "bloch-gamma-inf"],
+    )
+    def test_non_finite_exponent_is_rejected(self, call):
+        with pytest.raises(DomainError, match="must be a finite number"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: criterion_moment(lebesgue(), power_weight(0.5), power_weight(1.0), 0.0, n_max=0),
+            lambda: criterion_general(lebesgue(), power_weight(0.5), power_weight(1.0), 0.0, n_max=-5),
+            lambda: criterion_bloch_to_gamma(lebesgue(), 0.0, 1.0, n_max=0.5),
+            lambda: criterion_log_spaces(lebesgue(), 0.0, -2.0, 1.0, n_max=0),
+        ],
+        ids=["moment", "general", "bloch-to-gamma", "log-spaces"],
+    )
+    def test_n_max_below_one_is_rejected(self, call):
+        with pytest.raises(DomainError, match="n_max must be at least 1"):
+            call()
+
 
 class TestProbe:
     def test_stable_on_point_mass(self):

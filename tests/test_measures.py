@@ -213,6 +213,12 @@ class TestIntegralAndTail:
         val = mu.integral(lambda t, omt: t)
         assert val == pytest.approx(0.25 + 1.5)
 
+    @pytest.mark.parametrize("upper", [1.5, -1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("build", [lebesgue, lambda: point_mass(0.5)], ids=["density", "atoms"])
+    def test_upper_limit_outside_unit_interval_rejected(self, build, upper):
+        with pytest.raises(DomainError, match="upper limit"):
+            build().integral(lambda t, omt: t, upper=upper)
+
     def test_lebesgue_tail(self):
         mu = lebesgue()
         for t in (0.0, 0.3, 0.9):

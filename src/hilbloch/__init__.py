@@ -120,7 +120,6 @@ from .weights import (
     build_extremal,
     dyadic_sum_ratio,
     growth_gauge,
-    growth_gauge_batch,
     growth_gauge_from_gaps,
     laplace_tail_ratio,
     laplace_tail_sweep,

@@ -18,8 +18,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import PreconditionError
 from .series import TaylorSeries, block_polynomial, sup_norm
-from .trend import VERDICT_UNBOUNDED, summarize_ladder
-from .weights import NormalWeight
+from .trend import VERDICT_UNBOUNDED, radius_ladder, summarize_ladder
+from .weights import NormalWeight, growth_gauge_from_gaps
 
 DIVERGENCE_GROWTH_FACTOR = 10.0
 
@@ -62,12 +62,7 @@ def _divergence(xs, qs) -> tuple[bool, float]:
     return flag, summary.log_slope
 
 
-def norm_direct(
-    f: TaylorSeries,
-    w: NormalWeight,
-    radial_depth: int = 12,
-    refine: bool = True,
-) -> NormEstimate:
+def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> NormEstimate:
     """Grid supremum of nu |f'| over dyadic radii, polished by a local 1-d search.
 
     Nonnegative coefficients need only the positive axis.  Otherwise each
@@ -77,7 +72,7 @@ def norm_direct(
     rung recovers interior maxima that dyadic rungs straddle.
     """
     df = f.derivative()
-    radii = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, radial_depth + 1, dtype=float)])
+    radii = np.concatenate([[0.0], radius_ladder(radial_depth)])
     nonzero = np.nonzero(np.abs(f.coefficients) > 0.0)[0]
     degree = int(nonzero[-1]) if len(nonzero) else 0
 
@@ -98,7 +93,7 @@ def norm_direct(
     best = int(np.argmax(profile))
     peak = float(profile[best])
 
-    if refine and len(radii) > 1:
+    if len(radii) > 1:
         lo = radii[best - 1] if best > 0 else 0.0
         hi = radii[best + 1] if best + 1 < len(radii) else 1.0 - 2.0 ** -(radial_depth + 1)
         if hi > lo:
@@ -119,13 +114,7 @@ def norm_direct(
             xs, trend_profile = xs[keep], trend_profile[keep]
     divergent, slope = _divergence(xs, trend_profile)
     value = float(np.abs(f(0.0))) + peak
-    return NormEstimate(
-        value,
-        METHOD_DIRECT,
-        {"radial_depth": radial_depth, "angles": angles, "refined": bool(refine)},
-        divergent,
-        slope,
-    )
+    return NormEstimate(value, METHOD_DIRECT, {"radial_depth": radial_depth, "angles": angles}, divergent, slope)
 
 
 def _require_nonnegative(f: TaylorSeries, who: str) -> np.ndarray:
@@ -134,13 +123,12 @@ def _require_nonnegative(f: TaylorSeries, who: str) -> np.ndarray:
     return f.coefficients
 
 
-def norm_coefficient_sum(f: TaylorSeries, w: NormalWeight, n_max: int | None = None) -> NormEstimate:
-    """a_0 + sup_n nu(1-1/n) * sum_{k<=n} k a_k for nonnegative coefficients."""
+def norm_coefficient_sum(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
+    """a_0 + sup_n nu(1-1/n) * sum_{k<=n} k a_k for nonnegative coefficients, n up to the truncation."""
     a = _require_nonnegative(f, "the coefficient-sum estimator")
-    n_max = min(n_max or f.truncation, f.truncation)
-    n_max = max(n_max, 1)
+    n_max = max(f.truncation, 1)
     ns = np.arange(1, n_max + 1, dtype=float)
-    prefix = np.cumsum(a[1 : n_max + 1] * np.arange(1, n_max + 1)) if n_max >= 1 else np.zeros(0)
+    prefix = np.cumsum(a[1 : n_max + 1] * np.arange(1, n_max + 1))
     nu = np.asarray(w.value_from_gap(1.0 / ns), dtype=float)
     q = nu * prefix
     divergent, slope = _divergence(ns, q)
@@ -153,13 +141,12 @@ def norm_coefficient_sum(f: TaylorSeries, w: NormalWeight, n_max: int | None = N
     )
 
 
-def norm_monotone(f: TaylorSeries, w: NormalWeight, n_max: int | None = None) -> NormEstimate:
-    """a_0 + sup_n n^2 nu(1-1/n) a_n for nonnegative non-increasing coefficients."""
+def norm_monotone(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
+    """a_0 + sup_n n^2 nu(1-1/n) a_n for nonnegative non-increasing coefficients, n up to the truncation."""
     a = _require_nonnegative(f, "the monotone estimator")
     if np.any(np.diff(a) > 1e-15 * (1.0 + np.abs(a[:-1]))):
         raise PreconditionError("the monotone estimator needs non-increasing coefficients")
-    n_max = min(n_max or f.truncation, f.truncation)
-    n_max = max(n_max, 1)
+    n_max = max(f.truncation, 1)
     ns = np.arange(1, n_max + 1, dtype=float)
     nu = np.asarray(w.value_from_gap(1.0 / ns), dtype=float)
     q = ns**2 * nu * a[1 : n_max + 1]
@@ -173,13 +160,12 @@ def norm_monotone(f: TaylorSeries, w: NormalWeight, n_max: int | None = None) ->
     )
 
 
-def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight, depth: int | None = None) -> NormEstimate:
+def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
     """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over the covering block range."""
     n_max = f.truncation
-    if depth is None:
-        depth = 0
-        while 2 ** (depth + 1) - 1 < n_max:
-            depth += 1
+    depth = 0
+    while 2 ** (depth + 1) - 1 < n_max:
+        depth += 1
     terms = []
     for n in range(depth + 1):
         block = block_polynomial(n)
@@ -207,32 +193,24 @@ _METHODS = {
 }
 
 
-def bloch_norm(f: TaylorSeries, w: NormalWeight, method: str = METHOD_DIRECT, **kwargs) -> NormEstimate:
+def bloch_norm(f: TaylorSeries, w: NormalWeight, method: str = METHOD_DIRECT) -> NormEstimate:
     """Dispatch to one of the norm estimators by name."""
     try:
         fn = _METHODS[method]
     except KeyError:
         raise PreconditionError(f"unknown norm method {method!r}; choose from {sorted(_METHODS)}") from None
-    return fn(f, w, **kwargs)
+    return fn(f, w)
 
 
-def growth_envelope_ratio(
-    f: TaylorSeries,
-    w: NormalWeight,
-    radial_depth: int = 12,
-    norm_value: float | None = None,
-) -> float:
+def growth_envelope_ratio(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> float:
     """sup over dyadic radii of |f(r)| / ((gauge(r) + 1) * norm).
 
     The pointwise growth of a Bloch-space function is controlled by the gauge
     integral of 1/nu; the returned constant measures how tightly f sits under
     that envelope.
     """
-    from .weights import growth_gauge_batch
-
-    if norm_value is None:
-        norm_value = norm_direct(f, w, radial_depth=radial_depth).value
-    radii = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, radial_depth + 1, dtype=float)])
-    gauges = growth_gauge_batch(w, radii)
+    norm_value = norm_direct(f, w, radial_depth=radial_depth).value
+    radii = np.concatenate([[0.0], radius_ladder(radial_depth)])
+    gauges = growth_gauge_from_gaps(w, 1.0 - radii)
     values = np.abs(np.asarray(f(radii), dtype=complex))
     return float(np.max(values / ((gauges + 1.0) * norm_value)))

@@ -139,7 +139,7 @@ class WellDefinedReport:
         return {"integral": self.integral, "finite": self.finite}
 
 
-def well_defined_check(mu: RadialMeasure, omega: NormalWeight, rel_tol: float = 1e-9) -> WellDefinedReport:
+def well_defined_check(mu: RadialMeasure, omega: NormalWeight) -> WellDefinedReport:
     """Evaluate integral of (gauge(t)+1) dmu; finiteness gates every application.
 
     Divergence is a result, not an error: a non-stabilizing tail yields
@@ -150,7 +150,7 @@ def well_defined_check(mu: RadialMeasure, omega: NormalWeight, rel_tol: float = 
         return growth_gauge_from_gaps(omega, omt) + 1.0
 
     try:
-        val = mu.integral(fn, rel_tol=rel_tol)
+        val = mu.integral(fn, rel_tol=1e-9)
     except NumericsError:
         return WellDefinedReport(math.inf, False)
     return WellDefinedReport(val, math.isfinite(val))
@@ -182,9 +182,10 @@ def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     return _image(cfg, lambda t, omt: np.asarray(f(t), dtype=float))
 
 
-def sign_change_points(f: TaylorSeries, grid: int = 2048) -> tuple[float, ...]:
-    """Roots of f in (0, 1) where |f| has kinks; resolves roots separated by > 1/grid."""
+def sign_change_points(f: TaylorSeries) -> tuple[float, ...]:
+    """Roots of f in (0, 1) where |f| has kinks; resolves roots separated by > 1/2048."""
     _real_series(f, "sign-change scan")
+    grid = 2048
     ts = np.linspace(0.0, 1.0, grid + 1)
     vals = np.asarray(f(ts), dtype=float)
     roots: list[float] = []
@@ -229,9 +230,7 @@ def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> comple
     return complex(real, imag)
 
 
-def hankel_apply(
-    a: Sequence[float], mu: RadialMeasure, alpha: float, n_max: int, rel_tol: float = 1e-10
-) -> TaylorSeries:
+def hankel_apply(a: Sequence[float], mu: RadialMeasure, alpha: float, n_max: int) -> TaylorSeries:
     """Hankel action out_n = c_n * sum_k mu_{n+k} a_k on a coefficient sequence."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -240,7 +239,7 @@ def hankel_apply(
     if n_max < 0:
         raise DomainError("output truncation must be nonnegative")
     k_top = a.size - 1
-    moments = mu.contiguous_moments(n_max + k_top, rel_tol=rel_tol)
+    moments = mu.contiguous_moments(n_max + k_top)
     inner = np.abs(a) * moments[: k_top + 1]
     if a.size >= 64:
         total = float(inner.sum())
@@ -254,9 +253,9 @@ def hankel_apply(
 # -- criteria ---------------------------------------------------------------------
 
 
-def _finite_integral(mu: RadialMeasure, fn, what: str, rel_tol: float = 1e-8) -> float:
+def _finite_integral(mu: RadialMeasure, fn, what: str) -> float:
     try:
-        val = mu.integral(fn, rel_tol=rel_tol)
+        val = mu.integral(fn, rel_tol=1e-8)
     except NumericsError as exc:
         raise PreconditionError(f"{what} diverges for this measure") from exc
     if not math.isfinite(val):
@@ -264,15 +263,13 @@ def _finite_integral(mu: RadialMeasure, fn, what: str, rel_tol: float = 1e-8) ->
     return val
 
 
-def _moment_form(
-    mu: RadialMeasure, phi, scale, quantity: str, details: dict, n_max: int, rel_tol: float
-) -> CriterionResult:
+def _moment_form(mu: RadialMeasure, phi, scale, quantity: str, details: dict, n_max: int) -> CriterionResult:
     """Trend of q_n = scale(n, m_n) on the index ladder to n_max, m_n the phi-weighted moments of mu."""
     if not n_max >= 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     ns = index_ladder(n_max)
     x = ns.astype(float)
-    return summarize_ladder(x, scale(x, mu.moments_at(ns, phi=phi, rel_tol=rel_tol)), quantity, details)
+    return summarize_ladder(x, scale(x, mu.moments_at(ns, phi=phi, rel_tol=1e-9)), quantity, details)
 
 
 def _combined(
@@ -302,7 +299,6 @@ def criterion_general(
     nu: NormalWeight,
     alpha: float,
     n_max: int = 2**20,
-    rel_tol: float = 1e-9,
 ) -> CriterionResult:
     """Trend of q_n = n^(alpha+2) nu(1-1/n) * integral of t^n (gauge(t)+1) dmu."""
     alpha = _require_alpha(alpha)
@@ -315,7 +311,7 @@ def criterion_general(
 
     scale = lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)  # noqa: E731
     details = {"alpha": alpha, "n_max": int(n_max), "gauge_integral": gate.integral}
-    return _moment_form(mu, phi, scale, "n^(alpha+2) nu(1-1/n) gauge-weighted moment", details, n_max, rel_tol)
+    return _moment_form(mu, phi, scale, "n^(alpha+2) nu(1-1/n) gauge-weighted moment", details, n_max)
 
 
 def criterion_moment(
@@ -324,7 +320,6 @@ def criterion_moment(
     nu: NormalWeight,
     alpha: float,
     n_max: int = 2**20,
-    rel_tol: float = 1e-9,
 ) -> CriterionResult:
     """Trend of q_n = n^(alpha+2) nu(1-1/n) mu_n; needs a bounded source gauge.
 
@@ -339,7 +334,7 @@ def criterion_moment(
         )
     scale = lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)  # noqa: E731
     details = {"alpha": alpha, "n_max": int(n_max)}
-    moment = _moment_form(mu, None, scale, "n^(alpha+2) nu(1-1/n) mu_n", details, n_max, rel_tol)
+    moment = _moment_form(mu, None, scale, "n^(alpha+2) nu(1-1/n) mu_n", details, n_max)
     return _combined(moment, compact=True)
 
 
@@ -350,7 +345,6 @@ def criterion_bloch_to_gamma(
     mode: str = "carleson",
     n_max: int = 2**20,
     depth: int = 24,
-    rel_tol: float = 1e-9,
 ) -> CriterionResult:
     """Source = unweighted Bloch, target gap power gamma in (0, alpha+2).
 
@@ -380,7 +374,7 @@ def criterion_bloch_to_gamma(
     carleson = carleson_sup(mu, gamma_log=1.0, s=alpha + 2.0 - gamma, depth=depth)
     scale = lambda x, m: x ** (alpha + 2.0 - gamma) * m  # noqa: E731
     details = {"alpha": alpha, "gamma": gamma, "n_max": int(n_max)}
-    moment = _moment_form(mu, log_weight, scale, "n^(alpha+2-gamma) log-weighted moment", details, n_max, rel_tol)
+    moment = _moment_form(mu, log_weight, scale, "n^(alpha+2-gamma) log-weighted moment", details, n_max)
     if mode == "carleson":
         return _combined(carleson, moment, "moment_form")
     return _combined(moment, carleson, "carleson_form")
@@ -426,7 +420,6 @@ def criterion_log_spaces(
     gamma: float,
     n_max: int = 2**20,
     depth: int = 24,
-    rel_tol: float = 1e-9,
 ) -> CriterionResult:
     """Logarithmic source exponent beta to logarithmic target exponent gamma.
 
@@ -461,7 +454,7 @@ def criterion_log_spaces(
     scale = lambda x, m: x ** (alpha + 1.0) * m * np.log(x + 1.0) ** -gamma  # noqa: E731
     quantity = "n^(alpha+1) log^(-gamma)(n+1) " + (f"{weight_name}-weighted moment" if weight_name else "mu_n")
     details = {"alpha": alpha, "beta": beta, "gamma": gamma, "n_max": int(n_max)}
-    moment = _moment_form(mu, phi, scale, quantity, details, n_max, rel_tol)
+    moment = _moment_form(mu, phi, scale, quantity, details, n_max)
     gaps, tails = mu.tail_ladder(depth)
     tail_sizes = tails * (tail_factor(gaps) / gaps ** (alpha + 1.0))
     tail = summarize_ladder(1.0 / gaps, tail_sizes, quantity=tail_name, details={"depth": depth})
@@ -498,7 +491,6 @@ def operator_norm_probe(
     omega: NormalWeight,
     nu: NormalWeight,
     functions: Sequence[tuple[str, TaylorSeries]],
-    radial_depth: int | None = None,
 ) -> ProbeReport:
     """Max over test functions of norm(I f)/norm(f), at truncation N and 2N.
 
@@ -509,7 +501,7 @@ def operator_norm_probe(
     if not functions:
         raise DomainError("probe needs at least one test function")
     n_base = cfg.truncation
-    depth = radial_depth or max(12, int(math.log2(max(n_base, 2))) + 2)
+    depth = max(12, int(math.log2(max(n_base, 2))) + 2)
     cases = []
     for label, f in functions:
         row: dict = {"label": label}

@@ -17,12 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericsError, require_number
-from .quadrature import integrate_radial, panel_points
-from .trend import CriterionResult, radius_ladder, summarize_ladder
+from .quadrature import TAIL_CAP, integrate_radial, panel_points
+from .trend import CriterionResult, summarize_ladder
 
-TAIL_MATCH_RTOL = 1e-8
-# Deepest u = -log(1-t) reachable before e^{-u} leaves the normal range of doubles.
-_U_CAP = 680.0
 # Largest power table t_i^j (nodes x block) that contiguous_moments builds: 1 MiB of floats.
 _MOMENT_TABLE_ELEMENTS = 2**17
 
@@ -82,13 +79,16 @@ def _moment_block(n_max: int, nodes: int) -> int:
 
 
 class RadialMeasure:
-    """atoms + density measure with cached moments and node grids."""
+    """atoms + density measure with cached moments and node grids.
+
+    A power density (1-t)^s dt, s > -1, takes its tails from the closed form
+    (1-t)^(s+1)/(s+1); every other density integrates them.
+    """
 
     def __init__(
         self,
         atoms: Sequence[tuple[float, float]] = (),
         density: Density | None = None,
-        tail_fn: Callable[[float], float] | None = None,
         label: str | None = None,
     ):
         cleaned = []
@@ -106,11 +106,10 @@ class RadialMeasure:
         self._node_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._grid_spec: tuple[float, int] | None = None
 
-        if density is not None and tail_fn is None and density.kind == "power_log" and density.gamma_log == 0.0:
+        self.tail_fn: Callable[[float], float] | None = None
+        if density is not None and density.kind == "power_log" and density.gamma_log == 0.0 and density.s > -1.0:
             s = density.s
-            if s > -1.0:
-                tail_fn = lambda t: (1.0 - t) ** (s + 1.0) / (s + 1.0)  # noqa: E731
-        self.tail_fn = tail_fn
+            self.tail_fn = lambda t: (1.0 - t) ** (s + 1.0) / (s + 1.0)
 
         density_mass = 0.0
         if density is not None:
@@ -121,8 +120,6 @@ class RadialMeasure:
             if not density_mass >= 0.0:
                 raise ConstructionError(f"density must be nonnegative, got mass {density_mass}")
         self.mass = density_mass + sum(wgt for _, wgt in self.atoms)
-        if self.tail_fn is not None:
-            self._check_tail_consistency()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -136,19 +133,6 @@ class RadialMeasure:
 
     def __repr__(self) -> str:
         return f"RadialMeasure<{self.label}>"
-
-    def _check_tail_consistency(self) -> None:
-        # tail_fn covers the density part only; atoms are summed separately.
-        for m in range(1, 13):
-            t = 1.0 - 2.0**-m
-            direct = 0.0
-            if self.density is not None:
-                direct = integrate_radial(self.density.eval, t, 1.0, rel_tol=1e-11)
-            closed = float(self.tail_fn(t))
-            if abs(closed - direct) > TAIL_MATCH_RTOL * (abs(direct) + 1e-12 * self.mass):
-                raise ConstructionError(
-                    f"closed-form tail disagrees with quadrature at t={t}: {closed} vs {direct}"
-                )
 
     # -- node grid ---------------------------------------------------------
 
@@ -196,7 +180,7 @@ class RadialMeasure:
             floor = 0.0 if phi is None else 0.01 * float(np.abs(nodes(U, 1)[1]).sum())
             if np.all(np.abs(nxt - cur) <= 0.25 * rel_tol * (np.abs(nxt) + floor) + 1e-300):
                 break
-            if U > _U_CAP:
+            if U > TAIL_CAP:
                 raise NumericsError("density moments did not stabilize in the tail; measure nearly divergent")
             cur = nxt
         level = 1
@@ -322,7 +306,7 @@ class RadialMeasure:
         if depth < 1:
             raise DomainError("tail ladder depth must be at least 1")
         gaps = 2.0 ** -np.arange(1, depth + 1, dtype=float)
-        return gaps, np.array([self.tail(t) for t in radius_ladder(depth)])
+        return gaps, np.array([self.tail(t) for t in 1.0 - gaps])
 
 
 # -- constructors ---------------------------------------------------------
@@ -331,10 +315,9 @@ class RadialMeasure:
 def radial_measure(
     atoms: Sequence[tuple[float, float]] = (),
     density: Density | None = None,
-    tail_fn: Callable[[float], float] | None = None,
     label: str | None = None,
 ) -> RadialMeasure:
-    return RadialMeasure(atoms, density, tail_fn, label)
+    return RadialMeasure(atoms, density, label)
 
 
 def lebesgue() -> RadialMeasure:

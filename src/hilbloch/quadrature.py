@@ -41,21 +41,20 @@ def integrate_segments(
     edges: Sequence[float],
     rel_tol: float = DEFAULT_REL_TOL,
     abs_floor: float = 0.0,
-    max_refine: int = 12,
 ) -> float:
-    """Integrate a vectorized callable over fixed edges, doubling panels until stable."""
+    """Integrate a vectorized callable over fixed edges, doubling panels (at most 12 times) until stable."""
     edges = sorted(set(float(e) for e in edges))
     if len(edges) < 2:
         raise ValueError("need at least two edges")
     prev = None
-    for k in range(max_refine + 1):
+    for k in range(13):
         x, w = panel_points(np.asarray(edges), 2**k)
         val = float(w @ np.asarray(fn(x), dtype=float))
         if prev is not None and abs(val - prev) <= rel_tol * abs(val) + abs_floor:
             return val
         prev = val
     raise NumericsError(
-        f"panel refinement did not stabilize after {max_refine} doublings on {edges[0]:g}..{edges[-1]:g}"
+        f"panel refinement did not stabilize after 12 doublings on {edges[0]:g}..{edges[-1]:g}"
     )
 
 
@@ -64,10 +63,9 @@ def integrate_tail(
     start: float,
     rel_tol: float = DEFAULT_REL_TOL,
     scale: float = 0.0,
-    cap: float = TAIL_CAP,
     extrapolate: bool = False,
 ) -> float:
-    """Integrate a decaying callable over [start, cap-or-convergence).
+    """Integrate a decaying callable over [start, TAIL_CAP-or-convergence).
 
     Blocks [U, 2U] are accumulated until the last block is negligible against
     the running total (or `scale`).  With ``extrapolate=True`` a stable block
@@ -80,8 +78,8 @@ def integrate_tail(
     prev_block = None
     flat_streak = 0
     ratios: list[float] = []
-    while U < cap:
-        V = min(2.0 * U, cap)
+    while U < TAIL_CAP:
+        V = min(2.0 * U, TAIL_CAP)
         block = integrate_segments(fn, [U, V], rel_tol=max(rel_tol, 1e-13), abs_floor=rel_tol * max(abs(total), scale) * 0.01 + 1e-300)
         total += block
         gauge = max(abs(total), scale)
@@ -105,7 +103,7 @@ def integrate_tail(
                     return total + remainder
         prev_block = block
         U = V
-    raise NumericsError(f"tail integral did not converge by u={cap:g}")
+    raise NumericsError(f"tail integral did not converge by u={TAIL_CAP:g}")
 
 
 def integrate_radial(
@@ -115,7 +113,6 @@ def integrate_radial(
     rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Sequence[float] = (),
     abs_floor: float = 0.0,
-    tail_cap: float = TAIL_CAP,
     extrapolate: bool = False,
 ) -> float:
     """Integrate fn(t, 1-t) dt over [lower, upper] with the 1-t = e^{-u} substitution.
@@ -142,12 +139,5 @@ def integrate_radial(
         return integrate_segments(g, edges, rel_tol=rel_tol, abs_floor=abs_floor)
     u0 = max(8.0, u_lo + 4.0, *(b + 2.0 for b in inner)) if inner else max(8.0, u_lo + 4.0)
     core = integrate_segments(g, [u_lo, *inner, u0], rel_tol=rel_tol, abs_floor=abs_floor)
-    tail = integrate_tail(
-        g,
-        u0,
-        rel_tol=rel_tol,
-        scale=max(abs(core), abs_floor),
-        cap=tail_cap,
-        extrapolate=extrapolate,
-    )
+    tail = integrate_tail(g, u0, rel_tol=rel_tol, scale=max(abs(core), abs_floor), extrapolate=extrapolate)
     return core + tail

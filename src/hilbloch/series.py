@@ -244,15 +244,10 @@ def _as_coefficients(poly) -> np.ndarray:
     return np.asarray(poly)
 
 
-def sup_norm(poly, samples: int | None = None) -> float:
-    """Max of |P| over equispaced points on the unit circle (at least 8 per degree)."""
+def sup_norm(poly) -> float:
+    """Max of |P| over 8 (degree + 1) equispaced points on the unit circle."""
     coeffs = _as_coefficients(poly)
-    degree = len(coeffs) - 1
-    needed = 8 * (degree + 1)
-    m = max(samples or 0, needed)
-    if samples is not None and samples < needed:
-        raise PreconditionError(f"need at least {needed} circle samples for degree {degree}")
-    return float(np.max(np.abs(np.fft.fft(coeffs, m))))
+    return float(np.max(np.abs(np.fft.fft(coeffs, 8 * len(coeffs)))))
 
 
 def hardy_norm(poly, p: float) -> float:

@@ -50,6 +50,7 @@ from .trend import (
     VERDICT_BOUNDED,
     VERDICT_INCONCLUSIVE,
     VERDICT_UNBOUNDED,
+    radius_ladder,
     summarize_ladder,
 )
 from .weights import (
@@ -496,8 +497,7 @@ def _dyadic_depths(opts: dict, scale: float) -> dict:
 
 def _compare_dyadic_sum(case: Case, ctx: dict) -> CaseResult:
     def ladder_sup(depth: int) -> float:
-        radii = 1.0 - 2.0 ** -np.arange(1.0, depth + 1.0)
-        return max(dyadic_sum_ratio(case.item, r, j_max=depth + 30) for r in radii)
+        return max(dyadic_sum_ratio(case.item, r, j_max=depth + 30) for r in radius_ladder(depth))
 
     base = ladder_sup(ctx["base_depth"])
     deep = ladder_sup(ctx["deep_depth"])
@@ -613,10 +613,10 @@ def _compare_well_defined(case: Case, ctx: dict) -> CaseResult:
     weight = resolve_weight(case.item["weight"])
     report = well_defined_check(mu, weight)
     depths = ctx["partial_depths"]
-    radii = 1.0 - 2.0 ** -np.asarray(depths, dtype=float)
+    gaps = 2.0 ** -np.asarray(depths, dtype=float)
     gauge = lambda t, omt: growth_gauge_from_gaps(weight, omt) + 1.0  # noqa: E731
-    partials = np.array([mu.integral(gauge, rel_tol=1e-9, upper=r) for r in radii])
-    trend = summarize_ladder(2.0 ** np.asarray(depths, dtype=float), partials, "partial gauge integral")
+    partials = np.array([mu.integral(gauge, rel_tol=1e-9, upper=r) for r in 1.0 - gaps])
+    trend = summarize_ladder(1.0 / gaps, partials, "partial gauge integral")
     left, right = _flag(not report.finite), _trend_flag(trend.verdict)
     agree = left == right and right != VERDICT_INCONCLUSIVE
     detail = {"partials": partials, "depths": list(depths), "slope": trend.log_slope}

@@ -16,13 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericsError, require_number
-from .quadrature import integrate_radial, integrate_segments, integrate_tail, panel_points
+from .quadrature import integrate_radial, integrate_segments, integrate_tail
 
-# Relative increment between ladder depths 20 and 25 above which the gauge
-# integral to t = 1 is declared divergent.
-GAUGE_DIVERGENCE_RTOL = 1e-2
-
-# Dyadic grid depth and ceiling used by default when validating normality.
+# Dyadic grid depth and ceiling used when validating normality.
 NORMALITY_GRID_DEPTH = 20
 NORMALITY_CEILING = 1e3
 
@@ -215,37 +211,34 @@ class NormalityReport:
     passed: bool
 
 
-def normality_check(
-    w: NormalWeight,
-    grid_depth: int = NORMALITY_GRID_DEPTH,
-    ceiling: float = NORMALITY_CEILING,
-) -> NormalityReport:
+def normality_check(w: NormalWeight) -> NormalityReport:
     """Measure almost-monotonicity constants of nu/(1-r^2)^a and nu/(1-r^2)^b on a dyadic grid.
 
     The decreasing constant is the largest later-to-earlier ratio of
     nu/(1-r^2)^a, the increasing constant the largest earlier-to-later ratio
-    of nu/(1-r^2)^b; both must stay below the ceiling for the declared
-    exponents to be consistent with the samples.
+    of nu/(1-r^2)^b; both must stay below NORMALITY_CEILING for the declared
+    exponents to be consistent with the samples on gaps 2^0..2^-NORMALITY_GRID_DEPTH.
     """
-    gaps = _dyadic_gaps(grid_depth)
+    gaps = _dyadic_gaps(NORMALITY_GRID_DEPTH)
     x = gaps * (2.0 - gaps)
     nu = np.asarray(w.value_from_gap(gaps), dtype=float)
     h_dec = nu / x**w.a
     h_inc = nu / x**w.b
     c_dec = float(np.max(h_dec / np.minimum.accumulate(h_dec)))
     c_inc = float(np.max(np.maximum.accumulate(h_inc) / h_inc))
-    return NormalityReport(c_dec, c_inc, ceiling, grid_depth, c_dec <= ceiling and c_inc <= ceiling)
+    passed = c_dec <= NORMALITY_CEILING and c_inc <= NORMALITY_CEILING
+    return NormalityReport(c_dec, c_inc, NORMALITY_CEILING, NORMALITY_GRID_DEPTH, passed)
 
 
 # -- growth gauge: cumulative integral of 1/nu --------------------------
 
 
-def growth_gauge(w: NormalWeight, t: float, rel_tol: float = 1e-10) -> float:
+def growth_gauge(w: NormalWeight, t: float) -> float:
     """Integral of 1/nu over [0, t]; t = 1 is allowed and may return inf.
 
-    At t = 1 divergence is judged from the ladder increments at depths
-    10/15/20/25: the integral is declared infinite when the last increment
-    exceeds GAUGE_DIVERGENCE_RTOL * (1 + value).
+    At t = 1 the integral runs to the endpoint with the geometric tail
+    remainder, and a tail the integrator cannot exhaust (NumericsError) reads
+    as a divergent gauge.
     """
     if t < 0 or t > 1:
         raise DomainError("gauge argument must lie in [0, 1]")
@@ -256,18 +249,11 @@ def growth_gauge(w: NormalWeight, t: float, rel_tol: float = 1e-10) -> float:
         return 1.0 / np.asarray(w.value_from_gap(omt), dtype=float)
 
     if t < 1.0:
-        return integrate_radial(inv_nu, 0.0, t, rel_tol=rel_tol)
-
-    ladder = growth_gauge_batch(w, 1.0 - 2.0 ** -np.arange(10, 26, 5, dtype=float))
-    increment = ladder[-1] - ladder[-2]
-    if increment > GAUGE_DIVERGENCE_RTOL * (1.0 + abs(ladder[-1])):
-        return math.inf
+        return integrate_radial(inv_nu, 0.0, t)
     try:
-        return integrate_radial(inv_nu, 0.0, 1.0, rel_tol=rel_tol, extrapolate=True)
+        return integrate_radial(inv_nu, 0.0, 1.0, extrapolate=True)
     except NumericsError:
-        # Declared convergent but with a tail too slow to exhaust; report the
-        # deepest resolved ladder value.
-        return float(ladder[-1])
+        return math.inf
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -311,16 +297,6 @@ def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float], rel_tol: floa
     out = np.empty_like(totals)
     out[order] = totals
     return out
-
-
-def growth_gauge_batch(w: NormalWeight, ts: Sequence[float], rel_tol: float = 1e-11) -> np.ndarray:
-    """Gauge values at many radii (radii need not be sorted)."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return np.zeros(0)
-    if np.any(ts < 0) or np.any(ts >= 1):
-        raise DomainError("batch gauge radii must lie in [0, 1)")
-    return growth_gauge_from_gaps(w, 1.0 - ts, rel_tol=rel_tol)
 
 
 # -- extremal lacunary series -------------------------------------------
@@ -430,7 +406,7 @@ def weight_ratio_bound(w: NormalWeight, grid_depth: int = 16) -> float:
 # -- exponential-tail integral ratio ------------------------------------
 
 
-def laplace_tail_ratio(w: NormalWeight, delta: float, rel_tol: float = 1e-10) -> float:
+def laplace_tail_ratio(w: NormalWeight, delta: float) -> float:
     """Q(delta) = nu(1-delta) * integral over [e, inf) of e^{-delta t}/(t nu(1-1/t)) dt.
 
     Valid for 0 < delta < e^{-2}.  Boundedness of Q as delta shrinks is the
@@ -444,13 +420,13 @@ def laplace_tail_ratio(w: NormalWeight, delta: float, rel_tol: float = 1e-10) ->
     def head(v):  # t = e^v over [e, 1/delta]
         return np.exp(-delta * np.exp(v)) / np.asarray(w.value_from_gap(np.exp(-v)), dtype=float)
 
-    head_val = integrate_segments(head, [1.0, math.log(1.0 / delta)], rel_tol=rel_tol)
+    head_val = integrate_segments(head, [1.0, math.log(1.0 / delta)])
 
     def tail(u):  # t = u/delta over [1/delta, inf)
         return np.exp(-u) / (u * np.asarray(w.value_from_gap(delta / u), dtype=float))
 
-    tail_core = integrate_segments(tail, [1.0, 8.0], rel_tol=rel_tol)
-    tail_rest = integrate_tail(tail, 8.0, rel_tol=rel_tol, scale=abs(tail_core) + abs(head_val))
+    tail_core = integrate_segments(tail, [1.0, 8.0])
+    tail_rest = integrate_tail(tail, 8.0, scale=abs(tail_core) + abs(head_val))
     return float(w.value_from_gap(delta)) * (head_val + tail_core + tail_rest)
 
 

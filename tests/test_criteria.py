@@ -309,11 +309,20 @@ def test_beta_spaces_match_the_paper_for_small_beta(draw):
     assert result.verdict == _paper_verdict(s, alpha, gamma)
 
 
-# power_weight(beta) for beta >= 0.75 has a finite gauge, but growth_gauge
-# reads it as infinite and criterion_moment refuses it, so beta stays below.
-@given(power_scale_draws(beta_max=0.7))
+@given(power_scale_draws(beta_max=0.95))
 def test_moment_criterion_matches_the_paper_for_power_weights(draw):
     s, alpha, beta, gamma = draw
     mu = radial_measure(density=power_log_density(s))
     result = criterion_moment(mu, power_weight(beta), power_weight(gamma), alpha, n_max=2**16)
     assert result.verdict == _paper_verdict(s, alpha, gamma)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("beta", [1.5, 2.0])
+def test_beta_spaces_just_above_the_gate_border(alpha, beta):
+    # s = beta - 2 + BAND passes the gate; the reweighted density (1-t)^(-15/16) dt
+    # must build, and s + 1 < alpha + 1 + beta - gamma reads unbounded.
+    s = beta - 2.0 + BAND
+    result = criterion_beta_spaces(radial_measure(density=power_log_density(s)), alpha, beta, 1.0)
+    assert result.verdict == VERDICT_UNBOUNDED
+    assert result.details["forms_agree"]

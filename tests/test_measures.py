@@ -235,6 +235,21 @@ class TestIntegralAndTail:
         mu = builtin_measures()["density_2"]
         assert mu.tail(0.5) == pytest.approx(0.5**3 / 3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [-15 / 16, -0.5, 0.0, 1.0, 2.5])
+    def test_power_density_tails_match_mpmath(self, s):
+        # Tail of (1-t)^s dt at t = 1 - g is the integral of v^s over [0, g]; with
+        # v = w^k, k(s+1) >= 1, the mpmath integrand k w^(k(s+1)-1) is smooth.
+        mu = radial_measure(density=power_log_density(s))
+        k = math.ceil(1.0 / (s + 1.0))
+
+        def oracle(g: float) -> float:
+            with mpmath.workdps(30):
+                return float(mpmath.quad(lambda w: k * w ** (k * (s + 1) - 1), [0, mpmath.mpf(g) ** (1.0 / k)]))
+
+        assert mu.mass == pytest.approx(oracle(1.0), rel=1e-9)
+        for m in range(1, 13):
+            assert mu.tail(1.0 - 2.0**-m) == pytest.approx(oracle(2.0**-m), rel=1e-12), m
+
     def test_atom_tail_counts_left_closed(self):
         mu = point_mass(0.5)
         assert mu.tail(0.4) == pytest.approx(1.0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hilbloch.errors import DomainError, PreconditionError
+from hilbloch.errors import DomainError
 from hilbloch.series import (
     BlockPolynomial,
     TaylorSeries,
@@ -237,10 +237,6 @@ class TestPolynomialNorms:
 
     def test_sup_norm_of_binomial(self):
         assert sup_norm(TaylorSeries([1.0, 1.0])) == pytest.approx(2.0, rel=1e-6)
-
-    def test_sup_norm_sample_floor(self):
-        with pytest.raises(PreconditionError):
-            sup_norm(TaylorSeries(np.ones(16)), samples=16)
 
     def test_hardy_two_norm_is_coefficient_norm(self):
         f = TaylorSeries([3.0, 4.0])

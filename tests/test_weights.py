@@ -13,7 +13,6 @@ from hilbloch.weights import (
     build_extremal,
     dyadic_sum_ratio,
     growth_gauge,
-    growth_gauge_batch,
     growth_gauge_from_gaps,
     laplace_tail_ratio,
     laplace_tail_sweep,
@@ -147,11 +146,34 @@ class TestGrowthGauge:
     def test_divergent_gauge_is_infinite(self):
         assert math.isinf(growth_gauge(power_weight(1.0), 1.0))
         assert math.isinf(growth_gauge(power_weight(2.0), 1.0))
+        assert math.isinf(growth_gauge(log_power_weight(-1.0), 1.0))
+        assert math.isinf(growth_gauge(power_log_weight(1.0, 1.0), 1.0))
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.75, 0.8, 0.9, 0.95])
+    def test_power_gauge_to_one_matches_beta_function(self, beta):
+        # Integral of (1-t^2)^-beta over [0, 1) is B(1/2, 1-beta)/2 (substitute u = t^2).
+        with mpmath.workdps(30):
+            oracle = float(mpmath.beta(mpmath.mpf(1) / 2, 1 - mpmath.mpf(beta)) / 2)
+        assert growth_gauge(power_weight(beta), 1.0) == pytest.approx(oracle, rel=1e-9)
+
+    def test_slow_log_gauge_is_finite(self):
+        # 1/nu = 1 / ((1-t^2) log^1.5(e/(1-t^2))) converges with a u^-1.5 tail in
+        # u = -log(1-t), which the geometric remainder sums only to about 1e-3 relative.
+        def integrand(u):
+            x = mpmath.exp(-u) * (2 - mpmath.exp(-u))  # 1 - t^2
+            return mpmath.exp(-u) / (x * (1 - mpmath.log(x)) ** 1.5)
+
+        with mpmath.workdps(30):
+            oracle = float(mpmath.quad(integrand, [0, 1, 10, 100, 1000, mpmath.inf]))
+        assert oracle == pytest.approx(1.4834396, rel=1e-7)
+        got = growth_gauge(log_power_weight(-1.5), 1.0)
+        assert math.isfinite(got)
+        assert got == pytest.approx(oracle, rel=1e-3)
 
     def test_batch_matches_scalar(self):
         w = power_log_weight(1.0, 1.0)
         ts = np.array([0.1, 0.5, 0.875, 0.984375])
-        batch = growth_gauge_batch(w, ts)
+        batch = growth_gauge_from_gaps(w, 1.0 - ts)
         singles = [growth_gauge(w, float(t)) for t in ts]
         assert np.allclose(batch, singles, rtol=1e-8)
 
@@ -229,7 +251,7 @@ class TestExtremalSeries:
         assert coeffs[0] == pytest.approx(1.0)
         rs = 1.0 - 2.0 ** -np.arange(2.0, 11.0)
         F = np.polynomial.polynomial.polyval(rs, coeffs)
-        envelope = growth_gauge_batch(w, rs) + 1.0
+        envelope = growth_gauge_from_gaps(w, 1.0 - rs) + 1.0
         ratio = F / envelope
         assert np.max(ratio) / np.min(ratio) < 16.0
 

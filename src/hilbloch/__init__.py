@@ -65,7 +65,6 @@ from .measures import (
     RadialMeasure,
     ReweightAgreement,
     carleson_sup,
-    custom_density,
     lebesgue,
     measure_from_json,
     measure_to_json,

@@ -30,8 +30,7 @@ from .weights import (
 DEFAULT_SERIES_TRUNCATION = 2**10
 
 
-# Name -> factory tables: a lookup builds only the named entry, and every call
-# returns a fresh object (a measure holds its own moment grids).
+# Name -> factory tables: a lookup builds only the named entry.
 _WEIGHT_FACTORIES = {
     "power_0.5": lambda: power_weight(0.5),
     "power_1": lambda: power_weight(1.0),

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bloch import norm_direct
-from .errors import DomainError, NumericsError, PreconditionError, require_number
+from .errors import ConstructionError, DomainError, NumericsError, PreconditionError, require_number
 from .measures import (
     RadialMeasure,
     carleson_sup,
@@ -403,13 +403,18 @@ def criterion_beta_spaces(
     if beta <= 0.0 or beta == 1.0:
         raise DomainError("source gap power beta must be positive and != 1")
     if beta > 1.0:
-        _finite_integral(mu, lambda t, omt: omt ** (1.0 - beta), "integral of dmu/(1-t)^(beta-1)")
+        # tau = dmu/(1-t)^(beta-1) carries the density's decay in its exponent, so its
+        # mass (the gate integral) never forms the overflowing (1-t)^(1-beta) alone.
+        try:
+            tau = power_reweight(mu, beta - 1.0)
+        except ConstructionError as exc:
+            raise PreconditionError("integral of dmu/(1-t)^(beta-1) diverges for this measure") from exc
     s = alpha + 1.0 + beta - gamma if beta > 1.0 else alpha + 2.0 - gamma
     primary = carleson_sup(mu, gamma_log=0.0, s=s, depth=depth)
     primary.details.update({"alpha": alpha, "beta": beta, "gamma": gamma})
     if beta < 1.0:
         return _combined(primary, compact=True)
-    reweighted = carleson_sup(power_reweight(mu, beta - 1.0), gamma_log=0.0, s=alpha + 2.0 - gamma, depth=depth)
+    reweighted = carleson_sup(tau, gamma_log=0.0, s=alpha + 2.0 - gamma, depth=depth)
     return _combined(primary, reweighted, "reweighted_form")
 
 

@@ -2,8 +2,9 @@
 
 Everything downstream consumes measures through three views: moments
 mu_n = integral of t^n, tails mu([t, 1)), and weighted moments with an extra
-radial factor.  Moments share one adaptive node grid per measure so that a
-whole ladder of indices costs a single refinement study.
+radial factor.  One call reads a whole ladder of indices from one adaptive
+node grid, so the ladder costs a single refinement study; a measure keeps no
+state between calls, so its moments depend only on the arguments.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,39 +27,28 @@ _MOMENT_TABLE_ELEMENTS = 2**17
 
 @dataclass(frozen=True)
 class Density:
-    """Radial density p(t) dt; the catalog kind is (1-t)^s * log^gamma_log(e/(1-t))."""
+    """Radial density (1-t)^s * log^gamma_log(e/(1-t)) dt."""
 
-    kind: str  # "power_log" or "custom"
-    s: float = 0.0
-    gamma_log: float = 0.0
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    s: float
+    gamma_log: float
 
     def eval(self, t: np.ndarray, omt: np.ndarray) -> np.ndarray:
-        if self.kind == "power_log":
-            out = omt**self.s
-            if self.gamma_log != 0.0:
-                out = out * (1.0 - np.log(omt)) ** self.gamma_log
-            return out
-        return np.asarray(self.fn(t, omt), dtype=float)
+        out = omt**self.s
+        if self.gamma_log != 0.0:
+            out = out * (1.0 - np.log(omt)) ** self.gamma_log
+        return out
 
     @property
     def label(self) -> str:
-        if self.kind == "power_log":
-            if self.gamma_log == 0.0 and self.s == 0.0:
-                return "dt"
-            if self.gamma_log == 0.0:
-                return f"(1-t)^{self.s:g} dt"
-            return f"(1-t)^{self.s:g} log^{self.gamma_log:g}(e/(1-t)) dt"
-        return "custom dt"
+        if self.gamma_log == 0.0 and self.s == 0.0:
+            return "dt"
+        if self.gamma_log == 0.0:
+            return f"(1-t)^{self.s:g} dt"
+        return f"(1-t)^{self.s:g} log^{self.gamma_log:g}(e/(1-t)) dt"
 
 
 def power_log_density(s: float, gamma_log: float = 0.0) -> Density:
-    return Density("power_log", float(s), float(gamma_log))
-
-
-def custom_density(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Density:
-    """Density from a vectorized callable fn(t, 1-t); integrability is checked at build time."""
-    return Density("custom", fn=fn)
+    return Density(float(s), float(gamma_log))
 
 
 def _u_edges(breakpoints: Sequence[float]) -> tuple[float, ...]:
@@ -79,7 +69,7 @@ def _moment_block(n_max: int, nodes: int) -> int:
 
 
 class RadialMeasure:
-    """atoms + density measure with cached moments and node grids.
+    """atoms + density measure; it holds only that definition, so no result depends on earlier calls.
 
     A power density (1-t)^s dt, s > -1, takes its tails from the closed form
     (1-t)^(s+1)/(s+1); every other density integrates them.
@@ -102,15 +92,6 @@ class RadialMeasure:
         self.atoms = tuple(sorted(cleaned))
         self.density = density
         self.label = label or self._default_label()
-        self._moment_cache: dict[int, float] = {}
-        self._node_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._grid_spec: tuple[float, int] | None = None
-
-        self.tail_fn: Callable[[float], float] | None = None
-        if density is not None and density.kind == "power_log" and density.gamma_log == 0.0 and density.s > -1.0:
-            s = density.s
-            self.tail_fn = lambda t: (1.0 - t) ** (s + 1.0) / (s + 1.0)
-
         density_mass = 0.0
         if density is not None:
             try:
@@ -136,21 +117,6 @@ class RadialMeasure:
 
     # -- node grid ---------------------------------------------------------
 
-    def _nodes(self, U: float, level: int, edges: tuple[float, ...] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Density nodes t, 1 - t and their quadrature weights density * (1-t) du."""
-        key = (U, level, edges)
-        found = self._node_cache.get(key)
-        if found is not None:
-            return found
-        cuts = np.array([0.0, *(e for e in edges if 0.0 < e < U), U])
-        panels = max(8, int(math.ceil(U / 2.0)) * 2**level)
-        u, du = panel_points(cuts, panels)
-        omt = np.exp(-u)
-        t = -np.expm1(-u)
-        nodes = (t, omt, self.density.eval(t, omt) * omt * du)
-        self._node_cache[key] = nodes
-        return nodes
-
     def _density_grid(self, n_top: int, phi, rel_tol: float, edges=()) -> tuple[np.ndarray, np.ndarray]:
         """Weighted density nodes (t, w) of a grid (U, level) on which the hardest moments are stable to rel_tol.
 
@@ -161,16 +127,17 @@ class RadialMeasure:
         weighted: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
         def nodes(U: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+            """Density nodes t on u = -log(1-t) panels, weighted density * (1-t) du (times phi)."""
             if (U, level) not in weighted:
-                t, omt, base = self._nodes(U, level, edges)
+                cuts = np.array([0.0, *(e for e in edges if 0.0 < e < U), U])
+                u, du = panel_points(cuts, max(8, int(math.ceil(U / 2.0)) * 2**level))
+                omt = np.exp(-u)
+                t = -np.expm1(-u)
+                base = self.density.eval(t, omt) * omt * du
                 w = base if phi is None else base * np.asarray(phi(t, omt), dtype=float)
                 weighted[U, level] = (t, w)
             return weighted[U, level]
 
-        if self._grid_spec is not None and phi is None and not edges:
-            U, level = self._grid_spec
-            if U >= math.log(n_top + 1.0) + 8.0:
-                return nodes(U, level)
         probe = sorted({0, int(n_top)})
         U = max(16.0, math.log(n_top + 1.0) + 8.0)
         cur = _power_sums(*nodes(U, 1), probe)
@@ -193,8 +160,6 @@ class RadialMeasure:
             cur = nxt
         else:
             raise NumericsError("density moment refinement did not converge")
-        if phi is None and not edges:
-            self._grid_spec = (U, level)
         return nodes(U, level)
 
     # -- moments -----------------------------------------------------------
@@ -223,13 +188,7 @@ class RadialMeasure:
         return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol, breakpoints), ns)
 
     def moment(self, n: int, rel_tol: float = 1e-10) -> float:
-        n = int(n)
-        cached = self._moment_cache.get(n)
-        if cached is not None:
-            return cached
-        val = float(self.moments_at([n], rel_tol=rel_tol)[0])
-        self._moment_cache[n] = val
-        return val
+        return float(self.moments_at([int(n)], rel_tol=rel_tol)[0])
 
     def contiguous_moments(
         self, n_max: int, phi=None, rel_tol: float = 1e-10, breakpoints: Sequence[float] = ()
@@ -296,8 +255,9 @@ class RadialMeasure:
         atom_part = sum(wgt for pos, wgt in self.atoms if pos >= t)
         if self.density is None:
             return atom_part
-        if self.tail_fn is not None:
-            return atom_part + float(self.tail_fn(t))
+        if self.density.gamma_log == 0.0 and self.density.s > -1.0:
+            s = self.density.s
+            return atom_part + float((1.0 - t) ** (s + 1.0) / (s + 1.0))
         return atom_part + integrate_radial(self.density.eval, t, 1.0, rel_tol=1e-11)
 
     def tail_ladder(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,8 +325,6 @@ def measure_from_json(doc: dict) -> RadialMeasure:
 def measure_to_json(mu: RadialMeasure) -> dict:
     doc: dict = {"atoms": [[t, wgt] for t, wgt in mu.atoms]}
     if mu.density is not None:
-        if mu.density.kind != "power_log":
-            raise ConstructionError("custom densities have no JSON form")
         doc["density"] = {"kind": "power_log", "s": mu.density.s, "gamma": mu.density.gamma_log}
     else:
         doc["density"] = None
@@ -413,11 +371,7 @@ def power_reweight(mu: RadialMeasure, gamma: float) -> RadialMeasure:
     atoms = [(t, wgt / (1.0 - t) ** gamma) for t, wgt in mu.atoms]
     density = None
     if mu.density is not None:
-        if mu.density.kind == "power_log":
-            density = power_log_density(mu.density.s - gamma, mu.density.gamma_log)
-        else:
-            inner = mu.density.eval
-            density = custom_density(lambda t, omt: inner(t, omt) * omt ** (-gamma))
+        density = power_log_density(mu.density.s - gamma, mu.density.gamma_log)
     return RadialMeasure(atoms, density, label=f"({mu.label}) / (1-t)^{gamma:g}")
 
 

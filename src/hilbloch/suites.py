@@ -209,8 +209,8 @@ class Suite(NamedTuple):
     row, or ``(label, item, names)`` for a row whose two sides are not
     ``names``; ``compare(case, ctx)`` computes one row.  ``case_keys`` maps
     each option that holds case specs to the keys a spec needs and the keys it
-    may add.  Each row builds its own measures inside ``compare``, so no two
-    rows share moment caches.
+    may add.  Each row builds its own measures inside ``compare``; a measure
+    keeps no state between calls, so no row depends on the rows before it.
     """
 
     defaults: dict

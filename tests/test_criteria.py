@@ -8,13 +8,16 @@ message.  It holds no float, so it reads the same on every machine.
 The oracle draws power densities dmu = (1-t)^s dt.  For 0 < beta < 1 the
 paper's condition for I_mu between the power-scale spaces is
 s + 1 >= alpha + 2 - gamma; draws within 1/16 of that border are left out.
+For beta > 1 the operator is defined only when the integral of
+dmu/(1-t)^(beta-1) is finite, s > beta - 2, and it is then bounded when
+s >= alpha + beta - gamma; draws within 1/16 of either border are left out.
 """
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from hilbloch.catalog import resolve_measure, resolve_weight
-from hilbloch.errors import HilblochError
+from hilbloch.errors import HilblochError, PreconditionError
 from hilbloch.hilbert_op import (
     criterion_beta_spaces,
     criterion_bloch_to_gamma,
@@ -317,8 +320,33 @@ def test_moment_criterion_matches_the_paper_for_power_weights(draw):
     assert result.verdict == _paper_verdict(s, alpha, gamma)
 
 
+@st.composite
+def large_beta_draws(draw):
+    """(s, alpha, beta, gamma), 1 < beta <= 3, off the gate border s = beta - 2 and
+    the bounded border s = alpha + beta - gamma by more than BAND."""
+    s = draw(st.floats(-0.5, 4.0))
+    alpha = draw(st.floats(-0.5, 2.0))
+    gamma = draw(st.floats(0.0, alpha + 2.0, exclude_min=True, exclude_max=True))
+    beta = draw(st.floats(1.0, 3.0, exclude_min=True))
+    assume(abs(s - (beta - 2.0)) > BAND)
+    assume(abs(s - (alpha + beta - gamma)) > BAND)
+    return s, alpha, beta, gamma
+
+
+@given(large_beta_draws())
+def test_beta_spaces_match_the_paper_for_large_beta(draw):
+    s, alpha, beta, gamma = draw
+    mu = radial_measure(density=power_log_density(s))
+    if s < beta - 2.0:
+        with pytest.raises(PreconditionError):
+            criterion_beta_spaces(mu, alpha, beta, gamma)
+        return
+    expected = VERDICT_BOUNDED if s >= alpha + beta - gamma else VERDICT_UNBOUNDED
+    assert criterion_beta_spaces(mu, alpha, beta, gamma).verdict == expected
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-@pytest.mark.parametrize("beta", [1.5, 2.0])
+@pytest.mark.parametrize("beta", [1.5, 2.0, 2.5, 3.0])
 def test_beta_spaces_just_above_the_gate_border(alpha, beta):
     # s = beta - 2 + BAND passes the gate; the reweighted density (1-t)^(-15/16) dt
     # must build, and s + 1 < alpha + 1 + beta - gamma reads unbounded.

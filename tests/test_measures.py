@@ -40,6 +40,7 @@ BETA_DENSITIES = {"lebesgue": 0.0, "density_1": 1.0, "density_2": 2.0, "density_
 # Indices on both sides of every power of two up to 2^18: each block edge of
 # contiguous_moments is a multiple of its power-of-two block.
 EDGE_INDICES = sorted({0, 1} | {2**k + d for k in range(1, 19) for d in (-1, 0, 1)} - {2**18 + 1})
+DENSITY_MEASURES = sorted(name for name, mu in builtin_measures().items() if mu.density is not None)
 
 
 def reference_moments(mu, n_max, phi=None, breakpoints=()):
@@ -201,6 +202,27 @@ class TestBlockedMoments:
     def test_negative_n_max_rejected(self):
         with pytest.raises(DomainError):
             lebesgue().contiguous_moments(-1)
+
+    @pytest.mark.parametrize("name", DENSITY_MEASURES)
+    def test_moments_do_not_depend_on_earlier_calls(self, name):
+        # One object read before and after a history of calls, and a second
+        # object read only after the same history: all three reads agree bitwise.
+        ns = [0, 1, 10, 1000]
+
+        def read(mu):
+            return mu.moments_at(ns), mu.contiguous_moments(64)
+
+        def history(mu):
+            mu.contiguous_moments(2**18)
+            mu.moments_at(index_ladder(2**12), phi=lambda t, omt: omt)
+
+        mu, other = builtin_measures()[name], builtin_measures()[name]
+        before = read(mu)
+        history(mu)
+        history(other)
+        for reads in (read(mu), read(other)):
+            assert np.array_equal(reads[0], before[0])
+            assert np.array_equal(reads[1], before[1])
 
 
 class TestIntegralAndTail:

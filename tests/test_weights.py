@@ -35,12 +35,30 @@ POWER_GAUGES = {
     2.0: lambda t: t / (2 * (1 - t**2)) + mpmath.atanh(t) / 2,
 }
 ORACLE_DEPTHS = [1, 4, 10, 20, 30, 40]
+# Builtin weights nu as functions of x = 1 - r^2.
+LAPLACE_WEIGHTS = {
+    "power_0.5": mpmath.sqrt,
+    "power_1": lambda x: x,
+    "power_log_1_1": lambda x: x * (1 - mpmath.log(x)),
+}
 
 
 def power_gauge_oracle(gamma: float, depth: int) -> float:
     """The power-weight gauge at t = 1 - 2^-depth, to 30 digits."""
     with mpmath.workdps(30):
         return float(POWER_GAUGES[gamma](1 - mpmath.mpf(2) ** -depth))
+
+
+def laplace_oracle(name: str, delta: float) -> float:
+    """nu(1-delta) * integral over [e, inf) of e^{-delta t}/(t nu(1-1/t)) dt, to 30 digits."""
+
+    def nu(gap):
+        return LAPLACE_WEIGHTS[name](gap * (2 - gap))
+
+    with mpmath.workdps(30):
+        d = mpmath.mpf(delta)
+        integral = mpmath.quad(lambda t: mpmath.exp(-d * t) / (t * nu(1 / t)), [mpmath.e, 1 / d, 8 / d, mpmath.inf])
+        return float(nu(d) * integral)
 
 
 class TestConstructors:
@@ -285,6 +303,12 @@ class TestLaplaceTail:
             assert report.spread < 100.0, name
             assert report.slope <= 0.05, name
             assert np.all(np.asarray(report.values) > 0.0)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("name", sorted(LAPLACE_WEIGHTS))
+    def test_ratio_matches_mpmath(self, name, delta):
+        got = laplace_tail_ratio(builtin_weights()[name], delta)
+        assert got == pytest.approx(laplace_oracle(name, delta), rel=1e-12)
 
     def test_trend_settles_and_does_not_grow(self):
         # The sweep approaches its plateau from below, then stays flat: the

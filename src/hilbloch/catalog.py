@@ -6,9 +6,11 @@ which takes an explicit seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import DomainError
 from .measures import (
     RadialMeasure,
     lebesgue,
@@ -116,21 +118,12 @@ def monotone_family(n_max: int = DEFAULT_SERIES_TRUNCATION) -> dict[str, TaylorS
 def extremal_antiderivative(w: NormalWeight, truncation: int) -> TaylorSeries:
     """Antiderivative-plus-one of the lacunary extremal series, cut at truncation.
 
-    Levels are added until the next lacunary exponent would overshoot the
-    truncation, so deeper truncations see the same function with more blocks.
+    The series is built through the first level whose gap falls below
+    1/truncation, the level that pad cuts off, so deeper truncations see the
+    same function with more blocks.
     """
-    levels = 1
-    best = build_extremal(w, levels)
-    while best.exponents[-1] + 1 <= truncation and levels < 60:
-        levels += 1
-        try:
-            nxt = build_extremal(w, levels)
-        except ConstructionError:
-            break
-        best = nxt
-        if nxt.exponents[-1] + 1 > truncation:
-            break
-    return TaylorSeries(best.antiderivative_coefficients()).pad(truncation)
+    levels = max(1, math.ceil(-math.log2(w.value_from_gap(1.0 / truncation))))
+    return TaylorSeries(build_extremal(w, levels).antiderivative_coefficients()).pad(truncation)
 
 
 def probe_functions(omega: NormalWeight, truncation: int) -> list[tuple[str, TaylorSeries]]:

@@ -69,9 +69,11 @@ def integrate_tail(
 
     Blocks [U, 2U] are accumulated until the last block is negligible against
     the running total (or `scale`).  With ``extrapolate=True`` a stable block
-    ratio rho < 0.95 is summed as a geometric remainder, which is exact for
-    power-law tails.  Blocks that stop shrinking deep into the tail raise
-    NumericsError: the integral is treated as divergent at this resolution.
+    ratio is summed as a geometric remainder at the ratios' extrapolated limit
+    2*r3 - r2: exact for power-law tails, whose ratios are constant, and first
+    order in the O(1/U) drift of shifted ones such as (u + c)^-p.  Blocks that
+    stop shrinking deep into the tail raise NumericsError: the integral is
+    treated as divergent at this resolution.
     """
     total = 0.0
     U = float(start)
@@ -99,8 +101,8 @@ def integrate_tail(
             if extrapolate and len(ratios) >= 3:
                 r1, r2, r3 = ratios[-3:]
                 if 0.0 < r3 < 0.95 and abs(r3 - r2) < 0.02 * r3 and abs(r2 - r1) < 0.05 * max(r2, r1):
-                    remainder = block * r3 / (1.0 - r3)
-                    return total + remainder
+                    rho = 2.0 * r3 - r2
+                    return total + block * rho / (1.0 - rho)
         prev_block = block
         U = V
     raise NumericsError(f"tail integral did not converge by u={TAIL_CAP:g}")

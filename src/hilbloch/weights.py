@@ -9,9 +9,10 @@ precision.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,53 +29,27 @@ def _dyadic_gaps(depth: int) -> np.ndarray:
 
 
 class NormalWeight:
-    """A normal weight with declared almost-monotonicity exponents a <= b."""
+    """A normal weight with declared almost-monotonicity exponents a <= b.
 
-    def __init__(self, kind: str, params: dict[str, float], a: float, b: float):
+    Each constructor below supplies its weight's formula as a function of the
+    gap 1 - r, its label, and the kind and parameters of its JSON descriptor.
+    """
+
+    def __init__(self, label: str, from_gap: Callable, a: float, b: float, kind: str, params: dict):
         if not (0.0 < a <= b):
             raise ConstructionError(f"exponents must satisfy 0 < a <= b, got a={a}, b={b}")
-        self.kind = kind
-        self.params = dict(params)
+        self.label = label
         self.a = float(a)
         self.b = float(b)
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
-        if kind == "table":
-            rs = np.asarray(params["r"], dtype=float)
-            vs = np.asarray(params["nu"], dtype=float)
-            if rs.ndim != 1 or rs.shape != vs.shape or len(rs) < 2:
-                raise ConstructionError("table weight needs matching 1-d sample arrays")
-            if not (np.all(np.isfinite(rs)) and np.all(np.isfinite(vs))):
-                raise ConstructionError("table samples must be finite")
-            if rs[0] != 0.0:
-                raise ConstructionError("table samples must start at r = 0")
-            if np.any(np.diff(rs) <= 0) or rs[-1] >= 1.0:
-                raise ConstructionError("table radii must increase strictly within [0, 1)")
-            if np.any(vs <= 0):
-                raise ConstructionError("table weight values must be positive")
-            self._table = (rs, vs / vs[0])
-
-    # -- evaluation -----------------------------------------------------
+        self._from_gap = from_gap
+        self._descriptor = {"kind": kind, "a": self.a, "b": self.b, **params}
 
     def value_from_gap(self, gap):
         """nu at r = 1 - gap, evaluated directly from the gap for deep radii."""
         gap = np.asarray(gap, dtype=float)
         if ((gap <= 0) | (gap > 1)).any():
             raise DomainError("gap must lie in (0, 1]")
-        x = gap * (2.0 - gap)  # 1 - r^2
-        if self.kind == "power":
-            out = x ** self.params["gamma"]
-        elif self.kind == "power_log":
-            out = x ** self.params["t"] * (1.0 - np.log(x)) ** self.params["delta"]
-        elif self.kind == "log_power":
-            out = x * (1.0 - np.log(x)) ** (-self.params["beta"])
-        elif self.kind == "table":
-            rs, vs = self._table
-            r = 1.0 - gap
-            if np.any(r > rs[-1] + 1e-15):
-                raise DomainError(f"table weight sampled only up to r = {rs[-1]}")
-            out = np.interp(r, rs, vs)
-        else:  # pragma: no cover - constructors control the kind
-            raise ConstructionError(f"unknown weight kind {self.kind!r}")
+        out = self._from_gap(gap)
         return out if out.shape else float(out)
 
     def value(self, r):
@@ -83,35 +58,8 @@ class NormalWeight:
             raise DomainError("radius must lie in [0, 1)")
         return self.value_from_gap(1.0 - r)
 
-    __call__ = value
-
-    # -- bookkeeping ----------------------------------------------------
-
-    @property
-    def label(self) -> str:
-        p = self.params
-        if self.kind == "power":
-            return f"power({p['gamma']:g})"
-        if self.kind == "power_log":
-            return f"power_log(t={p['t']:g},delta={p['delta']:g})"
-        if self.kind == "log_power":
-            return f"log_power({p['beta']:g})"
-        return f"table[{len(self._table[0])}]"
-
     def __repr__(self) -> str:
         return f"NormalWeight<{self.label}, a={self.a:g}, b={self.b:g}>"
-
-    def key(self) -> tuple:
-        if self.kind == "table":
-            rs, vs = self._table
-            return ("table", tuple(rs), tuple(vs), self.a, self.b)
-        return (self.kind, tuple(sorted(self.params.items())), self.a, self.b)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormalWeight) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
 
 # -- constructors -------------------------------------------------------
@@ -121,7 +69,14 @@ def power_weight(gamma: float, a: float | None = None, b: float | None = None) -
     """nu(r) = (1-r^2)^gamma with gamma > 0."""
     if gamma <= 0:
         raise ConstructionError(f"power weight needs gamma > 0, got {gamma}")
-    return NormalWeight("power", {"gamma": float(gamma)}, a if a is not None else gamma, b if b is not None else gamma)
+    gamma = float(gamma)
+    a, b = (gamma if v is None else v for v in (a, b))
+
+    def from_gap(gap):
+        x = gap * (2.0 - gap)  # 1 - r^2
+        return x**gamma
+
+    return NormalWeight(f"power({gamma:g})", from_gap, a, b, "power", {"gamma": gamma})
 
 
 def power_log_weight(t: float, delta: float, a: float | None = None, b: float | None = None) -> NormalWeight:
@@ -132,7 +87,13 @@ def power_log_weight(t: float, delta: float, a: float | None = None, b: float | 
         a = t / 2.0 if t <= 1.0 else t - 0.5
     if b is None:
         b = t if delta >= 0 else t + 0.5
-    return NormalWeight("power_log", {"t": float(t), "delta": float(delta)}, a, b)
+    t, delta = float(t), float(delta)
+
+    def from_gap(gap):
+        x = gap * (2.0 - gap)  # 1 - r^2
+        return x**t * (1.0 - np.log(x)) ** delta
+
+    return NormalWeight(f"power_log(t={t:g},delta={delta:g})", from_gap, a, b, "power_log", {"t": t, "delta": delta})
 
 
 def log_power_weight(beta: float, a: float | None = None, b: float | None = None) -> NormalWeight:
@@ -141,7 +102,13 @@ def log_power_weight(beta: float, a: float | None = None, b: float | None = None
         a = 1.0 if beta >= 0 else 0.5
     if b is None:
         b = 1.0 if beta <= 0 else 1.5
-    return NormalWeight("log_power", {"beta": float(beta)}, a, b)
+    beta = float(beta)
+
+    def from_gap(gap):
+        x = gap * (2.0 - gap)  # 1 - r^2
+        return x * (1.0 - np.log(x)) ** (-beta)
+
+    return NormalWeight(f"log_power({beta:g})", from_gap, a, b, "log_power", {"beta": beta})
 
 
 def table_weight(samples: Sequence[Sequence[float]], a: float, b: float) -> NormalWeight:
@@ -152,7 +119,27 @@ def table_weight(samples: Sequence[Sequence[float]], a: float, b: float) -> Norm
         raise ConstructionError(f"samples must be numeric (r, nu) pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConstructionError("samples must be a sequence of (r, nu) pairs")
-    return NormalWeight("table", {"r": arr[:, 0], "nu": arr[:, 1]}, a, b)
+    rs, vs = arr[:, 0], arr[:, 1]
+    if len(rs) < 2:
+        raise ConstructionError("table weight needs matching 1-d sample arrays")
+    if not (np.all(np.isfinite(rs)) and np.all(np.isfinite(vs))):
+        raise ConstructionError("table samples must be finite")
+    if rs[0] != 0.0:
+        raise ConstructionError("table samples must start at r = 0")
+    if np.any(np.diff(rs) <= 0) or rs[-1] >= 1.0:
+        raise ConstructionError("table radii must increase strictly within [0, 1)")
+    if np.any(vs <= 0):
+        raise ConstructionError("table weight values must be positive")
+    vs = vs / vs[0]
+
+    def from_gap(gap):
+        r = 1.0 - gap
+        if np.any(r > rs[-1] + 1e-15):
+            raise DomainError(f"table weight sampled only up to r = {rs[-1]}")
+        return np.interp(r, rs, vs)
+
+    samples = [[float(r), float(v)] for r, v in zip(rs, vs)]
+    return NormalWeight(f"table[{len(rs)}]", from_gap, a, b, "table", {"samples": samples})
 
 
 # -- JSON interface -----------------------------------------------------
@@ -190,13 +177,7 @@ def weight_from_json(doc: dict) -> NormalWeight:
 
 
 def weight_to_json(w: NormalWeight) -> dict:
-    doc: dict = {"kind": w.kind, "a": w.a, "b": w.b}
-    if w.kind == "table":
-        rs, vs = w._table
-        doc["samples"] = [[float(r), float(v)] for r, v in zip(rs, vs)]
-    else:
-        doc.update({k: float(v) for k, v in w.params.items()})
-    return doc
+    return copy.deepcopy(w._descriptor)
 
 
 # -- normality ----------------------------------------------------------
@@ -311,20 +292,15 @@ class ExtremalSeries:
     grid, which is the two-sided comparison the series exists to provide.
     """
 
-    weight: NormalWeight
-    levels: int
     radii: np.ndarray
     exponents: np.ndarray
     lower_bound: float
     upper_bound: float
-    grid: np.ndarray = field(repr=False)
     profile: np.ndarray = field(repr=False)
 
     def value(self, zeta):
         zeta = np.asarray(zeta)
-        out = np.ones_like(zeta, dtype=complex if np.iscomplexobj(zeta) else float)
-        for s, n in enumerate(self.exponents, start=1):
-            out = out + (2.0**s) * zeta ** int(n)
+        out = sum(coeff * zeta**n for n, coeff in self.coefficient_pairs())
         return out if out.shape else out[()]
 
     def coefficient_pairs(self) -> list[tuple[int, float]]:
@@ -333,12 +309,10 @@ class ExtremalSeries:
 
     def antiderivative_coefficients(self) -> np.ndarray:
         """Dense coefficients of 1 + integral from 0: spans degree n_max + 1."""
-        n_top = int(self.exponents[-1]) + 1
-        coeffs = np.zeros(n_top + 1)
+        coeffs = np.zeros(int(self.exponents[-1]) + 2)
         coeffs[0] = 1.0
-        coeffs[1] = 1.0
-        for s, n in enumerate(self.exponents, start=1):
-            coeffs[int(n) + 1] += (2.0**s) / (int(n) + 1)
+        for n, coeff in self.coefficient_pairs():
+            coeffs[n + 1] += coeff / (n + 1)
         return coeffs
 
 
@@ -369,6 +343,8 @@ def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
         y_lo = np.where(below, mid, y_lo)
         y_hi = np.where(below, y_hi, mid)
     gaps = 2.0 ** (0.5 * (y_lo + y_hi))
+    if gaps[-1] <= 2.0**-63:
+        raise ConstructionError(f"level s={levels}: exponent floor(1/gap) exceeds the int64 limit 2^63 - 1")
     radii = 1.0 - gaps
     exponents = np.floor(1.0 / gaps).astype(np.int64)
     if np.any(np.diff(exponents) <= 0):
@@ -377,11 +353,10 @@ def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
     # Sample only the constructed range [0, r_levels]: beyond the deepest
     # solved radius the truncated series saturates and the profile decays.
     grid = 1.0 - np.exp(np.linspace(0.0, math.log(gaps[-1]), 4 * levels + 1))
-    series = ExtremalSeries(w, levels, radii, exponents, 0.0, 0.0, grid, np.zeros_like(grid))
-    profile = np.asarray(w.value(grid), dtype=float) * np.asarray(series.value(grid), dtype=float)
-    series.profile = profile
-    series.lower_bound = float(np.min(profile))
-    series.upper_bound = float(np.max(profile))
+    series = ExtremalSeries(radii, exponents, 0.0, 0.0, np.zeros_like(grid))
+    series.profile = np.asarray(w.value(grid), dtype=float) * np.asarray(series.value(grid), dtype=float)
+    series.lower_bound = float(np.min(series.profile))
+    series.upper_bound = float(np.max(series.profile))
     return series
 
 

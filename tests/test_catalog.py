@@ -1,5 +1,6 @@
 """Catalog layer: builtin object sets, probe families, name/JSON resolvers."""
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,30 @@ from hilbloch.catalog import (
 from hilbloch.errors import ConstructionError, DomainError
 from hilbloch.measures import RadialMeasure, measure_from_json
 from hilbloch.series import TaylorSeries, series_from_json
-from hilbloch.weights import NormalWeight, power_weight, weight_from_json
+from hilbloch.weights import NormalWeight, build_extremal, power_weight, weight_from_json
+
+
+def _level_loop_antiderivative(build, truncation: int) -> np.ndarray:
+    """Reference: rebuild the series one level deeper until an exponent overshoots the truncation."""
+    levels = 1
+    best = build(levels)
+    while best.exponents[-1] + 1 <= truncation and levels < 60:
+        levels += 1
+        try:
+            nxt = build(levels)
+        except ConstructionError:
+            break
+        best = nxt
+        if nxt.exponents[-1] + 1 > truncation:
+            break
+    return TaylorSeries(best.antiderivative_coefficients()).pad(truncation).coefficients
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConstructionError as exc:
+        return str(exc)
 
 
 class TestBuiltins:
@@ -93,6 +117,32 @@ class TestGeneratedFamilies:
         assert f.truncation <= 256
         assert f.coefficients[0] == pytest.approx(1.0)
         assert f.has_nonnegative_coefficients
+
+    def test_extremal_antiderivative_matches_level_loop(self):
+        weights = {**builtin_weights(), "power_0.3": power_weight(0.3)}
+        for name, w in weights.items():
+            build = functools.lru_cache(maxsize=None)(functools.partial(build_extremal, w))
+            for k in range(1, 18):
+                want = _outcome(_level_loop_antiderivative, build, 2**k)
+                got = _outcome(lambda: extremal_antiderivative(w, 2**k).coefficients)
+                if isinstance(want, str):
+                    assert got == want, (name, k)
+                else:
+                    assert np.array_equal(got, want), (name, k)
+
+    @pytest.mark.parametrize("truncation", [2, 2**10, 2**17])
+    def test_extremal_antiderivative_builds_once(self, monkeypatch, truncation):
+        import hilbloch.catalog as catalog
+
+        calls = []
+
+        def counted(w, levels):
+            calls.append(levels)
+            return build_extremal(w, levels)
+
+        monkeypatch.setattr(catalog, "build_extremal", counted)
+        catalog.extremal_antiderivative(power_weight(1.0), truncation)
+        assert len(calls) == 1
 
     def test_probe_functions_roster(self):
         funcs = probe_functions(power_weight(1.0), truncation=64)

@@ -1,6 +1,7 @@
 """Weight layer: constructors, gauge integrals, extremal series, tail ratios."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -109,6 +110,59 @@ class TestConstructors:
         with pytest.raises(ConstructionError):
             power_weight(1.0, a=2.0, b=1.0)
 
+    @pytest.mark.parametrize(
+        "w, label, descriptor",
+        [
+            (power_weight(0.5), "power(0.5)", [("kind", "power"), ("a", 0.5), ("b", 0.5), ("gamma", 0.5)]),
+            (
+                power_log_weight(1.0, 1.0),
+                "power_log(t=1,delta=1)",
+                [("kind", "power_log"), ("a", 0.5), ("b", 1.0), ("t", 1.0), ("delta", 1.0)],
+            ),
+            (log_power_weight(-2), "log_power(-2)", [("kind", "log_power"), ("a", 0.5), ("b", 1.0), ("beta", -2.0)]),
+            (
+                table_weight([[0, 2], [0.5, 1], [0.9, 0.2]], a=0.5, b=2),
+                "table[3]",
+                [("kind", "table"), ("a", 0.5), ("b", 2.0), ("samples", [[0.0, 1.0], [0.5, 0.5], [0.9, 0.1]])],
+            ),
+        ],
+    )
+    def test_label_repr_and_descriptor(self, w, label, descriptor):
+        assert w.label == label
+        assert repr(w) == f"NormalWeight<{label}, a={w.a:g}, b={w.b:g}>"
+        assert list(weight_to_json(w).items()) == descriptor
+
+    def test_descriptor_is_a_copy(self):
+        w = table_weight([[0.0, 1.0], [0.5, 0.5]], a=1.0, b=1.0)
+        doc = weight_to_json(w)
+        doc["samples"][1][1] = 9.0
+        doc["a"] = 7.0
+        assert weight_to_json(w) == {"kind": "table", "a": 1.0, "b": 1.0, "samples": [[0.0, 1.0], [0.5, 0.5]]}
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([["x", 1.0], [0.5, 0.5]], "samples must be numeric (r, nu) pairs: could not convert string to float: 'x'"),
+            ([0.0, 0.5, 0.9], "samples must be a sequence of (r, nu) pairs"),
+            ([[0.0, 1.0]], "table weight needs matching 1-d sample arrays"),
+            ([[0.0, 1.0], [0.5, math.inf]], "table samples must be finite"),
+            ([[0.1, 1.0], [0.5, 0.5]], "table samples must start at r = 0"),
+            ([[0.0, 1.0], [0.5, 0.5], [0.5, 0.25]], "table radii must increase strictly within [0, 1)"),
+            ([[0.0, 1.0], [1.0, 0.5]], "table radii must increase strictly within [0, 1)"),
+            ([[0.0, 1.0], [0.5, -0.5]], "table weight values must be positive"),
+        ],
+    )
+    def test_table_validation_messages(self, samples, message):
+        with pytest.raises(ConstructionError) as info:
+            table_weight(samples, a=1.0, b=1.0)
+        assert str(info.value) == message
+
+    def test_table_evaluation_stays_within_samples(self):
+        w = table_weight([[0.0, 1.0], [0.5, 0.5]], a=1.0, b=1.0)
+        with pytest.raises(DomainError) as info:
+            w.value(0.75)
+        assert str(info.value) == "table weight sampled only up to r = 0.5"
+
 
 class TestJson:
     def test_round_trip_all_builtins(self):
@@ -174,19 +228,21 @@ class TestGrowthGauge:
             oracle = float(mpmath.beta(mpmath.mpf(1) / 2, 1 - mpmath.mpf(beta)) / 2)
         assert growth_gauge(power_weight(beta), 1.0) == pytest.approx(oracle, rel=1e-9)
 
-    def test_slow_log_gauge_is_finite(self):
-        # 1/nu = 1 / ((1-t^2) log^1.5(e/(1-t^2))) converges with a u^-1.5 tail in
-        # u = -log(1-t), which the geometric remainder sums only to about 1e-3 relative.
+    # 1/nu = 1 / ((1-t^2) log^p(e/(1-t^2))) converges with a (u + c)^-p tail in
+    # u = -log(1-t), whose block ratios drift by O(1/u); the geometric remainder at
+    # their extrapolated limit sums it to 2.4e-4 relative for p = 1.5, 8.4e-4 for p = 1.25.
+    @pytest.mark.parametrize("p, value, rel", [(1.5, 1.4834396, 3e-4), (1.25, 2.5067734, 1e-3)])
+    def test_slow_log_gauge_is_finite(self, p, value, rel):
         def integrand(u):
             x = mpmath.exp(-u) * (2 - mpmath.exp(-u))  # 1 - t^2
-            return mpmath.exp(-u) / (x * (1 - mpmath.log(x)) ** 1.5)
+            return mpmath.exp(-u) / (x * (1 - mpmath.log(x)) ** p)
 
         with mpmath.workdps(30):
             oracle = float(mpmath.quad(integrand, [0, 1, 10, 100, 1000, mpmath.inf]))
-        assert oracle == pytest.approx(1.4834396, rel=1e-7)
-        got = growth_gauge(log_power_weight(-1.5), 1.0)
+        assert oracle == pytest.approx(value, rel=1e-7)
+        got = growth_gauge(log_power_weight(-p), 1.0)
         assert math.isfinite(got)
-        assert got == pytest.approx(oracle, rel=1e-3)
+        assert got == pytest.approx(oracle, rel=rel)
 
     def test_batch_matches_scalar(self):
         w = power_log_weight(1.0, 1.0)
@@ -238,6 +294,13 @@ class TestExtremalSeries:
             ]
         for n, inverse_gap in zip(g.exponents.tolist(), inverse_gaps):
             assert inverse_gap * (1.0 - 1e-13) < n + 1 and n <= inverse_gap * (1.0 + 1e-13)
+
+    def test_exponent_beyond_int64_raises(self):
+        # nu = (1-r^2)^0.5 reaches 2^-40 at a gap near 2^-81, where floor(1/gap) leaves int64.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError, match=r"level s=40: .*int64 limit"):
+                build_extremal(power_weight(0.5), 40)
 
     def test_unreachable_level_raises(self):
         # nu = (1-r^2)^0.01 stays above 2^-11 at every positive double gap.

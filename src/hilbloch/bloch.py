@@ -4,14 +4,13 @@ The norm is |f(0)| + sup_r nu(r) max_theta |f'(r e^{i theta})|.  Four
 estimators approach it from different directions: a direct grid supremum, a
 coefficient prefix-sum bound for nonnegative coefficients, a simplified bound
 for monotone coefficients, and a smooth dyadic-block bound.  Each returns a
-NormEstimate carrying its resolution and a divergence flag backed by the
-shared trend policy plus a 10x growth check across the deepest quarter of the
-ladder.
+NormEstimate carrying its resolution and a divergence flag: the shared trend
+verdict on its ladder, so the flag follows from the fitted log-log slope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -20,8 +19,6 @@ from .errors import PreconditionError
 from .series import TaylorSeries, block_polynomial, sup_norm
 from .trend import VERDICT_UNBOUNDED, radius_ladder, summarize_ladder
 from .weights import NormalWeight, growth_gauge_from_gaps
-
-DIVERGENCE_GROWTH_FACTOR = 10.0
 
 METHOD_DIRECT = "direct"
 METHOD_COEFFICIENT_SUM = "coefficient_sum"
@@ -33,33 +30,18 @@ METHOD_DYADIC_BLOCK = "dyadic_block"
 class NormEstimate:
     value: float
     method: str
-    resolution: dict = field(default_factory=dict)
-    divergent: bool = False
-    slope: float | None = None
+    resolution: dict
+    divergent: bool
+    slope: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "resolution": self.resolution,
-            "divergent": self.divergent,
-            "slope": self.slope,
-        }
+        return asdict(self)
 
 
-def _divergence(xs, qs) -> tuple[bool, float]:
-    """Trend verdict plus a 10x growth check across the deepest quarter."""
-    xs = np.asarray(xs, dtype=float)
-    qs = np.asarray(qs, dtype=float)
+def _estimate(method: str, value: float, xs, qs, resolution: dict) -> NormEstimate:
+    """Attach the shared trend verdict on the ladder samples (xs, qs) to a norm value."""
     summary = summarize_ladder(xs, qs, "ladder")
-    flag = summary.verdict == VERDICT_UNBOUNDED
-    pos = np.nonzero(qs > 0)[0]
-    if len(pos) >= 2:
-        deep = pos[-1]
-        earlier = pos[xs[pos] <= xs[deep] / 4.0]
-        if len(earlier) and qs[deep] > DIVERGENCE_GROWTH_FACTOR * qs[earlier[-1]]:
-            flag = True
-    return flag, summary.log_slope
+    return NormEstimate(value, method, resolution, summary.verdict == VERDICT_UNBOUNDED, summary.log_slope)
 
 
 def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> NormEstimate:
@@ -112,9 +94,8 @@ def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> Nor
         keep = xs <= degree
         if np.count_nonzero(keep) >= 2:
             xs, trend_profile = xs[keep], trend_profile[keep]
-    divergent, slope = _divergence(xs, trend_profile)
     value = float(np.abs(f(0.0))) + peak
-    return NormEstimate(value, METHOD_DIRECT, {"radial_depth": radial_depth, "angles": angles}, divergent, slope)
+    return _estimate(METHOD_DIRECT, value, xs, trend_profile, {"radial_depth": radial_depth, "angles": angles})
 
 
 def _require_nonnegative(f: TaylorSeries, who: str) -> np.ndarray:
@@ -123,22 +104,21 @@ def _require_nonnegative(f: TaylorSeries, who: str) -> np.ndarray:
     return f.coefficients
 
 
-def norm_coefficient_sum(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
-    """a_0 + sup_n nu(1-1/n) * sum_{k<=n} k a_k for nonnegative coefficients, n up to the truncation."""
-    a = _require_nonnegative(f, "the coefficient-sum estimator")
+def _coefficient_form(f: TaylorSeries, w: NormalWeight, method: str, form) -> NormEstimate:
+    """a_0 + max_n q_n with q = form(n, nu(1-1/n), a_n) over n = 1..truncation."""
+    a = f.coefficients
     n_max = max(f.truncation, 1)
     ns = np.arange(1, n_max + 1, dtype=float)
-    prefix = np.cumsum(a[1 : n_max + 1] * np.arange(1, n_max + 1))
     nu = np.asarray(w.value_from_gap(1.0 / ns), dtype=float)
-    q = nu * prefix
-    divergent, slope = _divergence(ns, q)
-    return NormEstimate(
-        float(a[0] + np.max(q)) if len(q) else float(a[0]),
-        METHOD_COEFFICIENT_SUM,
-        {"n_max": int(n_max)},
-        divergent,
-        slope,
-    )
+    q = form(ns, nu, a[1 : n_max + 1])
+    value = float(a[0] + np.max(q)) if len(q) else float(a[0])
+    return _estimate(method, value, ns, q, {"n_max": n_max})
+
+
+def norm_coefficient_sum(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
+    """a_0 + sup_n nu(1-1/n) * sum_{k<=n} k a_k for nonnegative coefficients, n up to the truncation."""
+    _require_nonnegative(f, "the coefficient-sum estimator")
+    return _coefficient_form(f, w, METHOD_COEFFICIENT_SUM, lambda ns, nu, a: nu * np.cumsum(a * ns))
 
 
 def norm_monotone(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
@@ -146,43 +126,20 @@ def norm_monotone(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
     a = _require_nonnegative(f, "the monotone estimator")
     if np.any(np.diff(a) > 1e-15 * (1.0 + np.abs(a[:-1]))):
         raise PreconditionError("the monotone estimator needs non-increasing coefficients")
-    n_max = max(f.truncation, 1)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    nu = np.asarray(w.value_from_gap(1.0 / ns), dtype=float)
-    q = ns**2 * nu * a[1 : n_max + 1]
-    divergent, slope = _divergence(ns, q)
-    return NormEstimate(
-        float(a[0] + np.max(q)) if len(q) else float(a[0]),
-        METHOD_MONOTONE,
-        {"n_max": int(n_max)},
-        divergent,
-        slope,
-    )
+    return _coefficient_form(f, w, METHOD_MONOTONE, lambda ns, nu, a: ns**2 * nu * a)
 
 
 def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
-    """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over the covering block range."""
-    n_max = f.truncation
-    depth = 0
-    while 2 ** (depth + 1) - 1 < n_max:
-        depth += 1
+    """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over blocks n <= depth, the fewest covering the truncation."""
+    depth = max(f.truncation.bit_length() - 1, 0)
     terms = []
     for n in range(depth + 1):
-        block = block_polynomial(n)
-        if block.offset > n_max:
-            break
-        vals = block.hadamard(f)
+        vals = block_polynomial(n).hadamard(f)
         nu = float(w.value_from_gap(2.0**-n)) if n else 1.0
         terms.append(nu * 2.0**n * sup_norm(vals))
-    terms_arr = np.asarray(terms)
-    divergent, slope = _divergence(2.0 ** np.arange(len(terms_arr)), terms_arr)
-    return NormEstimate(
-        float(np.max(terms_arr)),
-        METHOD_DYADIC_BLOCK,
-        {"depth": int(depth), "blocks": len(terms)},
-        divergent,
-        slope,
-    )
+    qs = np.asarray(terms)
+    xs = 2.0 ** np.arange(depth + 1)
+    return _estimate(METHOD_DYADIC_BLOCK, float(np.max(qs)), xs, qs, {"depth": depth, "blocks": depth + 1})
 
 
 _METHODS = {

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bloch import METHOD_DIRECT, bloch_norm
+from .bloch import _METHODS, METHOD_DIRECT, bloch_norm
 from .catalog import probe_functions, resolve_measure, resolve_series, resolve_weight
 from .errors import ConstructionError, HilblochError
 from .hilbert_op import (
@@ -209,11 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("bloch-norm", help="estimate a weighted Bloch norm")
     norm.add_argument("--series", required=True)
     norm.add_argument("--weight", required=True)
-    norm.add_argument(
-        "--method",
-        choices=["direct", "coefficient_sum", "monotone", "dyadic_block"],
-        default=METHOD_DIRECT,
-    )
+    norm.add_argument("--method", choices=list(_METHODS), default=METHOD_DIRECT)
     norm.add_argument("--truncation", type=int, default=4096)
     norm.set_defaults(handler=_cmd_bloch_norm)
 

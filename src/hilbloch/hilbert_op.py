@@ -10,7 +10,7 @@ unbounded index sets are decided by the shared trend policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -136,7 +136,7 @@ class WellDefinedReport:
     finite: bool
 
     def to_dict(self) -> dict:
-        return {"integral": self.integral, "finite": self.finite}
+        return asdict(self)
 
 
 def well_defined_check(mu: RadialMeasure, omega: NormalWeight) -> WellDefinedReport:
@@ -481,14 +481,7 @@ class ProbeReport:
     cases: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "doubled_ratio": self.doubled_ratio,
-            "growth": self.growth,
-            "classification": self.classification,
-            "truncation": self.truncation,
-            "cases": self.cases,
-        }
+        return asdict(self)
 
 
 def operator_norm_probe(

@@ -168,17 +168,14 @@ def psi_cutoff(s):
 
 def phi_cutoff(s):
     """Bump phi(s) = psi(s/2) - psi(s), supported on (1, 4)."""
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = psi_cutoff(s / 2.0) - psi_cutoff(s)
-    return float(out[0]) if scalar else out
+    s = np.asarray(s, dtype=float)
+    return psi_cutoff(s / 2.0) - psi_cutoff(s)
 
 
 @dataclass(frozen=True)
 class BlockPolynomial:
     """One smooth dyadic block: coefficients `values` on exponents offset..offset+len-1."""
 
-    index: int
     offset: int
     values: np.ndarray
 
@@ -204,10 +201,10 @@ def block_polynomial(n: int) -> BlockPolynomial:
     if n < 0:
         raise DomainError("block index must be nonnegative")
     if n == 0:
-        return BlockPolynomial(0, 0, np.array([1.0, 1.0]))
+        return BlockPolynomial(0, np.array([1.0, 1.0]))
     m = 2 ** (n - 1)
     ks = np.arange(m, 4 * m)
-    return BlockPolynomial(n, m, phi_cutoff(ks / m))
+    return BlockPolynomial(m, phi_cutoff(ks / m))
 
 
 def reconstruction_defect(f: TaylorSeries, depth: int) -> float:

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bloch import norm_coefficient_sum, norm_direct, norm_dyadic_blocks, norm_monotone
+from .bloch import bloch_norm, norm_coefficient_sum, norm_direct, norm_monotone
 from .catalog import (
     atom_ladder,
     monotone_family,
@@ -394,13 +394,12 @@ def _norm_cases(ctx: dict, catalog: dict, kind: str):
 
 def _compare_norms(case: Case, ctx: dict) -> CaseResult:
     """Direct norm against an estimator at the truncation and at twice it; the ratio must hold still."""
-    estimator = {"coefficient_sum": norm_coefficient_sum, "dyadic_block": norm_dyadic_blocks}[case.right_name]
     weight, series = case.item
     ratios = []
     for n, depth in ((ctx["truncation"], ctx["exponent"] + 2), (2 * ctx["truncation"], ctx["exponent"] + 3)):
         fn = series.pad(n)
         direct = norm_direct(fn, weight, radial_depth=depth)
-        estimate = estimator(fn, weight)
+        estimate = bloch_norm(fn, weight, method=case.right_name)
         ratios.append(_safe_ratio(direct.value, estimate.value))
     drift = abs(ratios[1] - ratios[0]) / abs(ratios[0])
     in_band = 1.0 / ctx["band"] <= ratios[1] <= ctx["band"]

@@ -12,7 +12,7 @@ are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,15 +93,7 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "sup_value": self.sup_value,
-            "attained_at": self.attained_at,
-            "slope": self.slope,
-            "log_slope": self.log_slope,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def summarize_ladder(xs, qs, quantity: str, details: dict | None = None) -> CriterionResult:

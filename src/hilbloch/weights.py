@@ -121,7 +121,7 @@ def table_weight(samples: Sequence[Sequence[float]], a: float, b: float) -> Norm
         raise ConstructionError("samples must be a sequence of (r, nu) pairs")
     rs, vs = arr[:, 0], arr[:, 1]
     if len(rs) < 2:
-        raise ConstructionError("table weight needs matching 1-d sample arrays")
+        raise ConstructionError("table weight needs at least two (r, nu) samples")
     if not (np.all(np.isfinite(rs)) and np.all(np.isfinite(vs))):
         raise ConstructionError("table samples must be finite")
     if rs[0] != 0.0:
@@ -434,7 +434,7 @@ def dyadic_sum_ratio(w: NormalWeight, r: float, j_max: int = 60) -> float:
     """
     if not 0.5 <= r < 1.0:
         raise DomainError("the dyadic sum ratio is defined for 1/2 <= r < 1")
-    log_r = math.log(r) if r < 1.0 else -(1.0 - r)
+    log_r = math.log(r)
     total = 0.0
     for j in range(1, j_max + 1):
         term = math.exp((2.0**j) * log_r) / float(w.value_from_gap(2.0**-j))

@@ -22,10 +22,13 @@ from hilbloch.bloch import (
 from hilbloch.catalog import builtin_weights, monotone_family, random_signed_polynomials, series_catalog
 from hilbloch.errors import PreconditionError
 from hilbloch.series import TaylorSeries
+from hilbloch.trend import UNBOUNDED_MIN_SLOPE
 from hilbloch.weights import power_weight
 
 # sup over r of (1-r^2) * 2r, attained at r = 1/sqrt(3).
 Z2_NORM = 4.0 / (3.0 * math.sqrt(3.0))
+
+NORM_WEIGHTS = ("power_0.5", "power_1", "power_2", "power_log_1_1")
 
 
 class TestNormDirect:
@@ -189,6 +192,46 @@ class TestDyadicBlocks:
         f = series_catalog(2**12)["ones"]
         est = norm_dyadic_blocks(f, power_weight(1.0))
         assert est.divergent
+
+    @pytest.mark.parametrize(
+        "truncation, depth",
+        [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (2**13 - 1, 12), (2**13, 13), (2**13 + 1, 13)],
+    )
+    def test_resolution_is_the_covering_depth(self, truncation, depth):
+        # Blocks 0..depth cover exponents up to 2^(depth+1) - 1, the fewest that reach the truncation.
+        est = norm_dyadic_blocks(TaylorSeries(np.ones(truncation + 1)), power_weight(1.0))
+        assert est.resolution == {"depth": depth, "blocks": depth + 1}
+
+
+class TestDivergenceFollowsSlope:
+    """Every estimator flags divergence exactly when the fitted log-log slope reaches the unbounded threshold."""
+
+    @pytest.mark.parametrize("weight", NORM_WEIGHTS)
+    @pytest.mark.parametrize(
+        "estimator, family",
+        [
+            (norm_direct, series_catalog),
+            (norm_coefficient_sum, series_catalog),
+            (norm_dyadic_blocks, series_catalog),
+            (norm_monotone, monotone_family),
+        ],
+        ids=["direct", "coefficient_sum", "dyadic_block", "monotone"],
+    )
+    def test_flag_is_the_trend_verdict(self, estimator, family, weight):
+        w = builtin_weights()[weight]
+        for fname, f in family(2**10).items():
+            est = estimator(f, w)
+            assert est.divergent == (est.slope >= UNBOUNDED_MIN_SLOPE), fname
+
+    @pytest.mark.parametrize("weight", NORM_WEIGHTS)
+    @pytest.mark.parametrize("estimator", [norm_direct, norm_coefficient_sum, norm_dyadic_blocks])
+    def test_single_spike_reads_by_slope(self, estimator, weight):
+        # f = z + z^1024: one far coefficient is a late jump, not growth; the
+        # coefficient-sum ladders fall at log-log slopes between -10.8 and -2.7.
+        coeffs = np.zeros(1025)
+        coeffs[[1, 1024]] = 1.0
+        est = estimator(TaylorSeries(coeffs), builtin_weights()[weight])
+        assert est.divergent == (est.slope >= UNBOUNDED_MIN_SLOPE)
 
 
 class TestDispatchAndEnvelope:

@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports, and
+every private name or constant it defines is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 
 import hilbloch
 
-MODULES = sorted(p for p in Path(hilbloch.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(hilbloch.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Code that may read a module's private names: the package and the benchmark harness.
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +37,46 @@ def test_detector_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def internal_names(source: str) -> dict[str, int]:
+    """Private names and UPPER constants bound at module level, with their lines."""
+    bound = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if (name.startswith("_") and not name.startswith("__")) or name.isupper():
+                bound[name] = node.lineno
+    return bound
+
+
+def names_read(source: str) -> set[str]:
+    """Names and attributes that some expression loads."""
+    tree = ast.parse(source)
+    loads = [node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    return {node.id for node in loads if isinstance(node, ast.Name)} | {
+        node.attr for node in loads if isinstance(node, ast.Attribute)
+    }
+
+
+def unread_names(source: str, readers: list[str]) -> list[str]:
+    read = set().union(*(names_read(text) for text in readers))
+    return [f"{name} (line {line})" for name, line in sorted(internal_names(source).items()) if name not in read]
+
+
+def test_detector_sees_an_unread_name():
+    source = "LIMIT = 10.0\n_TABLE = {}\nSPAN: int = 3\n\ndef _helper():\n    return SPAN\n\ndef public():\n    pass\n"
+    reader = "import mod\nmod._TABLE.clear()\n"
+    assert unread_names(source, [source, reader]) == ["LIMIT (line 1)", "_helper (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_unread_name(path):
+    assert unread_names(path.read_text(), [reader.read_text() for reader in READERS]) == []

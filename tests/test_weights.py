@@ -144,7 +144,7 @@ class TestConstructors:
         [
             ([["x", 1.0], [0.5, 0.5]], "samples must be numeric (r, nu) pairs: could not convert string to float: 'x'"),
             ([0.0, 0.5, 0.9], "samples must be a sequence of (r, nu) pairs"),
-            ([[0.0, 1.0]], "table weight needs matching 1-d sample arrays"),
+            ([[0.0, 1.0]], "table weight needs at least two (r, nu) samples"),
             ([[0.0, 1.0], [0.5, math.inf]], "table samples must be finite"),
             ([[0.1, 1.0], [0.5, 0.5]], "table samples must start at r = 0"),
             ([[0.0, 1.0], [0.5, 0.5], [0.5, 0.25]], "table radii must increase strictly within [0, 1)"),

@@ -130,13 +130,18 @@ def norm_monotone(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
 
 
 def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
-    """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over blocks n <= depth, the fewest covering the truncation."""
+    """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over blocks n <= depth, the fewest covering the truncation.
+
+    A block whose support [2^(n-1), 2^(n+1)) ([0, 2) for n = 0) holds no
+    nonzero coefficient of f has the zero product, so it is not built.
+    """
     depth = max(f.truncation.bit_length() - 1, 0)
+    a = f.coefficients
     terms = []
     for n in range(depth + 1):
-        vals = block_polynomial(n).hadamard(f)
         nu = float(w.value_from_gap(2.0**-n)) if n else 1.0
-        terms.append(nu * 2.0**n * sup_norm(vals))
+        peak = sup_norm(block_polynomial(n).hadamard(f)) if np.any(a[(1 << n) >> 1 : 2 << n]) else 0.0
+        terms.append(nu * 2.0**n * peak)
     qs = np.asarray(terms)
     xs = 2.0 ** np.arange(depth + 1)
     return _estimate(METHOD_DYADIC_BLOCK, float(np.max(qs)), xs, qs, {"depth": depth, "blocks": depth + 1})

@@ -7,7 +7,9 @@ and maps it to a verdict with frozen thresholds.  Two regressors are fitted:
 against log x, which resolves power-rate growth, and against log log x, which
 is what separates slowly divergent (logarithmic) quantities from convergent
 ones on reachable ladders.  The verdict uses the log-log slope; both slopes
-are reported.
+are reported.  Each slope is the centred least-squares slope in closed form,
+sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with log q centred once
+for both regressors; a window whose x or q is flat reads slope 0.0.
 """
 
 from __future__ import annotations
@@ -67,9 +69,16 @@ def trend_slopes(xs, qs) -> TrendSummary:
     window = deep if len(deep) >= 2 else idx[-2:]
     lx = np.log(xs[window])
     lq = np.log(qs[window])
-    slope = float(np.polyfit(lx, lq, 1)[0])
-    log_slope = float(np.polyfit(np.log(lx), lq, 1)[0])
-    return TrendSummary(slope, log_slope, len(window))
+    lq_centred = lq - lq.mean()
+    return TrendSummary(_slope(lx, lq_centred), _slope(np.log(lx), lq_centred), len(window))
+
+
+def _slope(x: np.ndarray, y_centred: np.ndarray) -> float:
+    """Least-squares slope sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), or 0.0 where x or y is flat."""
+    if np.ptp(x) == 0.0 or np.ptp(y_centred) == 0.0:
+        return 0.0
+    x_centred = x - x.mean()
+    return float(np.dot(x_centred, y_centred) / np.dot(x_centred, x_centred))
 
 
 def verdict_from_trend(trend: TrendSummary) -> str:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericsError, require_number
 from .quadrature import integrate_radial, integrate_segments, integrate_tail
+from .trend import _slope
 
 # Dyadic grid depth and ceiling used when validating normality.
 NORMALITY_GRID_DEPTH = 20
@@ -418,7 +419,8 @@ def laplace_tail_sweep(w: NormalWeight, deltas: Sequence[float]) -> LaplaceTailR
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     values = np.array([laplace_tail_ratio(w, d) for d in deltas])
     spread = float(np.max(values) / np.min(values))
-    slope = float(np.polyfit(np.log(1.0 / deltas), np.log(values), 1)[0])
+    log_values = np.log(values)
+    slope = _slope(np.log(1.0 / deltas), log_values - log_values.mean())
     return LaplaceTailReport(deltas, values, spread, slope)
 
 

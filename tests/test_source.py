@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports, and
-every private name or constant it defines is read somewhere."""
+"""Source hygiene: every module of the package uses each name it imports,
+every private name or constant it defines is read somewhere, and none reaches
+polyfit or lstsq."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,37 @@ def test_detector_sees_an_unread_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unread_name(path):
     assert unread_names(path.read_text(), [reader.read_text() for reader in READERS]) == []
+
+
+# Slopes are fitted in closed form by one helper in trend.py; a second fit path
+# through these routines must not come back.
+FIT_ROUTINES = {"polyfit", "lstsq"}
+
+
+def fit_routine_uses(source: str) -> list[str]:
+    """Where a module reaches polyfit or lstsq: by attribute, by bare name or by import."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            continue
+        hits += [f"{name} (line {node.lineno})" for name in names if name in FIT_ROUTINES]
+    return sorted(hits)
+
+
+def test_detector_sees_a_fit_routine():
+    source = (
+        "import numpy as np\nfrom scipy.linalg import lstsq\n\n"
+        "def fit(x, y):\n    return np.polyfit(x, y, 1)[0] + np.polyval([1.0], x) + lstsq(x, y)[0]\n"
+    )
+    assert fit_routine_uses(source) == ["lstsq (line 2)", "lstsq (line 5)", "polyfit (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_fits_no_slope_by_polyfit_or_lstsq(path):
+    assert fit_routine_uses(path.read_text()) == []

@@ -72,6 +72,43 @@ class TestTrendSlopes:
         summary = trend_slopes([10.0, 100.0], [1.0, 10.0])
         assert summary.slope == pytest.approx(1.0)
 
+    def test_window_without_spread_reads_no_trend(self):
+        # Two rungs at the same x carry no slope: the same reading as one rung.
+        assert trend_slopes([2.0, 2.0], [1.0, 3.0]) == TrendSummary(0.0, 0.0, 2)
+
+    @pytest.mark.parametrize("rungs", [2, 3, 5, 24, 1001])
+    def test_constant_ladder_has_exactly_zero_slope(self, rungs):
+        # 7.3 over 24 rungs has a log whose mean is off by an ulp.
+        summary = trend_slopes(2.0 ** np.arange(1, rungs + 1), np.full(rungs, 7.3))
+        assert (summary.slope, summary.log_slope) == (0.0, 0.0)
+
+    @given(
+        rungs=st.integers(min_value=2, max_value=4096),
+        start=st.floats(min_value=1.01, max_value=100.0),
+        span=st.floats(min_value=1.0, max_value=40.0),
+        profile=st.sampled_from(["power", "log", "noisy"]),
+        p=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_slopes_match_polyfit_on_the_window(self, rungs, start, span, profile, p, seed):
+        # np.polyfit is the reference only: the package fits in closed form.
+        xs = start * np.exp(np.linspace(0.0, span, rungs))
+        if profile == "power":
+            qs = xs**p
+        elif profile == "log":
+            qs = np.log(xs) ** p
+        else:
+            qs = xs**p * np.exp(np.random.default_rng(seed).normal(0.0, 0.5, rungs))
+        summary = trend_slopes(xs, qs)
+        window = xs >= np.sqrt(xs[-1])
+        if np.count_nonzero(window) < 2:
+            window[-2:] = True
+        lx, lq = np.log(xs[window]), np.log(qs[window])
+        assert summary.window == np.count_nonzero(window)
+        for got, regressor in ((summary.slope, lx), (summary.log_slope, np.log(lx))):
+            expected = np.polyfit(regressor, lq, 1)[0]
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
 
 class TestVerdicts:
     def test_threshold_bands(self):

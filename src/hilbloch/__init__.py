@@ -24,7 +24,6 @@ from .catalog import (
     atom_ladder,
     builtin_measures,
     builtin_weights,
-    catalog_builtin,
     extremal_antiderivative,
     monotone_family,
     probe_functions,
@@ -48,14 +47,11 @@ from .hilbert_op import (
     apply_coefficient,
     apply_quadrature,
     apply_sublinear,
-    config_from_json as operator_config_from_json,
-    config_to_json as operator_config_to_json,
     criterion_beta_spaces,
     criterion_bloch_to_gamma,
     criterion_general,
     criterion_log_spaces,
     criterion_moment,
-    gamma_coefficient,
     gamma_table,
     hankel_apply,
     operator_norm_probe,

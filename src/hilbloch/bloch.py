@@ -167,9 +167,11 @@ def bloch_norm(f: TaylorSeries, w: NormalWeight, method: str = METHOD_DIRECT) ->
 def growth_envelope_ratio(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> float:
     """sup over dyadic radii of |f(r)| / ((gauge(r) + 1) * norm).
 
-    The pointwise growth of a Bloch-space function is controlled by the gauge
-    integral of 1/nu; the returned constant measures how tightly f sits under
-    that envelope.
+    It measures the constant C of the pointwise estimate
+    ``|f(z)| <= C ||f|| (1 + gauge(|z|))``, where the gauge is the integral of
+    1/nu.  The well-definedness gate (``hilbert_op.well_defined_check``) rests
+    on that estimate: the operator is defined on the space when the gauge is
+    integrable against the measure.
     """
     norm_value = norm_direct(f, w, radial_depth=radial_depth).value
     radii = np.concatenate([[0.0], radius_ladder(radial_depth)])

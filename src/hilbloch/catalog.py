@@ -146,15 +146,6 @@ def random_signed_polynomials(count: int, degree: int, seed: int) -> list[tuple[
     ]
 
 
-def catalog_builtin() -> dict[str, dict]:
-    """All named collections in one mapping (weights, measures, series)."""
-    return {
-        "weights": builtin_weights(),
-        "measures": builtin_measures(),
-        "series": series_catalog(),
-    }
-
-
 # -- spec resolution --------------------------------------------------------------
 
 

@@ -18,13 +18,7 @@ from scipy.optimize import brentq
 
 from .bloch import norm_direct
 from .errors import ConstructionError, DomainError, NumericsError, PreconditionError, require_number
-from .measures import (
-    RadialMeasure,
-    carleson_sup,
-    measure_from_json,
-    measure_to_json,
-    power_reweight,
-)
+from .measures import RadialMeasure, carleson_sup, power_reweight
 from .series import TaylorSeries
 from .trend import (
     VERDICT_BOUNDED,
@@ -68,13 +62,6 @@ def gamma_table(n_max: int, alpha: float) -> np.ndarray:
     return c
 
 
-def gamma_coefficient(n: int, alpha: float) -> float:
-    n = int(n)
-    if n < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    return float(gamma_table(n, alpha)[-1])
-
-
 # -- operator configuration ----------------------------------------------------
 
 
@@ -94,35 +81,6 @@ class OperatorConfig:
         object.__setattr__(self, "truncation", int(self.truncation))
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("rel_tol must lie in (0, 1)")
-
-
-_CONFIG_KEYS = {"alpha", "measure", "truncation", "rel_tol"}
-
-
-def config_from_json(doc: dict) -> OperatorConfig:
-    if not isinstance(doc, dict):
-        raise DomainError("operator config must be an object")
-    extra = set(doc) - _CONFIG_KEYS
-    if extra:
-        raise DomainError(f"unknown keys in operator config: {sorted(extra)}")
-    missing = {"alpha", "measure", "truncation"} - set(doc)
-    if missing:
-        raise DomainError(f"operator config missing keys: {sorted(missing)}")
-    return OperatorConfig(
-        alpha=require_number(doc["alpha"], "alpha", DomainError),
-        measure=measure_from_json(doc["measure"]),
-        truncation=int(require_number(doc["truncation"], "truncation", DomainError)),
-        rel_tol=require_number(doc.get("rel_tol", 1e-10), "rel_tol", DomainError),
-    )
-
-
-def config_to_json(cfg: OperatorConfig) -> dict:
-    return {
-        "alpha": cfg.alpha,
-        "measure": measure_to_json(cfg.measure),
-        "truncation": cfg.truncation,
-        "rel_tol": cfg.rel_tol,
-    }
 
 
 # -- well-definedness gate -------------------------------------------------------

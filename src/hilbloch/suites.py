@@ -3,12 +3,14 @@
 Every suite computes one statement two ways (an estimator against a direct
 computation, a moment form against a tail form, a criterion against an
 operator probe) and records per-case agreement.  A suite is data: a
-``Suite`` spec holds its option defaults, how those options scale with
-``resolution_scale``, a builder for its case list, and a pure per-case
-``compare`` that returns a ``CaseResult``.  One shared ``run_suite`` merges
-and checks the options, runs the cases, and turns a numeric failure inside a
-case into an error row instead of aborting the run.  Suite ids are opaque
-registry keys, and a run is deterministic for a fixed config.
+``Suite`` spec holds its options, each a list that selects the suite's rows,
+the resolution values and fixed constants it derives from
+``resolution_scale`` (the only resolution setting), a builder for its case
+list, and a pure per-case ``compare`` that returns a ``CaseResult``.  One
+shared ``run_suite`` merges and checks the options, runs the cases, and turns
+a numeric failure inside a case into an error row instead of aborting the
+run.  Suite ids are opaque registry keys, and a run is deterministic for a
+fixed config.
 
 Compares reach library functions through this module's names at call time,
 so a wrapper installed on those names (a profiler, a tracer) sees the calls.
@@ -202,19 +204,21 @@ class Case(NamedTuple):
 class Suite(NamedTuple):
     """A verification suite as data; ``run_suite`` does the rest.
 
-    ``scale(opts, resolution_scale)`` returns the resolution-dependent values.
-    They are merged over the options into the context ``ctx`` that ``cases``
-    and ``compare`` read, and ``report`` names the context keys recorded under
-    the report's ``resolution``.  ``cases(ctx)`` yields ``(label, item)`` per
-    row, or ``(label, item, names)`` for a row whose two sides are not
-    ``names``; ``compare(case, ctx)`` computes one row.  ``case_keys`` maps
-    each option that holds case specs to the keys a spec needs and the keys it
-    may add.  Each row builds its own measures inside ``compare``; a measure
-    keeps no state between calls, so no row depends on the rows before it.
+    ``defaults`` maps each option to its default list of rows.
+    ``scale(resolution_scale)`` returns the resolution-dependent values and
+    the suite's fixed constants.  They are merged over the options into the
+    context ``ctx`` that ``cases`` and ``compare`` read, and ``report`` names
+    the context keys recorded under the report's ``resolution``.
+    ``cases(ctx)`` yields ``(label, item)`` per row, or ``(label, item,
+    names)`` for a row whose two sides are not ``names``; ``compare(case,
+    ctx)`` computes one row.  ``case_keys`` maps each option that holds case
+    specs to the keys a spec needs and the keys it may add.  Each row builds
+    its own measures inside ``compare``; a measure keeps no state between
+    calls, so no row depends on the rows before it.
     """
 
     defaults: dict
-    scale: Callable[[dict, float], dict]
+    scale: Callable[[float], dict]
     report: tuple[str, ...]
     names: tuple[str, str]
     cases: Callable[[dict], Iterable[tuple]]
@@ -227,13 +231,10 @@ def _options(cfg: ExperimentConfig, suite: Suite) -> dict:
     extra = set(cfg.options) - set(suite.defaults)
     if extra:
         raise DomainError(f"unknown options for suite {cfg.suite}: {sorted(extra)}")
-    opts = {**suite.defaults, **cfg.options}
-    for key, default in suite.defaults.items():
-        value = opts[key]
-        if isinstance(default, list) and not isinstance(value, (list, tuple)):
+    for key, value in cfg.options.items():
+        if not isinstance(value, (list, tuple)):
             raise DomainError(f"suite {cfg.suite}: option {key!r} must be a list, got {value!r}")
-        if isinstance(default, float | int):
-            require_number(value, f"suite {cfg.suite}: option {key!r}", DomainError)
+    opts = {**suite.defaults, **cfg.options}
     for key, (required, optional) in suite.case_keys.items():
         for i, spec in enumerate(opts[key]):
             where = f"suite {cfg.suite}: {key}[{i}]"
@@ -255,7 +256,7 @@ def run_suite(cfg: ExperimentConfig) -> VerificationReport:
         raise DomainError(f"unknown suite {cfg.suite!r}; known ids: {sorted(_REGISTRY)}")
     start = time.perf_counter()
     ctx = _options(cfg, suite)
-    ctx.update(suite.scale(ctx, cfg.resolution_scale))
+    ctx.update(suite.scale(cfg.resolution_scale))
     cases: list[CaseResult] = []
     for label, item, *names in suite.cases(ctx):
         case = Case(label, *(names[0] if names else suite.names), item)
@@ -282,12 +283,12 @@ def _scaled(base: float, scale: float, floor: int, cap: int) -> int:
     return int(max(floor, min(cap, round(base * float(scale)))))
 
 
-def _n_max(opts: dict, scale: float) -> int:
-    return 2 ** _scaled(opts["n_max_exponent"], scale, 10, 26)
+def _n_max(scale: float) -> int:
+    return 2 ** _scaled(18, scale, 10, 26)
 
 
-def _depth(opts: dict, scale: float) -> int:
-    return _scaled(opts["depth"], scale, 10, 50)
+def _depth(scale: float) -> int:
+    return _scaled(24, scale, 10, 50)
 
 
 def _flag(divergent: bool) -> str:
@@ -375,8 +376,8 @@ _NORM_FUNCTIONS = [
 ]
 
 
-def _truncation(opts: dict, scale: float) -> dict:
-    exponent = _scaled(opts["truncation_exponent"], scale, 6, 16)
+def _truncation(scale: float) -> dict:
+    exponent = _scaled(13, scale, 6, 16)
     return {"exponent": exponent, "truncation": 2**exponent}
 
 
@@ -411,14 +412,8 @@ def _compare_norms(case: Case, ctx: dict) -> CaseResult:
 def _norm_suite(estimator_name: str) -> Suite:
     """L2.1 and T3.1: the direct norm against one coefficient-side estimator."""
     return Suite(
-        defaults={
-            "weights": _NORM_WEIGHTS,
-            "functions": _NORM_FUNCTIONS,
-            "truncation_exponent": 13,
-            "band": 50.0,
-            "drift_cap": 0.2,
-        },
-        scale=_truncation,
+        defaults={"weights": _NORM_WEIGHTS, "functions": _NORM_FUNCTIONS},
+        scale=lambda s: {**_truncation(s), "band": 50.0, "drift_cap": 0.2},
         report=("truncation", "band", "drift_cap"),
         names=("direct_norm", estimator_name),
         cases=lambda ctx: _norm_cases(ctx, series_catalog(2 * ctx["truncation"]), "series name"),
@@ -465,12 +460,8 @@ def _compare_ratio_bound(case: Case, ctx: dict) -> CaseResult:
     return case.result(deep, base, left, right, agree, {"grid_depth": ctx["grid_depth"]})
 
 
-def _laplace_exponents(opts: dict, scale: float) -> dict:
-    if not opts["delta_exponents"]:
-        raise DomainError("suite L2.4: option 'delta_exponents' must not be empty")
-    exponents = sorted(int(e) for e in opts["delta_exponents"])
-    deepest = _scaled(max(exponents), scale, max(exponents), 7)
-    exponents = sorted(set(exponents) | set(range(max(exponents) + 1, deepest + 1)))
+def _laplace_exponents(scale: float) -> dict:
+    exponents = list(range(2, _scaled(6, scale, 6, 7) + 1))
     return {"delta_exponents": exponents, "deltas": [10.0**-e for e in exponents]}
 
 
@@ -489,9 +480,9 @@ def _compare_laplace_tail(case: Case, ctx: dict) -> CaseResult:
     )
 
 
-def _dyadic_depths(opts: dict, scale: float) -> dict:
-    base_depth = _scaled(opts["base_depth"], scale, 8, 44)
-    return {"base_depth": base_depth, "deep_depth": max(base_depth + 4, _scaled(opts["deep_depth"], scale, 12, 48))}
+def _dyadic_depths(scale: float) -> dict:
+    base_depth = _scaled(16, scale, 8, 44)
+    return {"base_depth": base_depth, "deep_depth": max(base_depth + 4, _scaled(20, scale, 12, 48))}
 
 
 def _compare_dyadic_sum(case: Case, ctx: dict) -> CaseResult:
@@ -565,10 +556,10 @@ _WELL_DEFINED_FIXED = [
 ]
 
 
-def _well_defined_ladders(opts: dict, scale: float) -> dict:
+def _well_defined_ladders(scale: float) -> dict:
     return {
-        "ladder_levels": sorted({_scaled(lv, scale, 4, 44) for lv in opts["ladder_levels"]}),
-        "partial_depths": sorted({_scaled(d, scale, 4, 40) for d in opts["partial_depths"]}),
+        "ladder_levels": sorted({_scaled(lv, scale, 4, 44) for lv in (6, 10, 14, 18, 22)}),
+        "partial_depths": sorted({_scaled(d, scale, 4, 40) for d in (4, 8, 12, 16, 20)}),
     }
 
 
@@ -686,8 +677,8 @@ def _compare_moment(case: Case, ctx: dict) -> CaseResult:
 def _operator_suite(cases: list, names: tuple[str, str], compare) -> Suite:
     """T4.2 and T4.3: criteria on (measure, omega, nu, alpha) cases, each against the norm-ratio probe."""
     return Suite(
-        defaults={"cases": cases, "n_max_exponent": 18, "probe_exponent": 10},
-        scale=lambda o, s: {"n_max": _n_max(o, s), "probe_truncation": 2 ** _scaled(o["probe_exponent"], s, 7, 13)},
+        defaults={"cases": cases},
+        scale=lambda s: {"n_max": _n_max(s), "probe_truncation": 2 ** _scaled(10, s, 7, 13)},
         report=("n_max", "probe_truncation"),
         names=names,
         cases=_per_spec("{measure}|{omega}->{nu}|alpha={alpha:g}"),
@@ -754,22 +745,17 @@ def _compare_beta_small(case: Case, ctx: dict) -> CaseResult:
     return case.result(result.sup_value, sigma - ctx["threshold"], result.verdict, expected, agree, detail, math.nan)
 
 
-def _beta_suite(beta: float, threshold: Callable, names: tuple[str, str], compare) -> Suite:
-    """T5.3 and T5.4: the same sigma sweep around threshold(alpha, beta, gamma)."""
+# T5.3 and T5.4 fix the kernel exponent alpha and the target exponent gamma.
+_BETA_ALPHA = 0.5
+_BETA_GAMMA = 1.0
 
-    def scale(opts: dict, s: float) -> dict:
-        alpha, beta, gamma = float(opts["alpha"]), float(opts["beta"]), float(opts["gamma"])
-        return {
-            "depth": _depth(opts, s),
-            "alpha": alpha,
-            "beta": beta,
-            "gamma": gamma,
-            "threshold": threshold(alpha, beta, gamma),
-        }
 
+def _beta_suite(beta: float, threshold: float, names: tuple[str, str], compare) -> Suite:
+    """T5.3 and T5.4: the same sigma sweep around the suite's threshold on sigma."""
+    constants = {"alpha": _BETA_ALPHA, "beta": beta, "gamma": _BETA_GAMMA, "threshold": threshold}
     return Suite(
-        defaults={"alpha": 0.5, "beta": beta, "gamma": 1.0, "sigma_offsets": [-0.75, -0.25, 0.25, 0.75], "depth": 24},
-        scale=scale,
+        defaults={"sigma_offsets": [-0.75, -0.25, 0.25, 0.75]},
+        scale=lambda s: {"depth": _depth(s), **constants},
         report=("depth", "threshold"),
         names=names,
         cases=_sigma_cases,
@@ -808,29 +794,26 @@ def _log_shift_cases(ctx: dict):
 def _compare_log_spaces(case: Case, ctx: dict) -> CaseResult:
     """Moment form against tail form of the log-space criterion, and the expected verdict if any.
 
-    The source exponent comes from the case (T5.6, remark5), else from the options (T5.8), else is -1 (T5.7).
+    The measure is Lebesgue; the source exponent comes from the case (T5.6, remark5), else from the suite (T5.7, T5.8).
     """
     spec = case.item
-    beta = float(spec.get("beta", ctx.get("beta", -1.0)))
-    mu = resolve_measure(ctx.get("measure", "lebesgue"))
+    beta = float(spec.get("beta", ctx["beta"]))
+    mu = resolve_measure("lebesgue")
     result = criterion_log_spaces(mu, ctx["alpha"], beta, float(spec["gamma"]), n_max=ctx["n_max"], depth=ctx["depth"])
     expected = spec.get("expected")
     detail = {"expected": expected, "verdict": result.verdict, "compactness": result.details.get("compactness")}
     return _forms_result(case, result, "tail_form", expected, detail)
 
 
-def _log_scale(opts: dict, scale: float) -> dict:
-    out = {"n_max": _n_max(opts, scale), "depth": _depth(opts, scale), "alpha": float(opts["alpha"])}
-    if "beta" in opts:
-        out["beta"] = float(opts["beta"])
-    return out
+def _log_suite(defaults: dict, cases: Callable, recorded: dict, case_keys: tuple | None = None) -> Suite:
+    """The log-space criterion at alpha = 0; ``recorded`` holds the constants the report records.
 
-
-def _log_suite(defaults: dict, cases: Callable, recorded: str, case_keys: tuple | None = None) -> Suite:
+    Its beta (else -1) is the source exponent of cases that carry none.
+    """
     return Suite(
-        defaults={"alpha": 0.0, **defaults, "n_max_exponent": 18, "depth": 24},
-        scale=_log_scale,
-        report=("n_max", "depth", recorded),
+        defaults=defaults,
+        scale=lambda s: {"n_max": _n_max(s), "depth": _depth(s), "alpha": 0.0, "beta": -1.0, **recorded},
+        report=("n_max", "depth", *recorded),
         names=("moment_form", "tail_form"),
         cases=cases,
         compare=_compare_log_spaces,
@@ -843,47 +826,32 @@ def _log_suite(defaults: dict, cases: Callable, recorded: str, case_keys: tuple 
 _REGISTRY: dict[str, Suite] = {
     "L2.1": _norm_suite("dyadic_block"),
     "L2.2": Suite(
-        defaults={
-            "weights": ["power_0.5", "power_1", "power_2", "power_log_1_1", "log_power_1"],
-            "levels": 10,
-            "band_cap": 32.0,
-            "growth_cap": 1.5,
-        },
-        scale=lambda o, s: {"levels": _scaled(o["levels"], s, 4, 40)},
+        defaults={"weights": ["power_0.5", "power_1", "power_2", "power_log_1_1", "log_power_1"]},
+        scale=lambda s: {"levels": _scaled(10, s, 4, 40), "band_cap": 32.0, "growth_cap": 1.5},
         report=("levels", "band_cap"),
         names=("deep_profile_band", "base_profile_band"),
         cases=_per_weight,
         compare=_compare_extremal,
     ),
     "L2.3": Suite(
-        defaults={
-            "weights": _NORM_WEIGHTS + ["log_power_1", "log_power_-1"],
-            "grid_depth": 12,
-            "cap": 4.0,
-            "growth_cap": 1.25,
-        },
-        scale=lambda o, s: {"grid_depth": _scaled(o["grid_depth"], s, 8, 40)},
+        defaults={"weights": _NORM_WEIGHTS + ["log_power_1", "log_power_-1"]},
+        scale=lambda s: {"grid_depth": _scaled(12, s, 8, 40), "cap": 4.0, "growth_cap": 1.25},
         report=("grid_depth", "cap"),
         names=("deep_grid_bound", "base_grid_bound"),
         cases=_per_weight,
         compare=_compare_ratio_bound,
     ),
     "L2.4": Suite(
-        defaults={
-            "weights": ["power_0.5", "power_1", "power_log_1_1"],
-            "delta_exponents": [2, 3, 4, 5, 6],
-            "spread_cap": 100.0,
-            "slope_cap": 0.05,
-        },
-        scale=_laplace_exponents,
+        defaults={"weights": ["power_0.5", "power_1", "power_log_1_1"]},
+        scale=lambda s: {**_laplace_exponents(s), "spread_cap": 100.0, "slope_cap": 0.05},
         report=("delta_exponents", "spread_cap"),
         names=("sweep_max", "sweep_min"),
         cases=_per_weight,
         compare=_compare_laplace_tail,
     ),
     "L2.5": Suite(
-        defaults={"cases": _REWEIGHT_CASES, "depth": 24},
-        scale=lambda o, s: {"depth": _depth(o, s)},
+        defaults={"cases": _REWEIGHT_CASES},
+        scale=lambda s: {"depth": _depth(s)},
         report=("depth",),
         names=("combined_exponent_sup", "reweighted_sup"),
         cases=_per_spec("{measure}|beta={beta:g}|gamma={gamma:g}"),
@@ -892,33 +860,23 @@ _REGISTRY: dict[str, Suite] = {
     ),
     "T3.1": _norm_suite("coefficient_sum"),
     "E3.1": Suite(
-        defaults={"weights": _NORM_WEIGHTS, "base_depth": 16, "deep_depth": 20, "growth_cap": 2.0},
-        scale=_dyadic_depths,
+        defaults={"weights": _NORM_WEIGHTS},
+        scale=lambda s: {**_dyadic_depths(s), "growth_cap": 2.0},
         report=("base_depth", "deep_depth"),
         names=("deep_ladder_sup", "base_ladder_sup"),
         cases=_per_weight,
         compare=_compare_dyadic_sum,
     ),
     "T3.3": Suite(
-        defaults={
-            "weights": _NORM_WEIGHTS,
-            "functions": list(monotone_family(1)),
-            "truncation_exponent": 13,
-            "band": 50.0,
-        },
-        scale=_truncation,
+        defaults={"weights": _NORM_WEIGHTS, "functions": list(monotone_family(1))},
+        scale=lambda s: {**_truncation(s), "band": 50.0},
         report=("truncation", "band"),
         names=("monotone_bound", "coefficient_sum"),
         cases=lambda ctx: _norm_cases(ctx, monotone_family(ctx["truncation"]), "monotone series"),
         compare=_compare_monotone,
     ),
     "P4.1": Suite(
-        defaults={
-            "ladder_weights": ["power_0.5", "power_1", "power_2"],
-            "ladder_levels": [6, 10, 14, 18, 22],
-            "fixed_cases": _WELL_DEFINED_FIXED,
-            "partial_depths": [4, 8, 12, 16, 20],
-        },
+        defaults={"ladder_weights": ["power_0.5", "power_1", "power_2"], "fixed_cases": _WELL_DEFINED_FIXED},
         scale=_well_defined_ladders,
         report=("ladder_levels", "partial_depths"),
         names=("gauge_integral", "witness_image"),
@@ -929,39 +887,40 @@ _REGISTRY: dict[str, Suite] = {
     "T4.2": _operator_suite(_GENERAL_CASES, ("gauge_moment_criterion", "norm_ratio_probe"), _compare_general),
     "T4.3": _operator_suite(_MOMENT_CASES, ("plain_moment_criterion", "gauge_moment_criterion"), _compare_moment),
     "T5.1": Suite(
-        defaults={"cases": _LOG_TARGET_CASES, "n_max_exponent": 18, "depth": 24},
-        scale=lambda o, s: {"n_max": _n_max(o, s), "depth": _depth(o, s)},
+        defaults={"cases": _LOG_TARGET_CASES},
+        scale=lambda s: {"n_max": _n_max(s), "depth": _depth(s)},
         report=("n_max", "depth"),
         names=("carleson_form", "moment_form"),
         cases=_per_spec("{measure}|alpha={alpha:g}|gamma={gamma:g}"),
         compare=_compare_log_target,
         case_keys={"cases": (("measure", "alpha", "gamma"), ())},
     ),
+    # Thresholds on sigma: alpha + beta - gamma for beta > 1, alpha + 1 - gamma for beta < 1.
     "T5.3": _beta_suite(
-        2.0, lambda a, b, g: a + b - g, ("combined_carleson", "reweighted_carleson"), _compare_beta_large
+        2.0, _BETA_ALPHA + 2.0 - _BETA_GAMMA, ("combined_carleson", "reweighted_carleson"), _compare_beta_large
     ),
     "T5.4": _beta_suite(
-        0.5, lambda a, b, g: a + 1.0 - g, ("carleson_sup", "threshold_prediction"), _compare_beta_small
+        0.5, _BETA_ALPHA + 1.0 - _BETA_GAMMA, ("carleson_sup", "threshold_prediction"), _compare_beta_small
     ),
     "T5.6": _log_suite(
-        {"measure": "lebesgue", "cases": _LOG_SOURCE_CASES},
+        {"cases": _LOG_SOURCE_CASES},
         _per_spec("beta={beta:g}|gamma={gamma:g}"),
-        "alpha",
+        {"alpha": 0.0},
         (("beta", "gamma"), ("expected",)),
     ),
     "T5.7": _log_suite(
-        {"measure": "lebesgue", "cases": _LOG_BORDER_CASES},
+        {"cases": _LOG_BORDER_CASES},
         _per_spec("gamma={gamma:g}"),
-        "alpha",
+        {"alpha": 0.0},
         (("gamma",), ("expected",)),
     ),
     "T5.8": _log_suite(
-        {"measure": "lebesgue", "beta": -2.0, "cases": _LOG_FAST_CASES},
+        {"cases": _LOG_FAST_CASES},
         _per_spec("gamma={gamma:g}"),
-        "beta",
+        {"beta": -2.0},
         (("gamma",), ("expected",)),
     ),
-    "remark5": _log_suite({"betas": [-2.0, -1.0, -0.5, 0.0, 1.0]}, _log_shift_cases, "alpha"),
+    "remark5": _log_suite({"betas": [-2.0, -1.0, -0.5, 0.0, 1.0]}, _log_shift_cases, {"alpha": 0.0}),
 }
 
 

@@ -11,7 +11,6 @@ from hilbloch.catalog import (
     atom_ladder,
     builtin_measures,
     builtin_weights,
-    catalog_builtin,
     extremal_antiderivative,
     monomial,
     monotone_family,
@@ -105,10 +104,6 @@ class TestBuiltins:
         f = monomial(5)
         assert f.truncation == 5
         assert f(2.0) == pytest.approx(32.0)
-
-    def test_catalog_builtin_overview(self):
-        doc = catalog_builtin()
-        assert set(doc) >= {"weights", "measures", "series"}
 
 
 class TestGeneratedFamilies:

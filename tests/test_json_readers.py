@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloch import hilbert_op, suites
+from hilbloch import suites
 from hilbloch.errors import HilblochError
 from hilbloch.measures import measure_from_json
 from hilbloch.series import series_from_json
@@ -56,21 +56,12 @@ SUITE_CONFIGS = around(
         "options": st.just({}),
     }
 )
-OPERATOR_CONFIGS = around(
-    {
-        "alpha": st.floats(-0.9, 3.0),
-        "measure": MEASURES,
-        "truncation": st.integers(1, 64),
-        "rel_tol": st.floats(1e-12, 1e-3),
-    }
-)
 SERIES = st.lists(st.floats(-1e6, 1e6) | PLAUSIBLE | JSON, min_size=1, max_size=6)
 
 READERS = {
     "weight_from_json": (weight_from_json, WEIGHTS),
     "measure_from_json": (measure_from_json, MEASURES),
     "suites.config_from_json": (suites.config_from_json, SUITE_CONFIGS),
-    "hilbert_op.config_from_json": (hilbert_op.config_from_json, OPERATOR_CONFIGS),
     "series_from_json": (series_from_json, SERIES),
 }
 

@@ -1,11 +1,11 @@
 """Harness layer: config contract, registry, determinism, report rendering."""
 
 import json
-import math
 import pathlib
 
 import pytest
 
+from hilbloch import suites
 from hilbloch.errors import DomainError
 from hilbloch.reports import emit_report, render_csv, render_json, render_markdown, write_report
 from hilbloch.suites import (
@@ -41,7 +41,9 @@ ALL_SUITES = [
 ]
 
 
-PINNED_ROWS = json.loads((pathlib.Path(__file__).parent / "data" / "suite_rows.json").read_text())
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PINNED_ROWS = json.loads((REPO / "tests" / "data" / "suite_rows.json").read_text())
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted((REPO / "perfbench" / "configs").glob("*.json"))
 
 # Suites whose options hold case specs: the option, and one valid spec.
 CASE_OPTIONS = {
@@ -73,10 +75,21 @@ class TestConfig:
             assert cfg.version == CONFIG_VERSION
 
     def test_shipped_config_files_cover_registry(self):
-        config_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
-        docs = [json.loads(p.read_text()) for p in sorted(config_dir.glob("*.json"))]
-        suites = {config_from_json(doc).suite for doc in docs}
-        assert suites == set(list_suites())
+        docs = [json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))]
+        assert {config_from_json(doc).suite for doc in docs} == set(list_suites())
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO)))
+    def test_shipped_config_options_are_accepted(self, path):
+        # Parses and checks the options the way run_suite does, without running any case;
+        # an option the suite does not take raises DomainError.
+        cfg = config_from_json(json.loads(path.read_text()))
+        suites._options(cfg, suites._REGISTRY[cfg.suite])
+
+    def test_every_option_default_is_a_list(self):
+        # Options select rows; resolution values and caps are constants of the suite.
+        for suite_id, suite in suites._REGISTRY.items():
+            for key, default in suite.defaults.items():
+                assert isinstance(default, list), (suite_id, key)
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig(suite="E3.1", resolution_scale=2.0, options={})
@@ -119,17 +132,25 @@ class TestConfig:
         with pytest.raises(DomainError, match=key):
             config_from_json({"suite": "E3.1", key: value})
 
-    @pytest.mark.parametrize(
-        "suite, key, value", [("L2.2", "weights", "power_1"), ("T5.1", "depth", "24"), ("L2.4", "spread_cap", math.nan)]
-    )
+    @pytest.mark.parametrize("suite, key, value", [("L2.2", "weights", "power_1"), ("T5.3", "sigma_offsets", 0.25)])
     def test_option_of_the_wrong_type_rejected(self, suite, key, value):
-        with pytest.raises(DomainError, match=f"{suite}.*'{key}'"):
+        with pytest.raises(DomainError, match=f"suite {suite}: option '{key}' must be a list"):
             run_suite(ExperimentConfig(suite=suite, options={key: value}))
 
-
-    def test_empty_delta_exponents_rejected(self):
-        with pytest.raises(DomainError, match="L2.4.*'delta_exponents'"):
-            run_suite(ExperimentConfig(suite="L2.4", options={"delta_exponents": []}))
+    @pytest.mark.parametrize(
+        "suite, key, value",
+        [
+            ("L2.1", "drift_cap", 0.2),
+            ("L2.4", "delta_exponents", [2, 3]),
+            ("T5.1", "depth", 24),
+            ("T5.8", "beta", -2.0),
+            ("T5.6", "measure", "lebesgue"),
+            ("T4.2", "probe_exponent", 10),
+        ],
+    )
+    def test_suite_constant_is_an_unknown_option(self, suite, key, value):
+        with pytest.raises(DomainError, match=rf"unknown options for suite {suite}: \['{key}'\]"):
+            run_suite(ExperimentConfig(suite=suite, options={key: value}))
 
 
 @pytest.mark.parametrize("suite", sorted(CASE_OPTIONS))
@@ -205,10 +226,12 @@ class TestRunSuite:
         assert rows == PINNED_ROWS[suite]
 
     def test_case_errors_are_captured_not_raised(self):
-        # delta = 10^0 = 1 is outside the admissible Laplace range; every case
-        # must surface as an error row rather than aborting the run.
-        cfg = ExperimentConfig(suite="L2.4", options={"delta_exponents": [0]})
-        report = run_suite(cfg)
+        # A table weight sampled only up to r = 0.5 cannot reach the sweep's
+        # radii near 1; the case must surface as an error row rather than
+        # aborting the run.
+        table = {"kind": "table", "samples": [[0, 1], [0.5, 0.5]], "a": 1, "b": 1}
+        report = run_suite(ExperimentConfig(suite="L2.4", options={"weights": [table]}))
+        assert len(report.cases) == 1
         assert not report.agreement
         assert all(case.left_verdict == FLAG_ERROR for case in report.cases)
         assert all(not case.agree for case in report.cases)

@@ -21,7 +21,7 @@ from .errors import ConstructionError, DomainError, NumericsError, require_numbe
 from .quadrature import TAIL_CAP, integrate_radial, panel_points
 from .trend import CriterionResult, summarize_ladder
 
-# Largest power table t_i^j (nodes x block) that contiguous_moments builds: 1 MiB of floats.
+# Both power tables of contiguous_moments together (nodes x (B + R) floats) stay within 1 MiB.
 _MOMENT_TABLE_ELEMENTS = 2**17
 
 
@@ -61,11 +61,14 @@ def _power_sums(t: np.ndarray, w: np.ndarray, ns: Sequence[int]) -> np.ndarray:
     return np.array([float(w @ np.power(t, n)) if n else float(w.sum()) for n in ns])
 
 
-def _moment_block(n_max: int, nodes: int) -> int:
-    """Block of indices for contiguous_moments: a power of two near sqrt(n_max + 1),
-    capped so that the nodes x block power table stays within 2^17 floats (1 MiB)."""
-    block = min(1 << (n_max.bit_length() + 1) // 2, max(1, _MOMENT_TABLE_ELEMENTS // nodes))
-    return 1 << (block.bit_length() - 1)
+def _moment_block(n_max: int, nodes: int) -> tuple[int, int]:
+    """Block B and row count R for contiguous_moments, both powers of two: B near sqrt(n_max + 1)
+    and R * B reaching n_max + 1, each capped so that its table (nodes x B or R x nodes) holds at
+    most half of the 2^17-float budget."""
+    half = max(1, _MOMENT_TABLE_ELEMENTS // (2 * nodes))
+    cap = 1 << (half.bit_length() - 1)
+    block = min(1 << (n_max.bit_length() + 1) // 2, cap)
+    return block, min(1 << (-(-(n_max + 1) // block) - 1).bit_length(), cap)
 
 
 class RadialMeasure:
@@ -196,31 +199,42 @@ class RadialMeasure:
         """Moments for every n = 0..n_max, sharing one node grid.
 
         The atoms, weighted wgt * phi(t), and the density nodes, weighted
-        base * phi(t), form one node set (t, w).  Indices run in blocks of B
-        (see _moment_block): the table P[i, j] = t_i^j, j < B, comes from one
-        cumulative product, each block of moments is one matrix product
-        (w t^n0) @ P, and the running weights then step by t^B.  The Python
-        loop takes (n_max + 1) / B steps, and P holds at most 2^17 floats.
+        base * phi(t), form one node set (t, w).  Two tables (see
+        _moment_block) cover the indices: the columns P[i, j] = t_i^j, j < B,
+        come from one cumulative product, and the rows T[r, i] = w_i t_i^(rB),
+        r < R, from R - 1 steps by t^B.  Each chunk of R * B consecutive
+        indices is then one matrix product T @ P, written row-major, after
+        which T steps by t^(RB); the last chunk takes only the rows it needs.
+        The Python loop takes (n_max + 1) / (R * B) steps, t^n carries about
+        n / (R * B) + R + B roundings, and both tables together hold at most
+        2^17 floats.
         """
         n_max = int(n_max)
         if n_max < 0:
             raise DomainError("moment index must be nonnegative")
         t, w = self._moment_nodes(n_max, phi, rel_tol, breakpoints)
-        out = np.zeros(n_max + 1)
         if not len(t):
-            return out
-        block = _moment_block(n_max, len(t))
+            return np.zeros(n_max + 1)
+        block, rows = _moment_block(n_max, len(t))
         powers = np.empty((len(t), block))
         powers[:, 0] = 1.0
         powers[:, 1:] = t[:, None]
         np.cumprod(powers, axis=1, out=powers)
-        # t^B by one power, not from the table, so t^n carries about n/B + B roundings instead of n.
+        # Steps by one power each, not from a table, so that the roundings of t^n stay few.
+        table = np.empty((rows, len(t)))
+        table[0] = w
         step = t**block
-        acc = w.copy()
-        for start in range(0, n_max + 1, block):
-            out[start : start + block] = acc @ powers[:, : n_max + 1 - start]
-            acc *= step
-        return out
+        for r in range(1, rows):
+            np.multiply(table[r - 1], step, out=table[r])
+        step = t ** (rows * block)
+        # Whole blocks of B moments, one per row; the tail past n_max is cut off.
+        out = np.empty(-(-(n_max + 1) // block) * block)
+        grid = out.reshape(-1, block)
+        for first in range(0, len(grid), rows):
+            chunk = grid[first : first + rows]
+            np.matmul(table[: len(chunk)], powers, out=chunk)
+            table *= step
+        return out[: n_max + 1]
 
     def integral(
         self,

@@ -336,8 +336,8 @@ def _name(item) -> str:
 
 
 def _per_weight(ctx: dict):
-    """One row per name in the "weights" option, with the weight resolved."""
-    return [(name, resolve_weight(name)) for name in ctx["weights"]]
+    """One row per entry of the "weights" option, labelled by name (see _name), with the weight resolved."""
+    return [(_name(name), resolve_weight(name)) for name in ctx["weights"]]
 
 
 def _per_spec(template: str):
@@ -389,7 +389,7 @@ def _norm_cases(ctx: dict, catalog: dict, kind: str):
         for fn_name in ctx["functions"]:
             if fn_name not in catalog:
                 raise DomainError(f"unknown {kind} {fn_name!r}; known: {sorted(catalog)}")
-            cases.append((f"{weight_name}|{fn_name}", (weight, catalog[fn_name])))
+            cases.append((f"{_name(weight_name)}|{fn_name}", (weight, catalog[fn_name])))
     return cases
 
 

@@ -78,7 +78,8 @@ def _slope(x: np.ndarray, y_centred: np.ndarray) -> float:
     if np.ptp(x) == 0.0 or np.ptp(y_centred) == 0.0:
         return 0.0
     x_centred = x - x.mean()
-    return float(np.dot(x_centred, y_centred) / np.dot(x_centred, x_centred))
+    # np.sum of the products, not np.dot: a BLAS dot splits long vectors by thread count.
+    return float(np.sum(x_centred * y_centred) / np.sum(x_centred * x_centred))
 
 
 def verdict_from_trend(trend: TrendSummary) -> str:

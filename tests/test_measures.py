@@ -40,6 +40,12 @@ BETA_DENSITIES = {"lebesgue": 0.0, "density_1": 1.0, "density_2": 2.0, "density_
 # Indices on both sides of every power of two up to 2^18: each block edge of
 # contiguous_moments is a multiple of its power-of-two block.
 EDGE_INDICES = sorted({0, 1} | {2**k + d for k in range(1, 19) for d in (-1, 0, 1)} - {2**18 + 1})
+# About 300 indices spread linearly and geometrically over a table to 2^18.
+SPREAD_INDICES = np.unique(np.concatenate([np.linspace(0, 2**18, 150), np.geomspace(1, 2**18, 160)]).astype(int))
+# A table of MIXED_ATOMS plus (1-t)^0.5 dt at these n_max ends one short of,
+# exactly at or one past its first chunk of R * B = 1024 indices.
+CHUNK_EDGES = [1022, 1023, 1024]
+MIXED_ATOMS = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
 DENSITY_MEASURES = sorted(name for name, mu in builtin_measures().items() if mu.density is not None)
 
 
@@ -129,11 +135,12 @@ class TestBlockedMoments:
         assert np.all(np.diff(table) < 0.0)
 
     # n_max + 1 in {4095, 4096, 4097} ends on a block one short, exactly full
-    # or one over for every power-of-two block from 2 to 1024.
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, 4094, 4095, 4096])
+    # or one over for every power-of-two block from 2 to 1024; CHUNK_EDGES end
+    # the atoms-and-density table one short of, exactly at or one past a chunk.
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, *CHUNK_EDGES, 4094, 4095, 4096])
     @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_with_breakpoints", "zero"])
     def test_matches_per_index_loop(self, case, n_max):
-        atoms = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
+        atoms = MIXED_ATOMS
         phi, breakpoints = None, ()
         if case == "atoms":
             mu = radial_measure(atoms=atoms)
@@ -153,10 +160,28 @@ class TestBlockedMoments:
         else:
             assert got == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("n_max", CHUNK_EDGES)
+    def test_chunk_edges_end_at_one_chunk(self, n_max):
+        mu = radial_measure(atoms=MIXED_ATOMS, density=power_log_density(0.5))
+        block, rows = _moment_block(n_max, len(mu._moment_nodes(n_max, None, 1e-10)[0]))
+        assert n_max + 1 - rows * block == CHUNK_EDGES.index(n_max) - 1
+
+    def test_lebesgue_table_matches_reciprocals(self, beta_tables):
+        n = np.arange(2**18 + 1, dtype=float)
+        assert beta_tables["lebesgue"] == pytest.approx(1.0 / (n + 1.0), rel=1e-12)
+
+    # scipy.special.betaln is no oracle here: it is off by about 1e-9 near n = 2.2e5.
+    @pytest.mark.parametrize("name", ["density_1", "density_2", "density_-0.5"])
+    def test_beta_tables_match_mpmath_at_spread_indices(self, beta_tables, name):
+        s = BETA_DENSITIES[name]
+        with mpmath.workdps(30):
+            oracle = [float(mpmath.beta(int(n) + 1, s + 1)) for n in SPREAD_INDICES]
+        assert beta_tables[name][SPREAD_INDICES] == pytest.approx(oracle, rel=1e-11)
+
     @pytest.mark.parametrize("ns", [[0], [5], [0, 1, 7, 64, 1000], list(range(40)), [4096, 0, 17]])
     @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_with_breakpoints"])
     def test_moments_at_reads_the_same_node_set(self, case, ns):
-        atoms = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
+        atoms = MIXED_ATOMS
         phi, breakpoints = None, ()
         if case == "atoms":
             mu = radial_measure(atoms=atoms)
@@ -194,10 +219,13 @@ class TestBlockedMoments:
     @pytest.mark.parametrize("nodes", [1, 5, 1024, 3328, 2**17, 2**18])
     @pytest.mark.parametrize("n_max", [0, 1, 100, 2**14, 2**18])
     def test_block_is_a_capped_power_of_two(self, nodes, n_max):
-        block = _moment_block(n_max, nodes)
+        block, rows = _moment_block(n_max, nodes)
         assert block & (block - 1) == 0
-        assert block * nodes <= max(2**17, nodes)
+        assert rows & (rows - 1) == 0
+        assert nodes * (block + rows) <= max(2**17, 2 * nodes)
         assert block <= 2 * math.isqrt(n_max + 1) + 1
+        if rows > 1:
+            assert rows * block < 2 * (n_max + 1)
 
     def test_negative_n_max_rejected(self):
         with pytest.raises(DomainError):

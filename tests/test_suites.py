@@ -1,7 +1,10 @@
 """Harness layer: config contract, registry, determinism, report rendering."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -236,6 +239,33 @@ class TestRunSuite:
         assert all(case.left_verdict == FLAG_ERROR for case in report.cases)
         assert all(not case.agree for case in report.cases)
         assert all("error" in case.detail for case in report.cases)
+        # A descriptor row is labelled by its name in every rendering.
+        assert [case["label"] for case in json.loads(render_json(report))["reports"][0]["cases"]] == ["table"]
+        assert [line.split(",")[1] for line in render_csv(report).splitlines()[1:]] == ["table"]
+        assert "\n| table | " in render_markdown(report)
+
+    def test_reports_do_not_depend_on_the_blas_thread_count(self):
+        # A BLAS reduction may split its work by thread count and so round
+        # differently; a report and a moment table must read the same under any.
+        script = (
+            "import hashlib\n"
+            "from hilbloch.catalog import builtin_measures\n"
+            "from hilbloch.cli import main\n"
+            "main(['verify', '--suite', 'T3.3', '--resolution-scale', '2', '--format', 'json'])\n"
+            "print(hashlib.sha256(builtin_measures()['density_-0.5'].contiguous_moments(2**18)).hexdigest())\n"
+        )
+        src = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            *report, digest = proc.stdout.splitlines()
+            doc = json.loads("\n".join(report))
+            for rep in doc["reports"]:
+                rep["wall_time"] = 0.0
+            outputs.append((doc, digest))
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

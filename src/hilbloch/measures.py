@@ -244,11 +244,18 @@ class RadialMeasure:
         abs_floor: float = 0.0,
         upper: float = 1.0,
     ) -> float:
-        """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError."""
+        """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError.
+
+        fn takes arrays: the atoms at or below upper all in one call, in atom
+        order, and the density's Gauss nodes one panel refinement per call.
+        """
         if not 0.0 < upper <= 1.0:
             raise DomainError(f"upper limit must lie in (0, 1], got {upper}")
         atoms = [(t, wgt) for t, wgt in self.atoms if t <= upper]
-        total = sum(wgt * float(fn(np.asarray([t]), np.asarray([1.0 - t]))[0]) for t, wgt in atoms)
+        total = 0.0
+        if atoms:
+            ts = np.array([t for t, _ in atoms])
+            total = sum((wgt * float(v) for (_, wgt), v in zip(atoms, fn(ts, 1.0 - ts))), 0.0)
         if self.density is not None:
             total += integrate_radial(
                 lambda t, omt: np.asarray(fn(t, omt), dtype=float) * self.density.eval(t, omt),

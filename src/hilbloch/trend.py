@@ -55,31 +55,41 @@ def trend_slopes(xs, qs) -> TrendSummary:
     The window is the deepest half in log-scale, x >= sqrt(x_max), so dense
     small-x rungs cannot crowd out the asymptotic regime.  Non-positive or
     non-finite entries are excluded before the window is cut; an infinite
-    positive quantity short-circuits to an infinite slope.
+    positive quantity short-circuits to an infinite slope.  A deep half of
+    fewer than two rungs falls back to the last two usable rungs.
     """
     xs = np.asarray(xs, dtype=float)
     qs = np.asarray(qs, dtype=float)
     if np.any(np.isinf(qs) & (qs > 0)):
         return TrendSummary(np.inf, np.inf, 0)
     mask = np.isfinite(qs) & (qs > 0) & (xs > 1.0)
-    idx = np.nonzero(mask)[0]
-    if len(idx) < 2:
-        return TrendSummary(0.0, 0.0, len(idx))
-    deep = idx[xs[idx] >= np.sqrt(np.max(xs[idx]))]
-    window = deep if len(deep) >= 2 else idx[-2:]
+    usable = int(np.count_nonzero(mask))
+    if usable < 2:
+        return TrendSummary(0.0, 0.0, usable)
+    window = mask & (xs >= np.sqrt(np.max(xs, where=mask, initial=-np.inf)))
+    if np.count_nonzero(window) < 2:
+        window = np.nonzero(mask)[0][-2:]
     lx = np.log(xs[window])
     lq = np.log(qs[window])
-    lq_centred = lq - lq.mean()
-    return TrendSummary(_slope(lx, lq_centred), _slope(np.log(lx), lq_centred), len(window))
+    lq -= lq.mean()
+    if np.ptp(lq) == 0.0:
+        return TrendSummary(0.0, 0.0, len(lq))
+    return TrendSummary(_slope(lx, lq), _slope(np.log(lx), lq), len(lq))
 
 
 def _slope(x: np.ndarray, y_centred: np.ndarray) -> float:
-    """Least-squares slope sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), or 0.0 where x or y is flat."""
-    if np.ptp(x) == 0.0 or np.ptp(y_centred) == 0.0:
+    """Least-squares slope sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), or 0.0 where x is flat.
+
+    A flat y is the caller's to test: centred, it can be off zero by an ulp.
+    """
+    if np.ptp(x) == 0.0:
         return 0.0
     x_centred = x - x.mean()
     # np.sum of the products, not np.dot: a BLAS dot splits long vectors by thread count.
-    return float(np.sum(x_centred * y_centred) / np.sum(x_centred * x_centred))
+    products = np.multiply(x_centred, y_centred)
+    cross = np.sum(products)
+    np.multiply(x_centred, x_centred, out=products)
+    return float(cross / np.sum(products))
 
 
 def verdict_from_trend(trend: TrendSummary) -> str:

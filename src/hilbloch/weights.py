@@ -420,7 +420,8 @@ def laplace_tail_sweep(w: NormalWeight, deltas: Sequence[float]) -> LaplaceTailR
     values = np.array([laplace_tail_ratio(w, d) for d in deltas])
     spread = float(np.max(values) / np.min(values))
     log_values = np.log(values)
-    slope = _slope(np.log(1.0 / deltas), log_values - log_values.mean())
+    log_values -= log_values.mean()
+    slope = 0.0 if np.ptp(log_values) == 0.0 else _slope(np.log(1.0 / deltas), log_values)
     return LaplaceTailReport(deltas, values, spread, slope)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hilbloch.catalog import builtin_measures
+from hilbloch.catalog import atom_ladder, builtin_measures, resolve_weight
 from hilbloch.errors import ConstructionError, DomainError
 from hilbloch.measures import (
     _moment_block,
@@ -25,6 +25,7 @@ from hilbloch.measures import (
 )
 from hilbloch.series import TaylorSeries
 from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED, index_ladder
+from hilbloch.weights import growth_gauge_from_gaps
 
 
 def harmonic(n: int) -> float:
@@ -262,6 +263,49 @@ class TestIntegralAndTail:
         mu = radial_measure(atoms=[(0.25, 1.0), (0.75, 2.0)])
         val = mu.integral(lambda t, omt: t)
         assert val == pytest.approx(0.25 + 1.5)
+
+    def test_no_atom_up_to_upper_gives_float_zero(self):
+        val = point_mass(0.5).integral(lambda t, omt: t, upper=0.25)
+        assert val == 0.0 and type(val) is float
+
+    @pytest.mark.parametrize("upper", [1.0, 0.75, 0.5, 0.25])
+    def test_atoms_go_to_fn_in_one_call(self, upper):
+        mu = radial_measure(atoms=MIXED_ATOMS)
+        calls = []
+
+        def fn(t, omt):
+            calls.append((t.copy(), omt.copy()))
+            return 2.0 * t + omt**2
+
+        val = mu.integral(fn, upper=upper)
+        kept = [(t, wgt) for t, wgt in mu.atoms if t <= upper]
+        assert len(calls) == 1
+        ts, omts = calls[0]
+        assert ts.tolist() == [t for t, _ in kept]
+        assert omts.tolist() == [1.0 - t for t, _ in kept]
+        assert val == pytest.approx(sum(wgt * (2.0 * t + (1.0 - t) ** 2) for t, wgt in kept), rel=1e-15)
+
+    @pytest.mark.parametrize("weight", ["power_1", "power_2"])
+    def test_gauge_over_atom_ladder_matches_per_atom_sum(self, weight):
+        # The well-definedness integrand of P4.1: one gauge sweep over all 44
+        # atoms against one sweep per atom, as the integral once summed it.
+        w = resolve_weight(weight)
+        mu = atom_ladder(44)
+        gauge = lambda t, omt: growth_gauge_from_gaps(w, omt) + 1.0  # noqa: E731
+        per_atom = sum(wgt * float(gauge(np.asarray([t]), np.asarray([1.0 - t]))[0]) for t, wgt in mu.atoms)
+        assert mu.integral(gauge) == pytest.approx(per_atom, rel=1e-13)
+
+    def test_atoms_and_density_sum_both_parts(self):
+        mu = radial_measure(atoms=[(0.2, 0.5), (0.6, 1.5)], density=power_log_density(1.0))
+        sizes = []
+
+        def fn(t, omt):
+            sizes.append(len(t))
+            return t**2
+
+        # Atoms 0.5 * 0.04 + 1.5 * 0.36; density integral of t^2 (1-t) dt = 1/12.
+        assert mu.integral(fn) == pytest.approx(0.02 + 0.54 + 1.0 / 12.0, rel=1e-12)
+        assert sizes[0] == 2 and len(sizes) > 1
 
     @pytest.mark.parametrize("upper", [1.5, -1.0, 0.0, math.nan])
     @pytest.mark.parametrize("build", [lebesgue, lambda: point_mass(0.5)], ids=["density", "atoms"])

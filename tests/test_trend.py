@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hilbloch.catalog import monotone_family
 from hilbloch.errors import NumericsError
 from hilbloch.trend import (
     BOUNDED_MAX_SLOPE,
@@ -22,6 +23,7 @@ from hilbloch.trend import (
     trend_slopes,
     verdict_from_trend,
 )
+from hilbloch.weights import power_weight
 
 
 class TestLadders:
@@ -108,6 +110,110 @@ class TestTrendSlopes:
         for got, regressor in ((summary.slope, lx), (summary.log_slope, np.log(lx))):
             expected = np.polyfit(regressor, lq, 1)[0]
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def gathered_trend_slopes(xs, qs) -> TrendSummary:
+    """The window cut by integer gathers, as trend_slopes did before it cut by mask: the bitwise reference."""
+    xs = np.asarray(xs, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    if np.any(np.isinf(qs) & (qs > 0)):
+        return TrendSummary(np.inf, np.inf, 0)
+    mask = np.isfinite(qs) & (qs > 0) & (xs > 1.0)
+    idx = np.nonzero(mask)[0]
+    if len(idx) < 2:
+        return TrendSummary(0.0, 0.0, len(idx))
+    deep = idx[xs[idx] >= np.sqrt(np.max(xs[idx]))]
+    window = deep if len(deep) >= 2 else idx[-2:]
+    lx = np.log(xs[window])
+    lq = np.log(qs[window])
+    lq_centred = lq - lq.mean()
+    return TrendSummary(_gathered_slope(lx, lq_centred), _gathered_slope(np.log(lx), lq_centred), len(window))
+
+
+def _gathered_slope(x: np.ndarray, y_centred: np.ndarray) -> float:
+    if np.ptp(x) == 0.0 or np.ptp(y_centred) == 0.0:
+        return 0.0
+    x_centred = x - x.mean()
+    return float(np.sum(x_centred * y_centred) / np.sum(x_centred * x_centred))
+
+
+# Rungs below, at and above x = 1, with samples that the window must drop.
+_RUNG_X = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1e12),
+    st.sampled_from([1.0, 2.0, 4.0, 1024.0]),
+)
+_RUNG_Q = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.sampled_from([0.0, -0.0, -1.0, 7.3, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestMaskedWindow:
+    @settings(max_examples=400)
+    @given(
+        rungs=st.lists(st.tuples(_RUNG_X, _RUNG_Q), max_size=200),
+        order=st.sampled_from(["drawn", "sorted", "reversed"]),
+        flat=st.sampled_from([None, 7.3, 0.1]),
+        finite=st.booleans(),
+    )
+    def test_matches_the_gathered_window_bitwise(self, rungs, order, flat, finite):
+        xs = np.array([x for x, _ in rungs], dtype=float)
+        qs = np.array([q for _, q in rungs], dtype=float)
+        if finite:
+            qs[np.isinf(qs) & (qs > 0)] = 3.0
+        if flat is not None:
+            qs[np.isfinite(qs) & (qs > 0)] = flat
+        if order != "drawn":
+            keep = np.argsort(xs, kind="stable")
+            xs, qs = xs[keep], qs[keep]
+            if order == "reversed":
+                xs, qs = xs[::-1], qs[::-1]
+        assert trend_slopes(xs, qs) == gathered_trend_slopes(xs, qs)
+
+    @given(
+        rungs=st.integers(min_value=2, max_value=3000),
+        span=st.floats(min_value=0.5, max_value=30.0),
+        p=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        bad=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), _RUNG_X, _RUNG_Q), max_size=20),
+        shuffle=st.booleans(),
+    )
+    def test_noisy_ladders_with_dropped_rungs_match_bitwise(self, rungs, span, p, seed, bad, shuffle):
+        rng = np.random.default_rng(seed)
+        xs = 0.5 * np.exp(np.linspace(0.0, span, rungs))
+        qs = xs**p * np.exp(rng.normal(0.0, 0.3, rungs))
+        for where, x, q in bad:
+            i = min(int(where * rungs), rungs - 1)
+            xs[i], qs[i] = x, q
+        if shuffle:
+            keep = rng.permutation(rungs)
+            xs, qs = xs[keep], qs[keep]
+        assert trend_slopes(xs, qs) == gathered_trend_slopes(xs, qs)
+
+    @pytest.mark.parametrize(
+        "xs, qs",
+        [
+            ([2.0, 1e6], [1.0, 5.0]),  # only the deepest rung reaches sqrt(x_max): two-point fallback
+            ([3.0, 0.5, 1e6, 2.0], [1.0, 9.0, 5.0, -1.0]),  # unsorted, the fallback past a dropped rung
+            ([2.0, 4.0, 8.0, 16.0], [7.3, 7.3, 7.3, 7.3]),  # flat q
+            ([16.0, 16.0, 16.0], [1.0, 2.0, 3.0]),  # flat x
+            ([2.0, 4.0], [0.0, 1.0]),  # one usable rung
+            ([], []),
+        ],
+    )
+    def test_edge_ladders_match_bitwise(self, xs, qs):
+        assert trend_slopes(xs, qs) == gathered_trend_slopes(xs, qs)
+
+    @pytest.mark.parametrize("name", sorted(monotone_family(4)))
+    def test_monotone_index_ladders_match_bitwise(self, name):
+        # T3.3 at resolution scale 2: q_n over n = 1..2^16 for both of its forms.
+        a = monotone_family(2**16)[name].coefficients[1:]
+        ns = np.arange(1, 2**16 + 1, dtype=float)
+        nu = power_weight(1.0).value_from_gap(1.0 / ns)
+        for qs in (ns**2 * nu * a, nu * np.cumsum(a * ns)):
+            assert trend_slopes(ns, qs) == gathered_trend_slopes(ns, qs)
 
 
 class TestVerdicts:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hilbloch import weights
 from hilbloch.catalog import builtin_weights
 from hilbloch.errors import ConstructionError, DomainError, NumericsError
 from hilbloch.weights import (
@@ -380,6 +381,13 @@ class TestLaplaceTail:
         vals = np.asarray(report.values)
         assert np.all(np.diff(vals[2:]) <= 1e-9 * vals[2:-1])
         assert abs(report.slope) < 0.05
+
+    @pytest.mark.parametrize("rungs", [2, 3, 24])
+    def test_constant_sweep_has_exactly_zero_slope(self, monkeypatch, rungs):
+        # The mean of log 7.3 over 3 or 24 rungs is off by an ulp, so the centred values are not all zero.
+        monkeypatch.setattr(weights, "laplace_tail_ratio", lambda w, delta: 7.3)
+        report = laplace_tail_sweep(power_weight(1.0), list(np.geomspace(1e-2, 1e-6, rungs)))
+        assert report.slope == 0.0
 
 
 class TestDyadicSumRatio:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import PreconditionError
-from .series import TaylorSeries, block_polynomial, sup_norm
+from .series import TaylorSeries, _circle_peak, block_polynomial, sup_norm
 from .trend import VERDICT_UNBOUNDED, radius_ladder, summarize_ladder
 from .weights import NormalWeight, growth_gauge_from_gaps
 
@@ -50,8 +50,10 @@ def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> Nor
     Nonnegative coefficients need only the positive axis.  Otherwise each
     radius takes one FFT of k a_k r^(k-1) on M equispaced angles, M the larger
     of 256 and the power of two at or above 8 times the degree, so the circle
-    maximum is resolved at every degree.  The local search around the best
-    rung recovers interior maxima that dyadic rungs straddle.
+    maximum is resolved at every degree.  Real coefficients take a real-input
+    FFT, which holds the same maximum by conjugate symmetry; complex ones take
+    the full transform.  The local search around the best rung recovers
+    interior maxima that dyadic rungs straddle.
     """
     df = f.derivative()
     radii = np.concatenate([[0.0], radius_ladder(radial_depth)])
@@ -68,7 +70,7 @@ def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> Nor
 
         def amplitude(r):
             r = np.asarray(r, dtype=float)
-            flat = [np.abs(np.fft.fft(slopes * rho**exponents, angles)).max() for rho in r.reshape(-1)]
+            flat = [_circle_peak(slopes * rho**exponents, angles) for rho in r.reshape(-1)]
             return np.asarray(flat).reshape(r.shape)
 
     profile = np.asarray(w.value(radii), dtype=float) * amplitude(radii)

@@ -238,17 +238,33 @@ def _as_coefficients(poly) -> np.ndarray:
         return poly.coefficients
     if isinstance(poly, BlockPolynomial):
         return poly.values  # |z^offset P(z)| = |P(z)| on the circle
-    return np.asarray(poly)
+    return TaylorSeries(poly).coefficients  # the same checks as a series
+
+
+def _circle_peak(coeffs: np.ndarray, m: int) -> float:
+    """max |DFT_m(coeffs)|: the largest |P| over m equispaced points of the unit circle.
+
+    Real coefficients take a real-input FFT: P(e^{-i theta}) is the conjugate
+    of P(e^{i theta}), so the half spectrum it returns holds the same maximum.
+    Complex coefficients take the full transform.
+    """
+    transform = np.fft.fft if np.iscomplexobj(coeffs) else np.fft.rfft
+    return float(np.max(np.abs(transform(coeffs, m))))
 
 
 def sup_norm(poly) -> float:
-    """Max of |P| over 8 (degree + 1) equispaced points on the unit circle."""
+    """Max of |P| over 8 (degree + 1) equispaced points on the unit circle.
+
+    Real coefficients take a real-input FFT (the same maximum, by conjugate
+    symmetry), complex ones the full transform.  Raw arrays must be nonempty,
+    finite and 1-d, as for `TaylorSeries`.
+    """
     coeffs = _as_coefficients(poly)
-    return float(np.max(np.abs(np.fft.fft(coeffs, 8 * len(coeffs)))))
+    return _circle_peak(coeffs, 8 * len(coeffs))
 
 
 def hardy_norm(poly, p: float) -> float:
-    """Circle-average norm: p = 2 exactly from coefficients, p = 1 by quadrature."""
+    """Circle-average norm: p = 2 exactly from coefficients, p = 1 by quadrature on the full FFT."""
     coeffs = _as_coefficients(poly)
     if p == 2:
         return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))

@@ -102,6 +102,51 @@ class TestNormDirect:
         assert est.resolution["angles"] == 256
         assert est.value == pytest.approx(old, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "degree, seed, depth, weight, old, angles",
+        [
+            (4096, 7, 14, "power_0.5", 2897.3896330058283, 32768),
+            (4096, 7, 14, "power_1", 67.52644442332198, 32768),
+            (4096, 7, 14, "power_2", 1.155863051892081, 32768),
+            (4096, 7, 14, "power_log_1_1", 556.279723824757, 32768),
+            (4096, 7, 15, "power_0.5", 2897.3896330058283, 32768),
+            (4096, 7, 15, "power_1", 67.52644442332198, 32768),
+            (4096, 7, 15, "power_2", 1.155863051892081, 32768),
+            (4096, 7, 15, "power_log_1_1", 556.279723824757, 32768),
+            (8192, 0, 14, "power_0.5", 6384.460905372146, 65536),
+            (8192, 0, 14, "power_1", 105.16727656267477, 65536),
+            (8192, 0, 14, "power_2", 1.405457400618899, 65536),
+            (8192, 0, 14, "power_log_1_1", 938.0825289273794, 65536),
+            (8192, 0, 15, "power_0.5", 6384.460905372146, 65536),
+            (8192, 0, 15, "power_1", 105.16727656267477, 65536),
+            (8192, 0, 15, "power_2", 1.405457400618899, 65536),
+            (8192, 0, 15, "power_log_1_1", 938.0825289273794, 65536),
+        ],
+    )
+    def test_signed_values_are_pinned(self, degree, seed, depth, weight, old, angles):
+        # `old` is the value of the full complex FFT on every rung; real
+        # coefficients now take a real-input FFT with the same maximum.
+        (_, f), = random_signed_polynomials(1, degree, seed)
+        est = norm_direct(f, builtin_weights()[weight], radial_depth=depth)
+        assert est.resolution["angles"] == angles
+        assert est.value == pytest.approx(old, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weight, old",
+        [
+            ("power_0.5", 463.35369793436803),
+            ("power_1", 40.24674354721872),
+            ("power_2", 3.7681281046707173),
+            ("power_log_1_1", 222.431556484216),
+        ],
+    )
+    def test_complex_values_are_pinned(self, weight, old):
+        rng = np.random.default_rng(20261019)
+        f = TaylorSeries(rng.standard_normal(301) + 1j * rng.standard_normal(301))
+        est = norm_direct(f, builtin_weights()[weight])
+        assert est.resolution["angles"] == 4096
+        assert est.value == pytest.approx(old, rel=1e-12)
+
     def test_estimate_serializes(self):
         est = norm_direct(TaylorSeries([1.0, 2.0]), power_weight(1.0))
         payload = json.loads(json.dumps(est.to_dict()))

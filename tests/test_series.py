@@ -32,6 +32,22 @@ coeff_arrays = hnp.arrays(
 )
 
 
+def _trailing_monomial(size_value):
+    size, value = size_value
+    c = np.zeros(size)
+    c[-1] = value
+    return c
+
+
+_signed = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_subnormal=False)
+# Real vectors for the circle maximum: mixed signs with planted zeros, and
+# vectors whose only nonzero is the last one.
+real_vectors = st.one_of(
+    hnp.arrays(np.float64, st.integers(min_value=1, max_value=300), elements=st.one_of(st.just(0.0), _signed)),
+    st.tuples(st.integers(min_value=1, max_value=300), _signed.filter(bool)).map(_trailing_monomial),
+)
+
+
 class TestTaylorSeries:
     def test_evaluation_matches_horner(self):
         f = TaylorSeries([1.0, 2.0, 3.0])
@@ -237,6 +253,29 @@ class TestPolynomialNorms:
 
     def test_sup_norm_of_binomial(self):
         assert sup_norm(TaylorSeries([1.0, 1.0])) == pytest.approx(2.0, rel=1e-6)
+
+    @given(real_vectors)
+    def test_real_sup_norm_matches_full_transform(self, c):
+        full = np.max(np.abs(np.fft.fft(c, 8 * len(c))))
+        assert sup_norm(c) == pytest.approx(full, rel=1e-13, abs=0.0)
+        assert sup_norm(c) <= np.sum(np.abs(c)) * (1.0 + 1e-13)  # up to rounding
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 1j], [1.0, -1j]])
+    def test_complex_sup_norm_reads_the_whole_circle(self, coeffs):
+        # |1 +- i z| peaks at z = -+i.  numpy's DFT samples P(e^{-i theta}),
+        # so for 1 - i z the peak lies in the half a real transform drops.
+        assert sup_norm(np.array(coeffs)) == 2.0
+        assert sup_norm(TaylorSeries(coeffs)) == 2.0
+
+    @pytest.mark.parametrize(
+        "norm", [sup_norm, lambda c: hardy_norm(c, 1), lambda c: hardy_norm(c, 2)], ids=["sup", "hardy_1", "hardy_2"]
+    )
+    @pytest.mark.parametrize(
+        "bad, message", [([], "nonempty"), ([math.nan, 1.0], "finite"), ([math.inf], "finite")], ids=["empty", "nan", "inf"]
+    )
+    def test_raw_arrays_are_checked(self, norm, bad, message):
+        with pytest.raises(DomainError, match=message):
+            norm(np.array(bad))
 
     def test_hardy_two_norm_is_coefficient_norm(self):
         f = TaylorSeries([3.0, 4.0])

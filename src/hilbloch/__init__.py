@@ -13,12 +13,16 @@ from .bloch import (
     METHOD_DYADIC_BLOCK,
     METHOD_MONOTONE,
     NormEstimate,
+    WeightProfile,
     bloch_norm,
+    coefficient_sum_form,
     growth_envelope_ratio,
+    monotone_form,
     norm_coefficient_sum,
     norm_direct,
     norm_dyadic_blocks,
     norm_monotone,
+    weight_profile,
 )
 from .catalog import (
     atom_ladder,
@@ -98,6 +102,7 @@ from .suites import (
 )
 from .trend import (
     CriterionResult,
+    PreparedLadder,
     VERDICT_BOUNDED,
     VERDICT_INCONCLUSIVE,
     VERDICT_UNBOUNDED,

@@ -11,13 +11,14 @@ verdict on its ladder, so the flag follows from the fitted log-log slope.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import PreconditionError
 from .series import TaylorSeries, _circle_peak, block_polynomial, sup_norm
-from .trend import VERDICT_UNBOUNDED, radius_ladder, summarize_ladder
+from .trend import VERDICT_UNBOUNDED, PreparedLadder, radius_ladder, summarize_ladder
 from .weights import NormalWeight, growth_gauge_from_gaps
 
 METHOD_DIRECT = "direct"
@@ -96,7 +97,7 @@ def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> Nor
         keep = xs <= degree
         if np.count_nonzero(keep) >= 2:
             xs, trend_profile = xs[keep], trend_profile[keep]
-    value = float(np.abs(f(0.0))) + peak
+    value = float(np.abs(f.coefficients[0])) + peak
     return _estimate(METHOD_DIRECT, value, xs, trend_profile, {"radial_depth": radial_depth, "angles": angles})
 
 
@@ -106,29 +107,53 @@ def _require_nonnegative(f: TaylorSeries, who: str) -> np.ndarray:
     return f.coefficients
 
 
-def _coefficient_form(f: TaylorSeries, w: NormalWeight, method: str, form) -> NormEstimate:
+class WeightProfile(NamedTuple):
+    """nu(1 - 1/n) over n = 1..n_max for one weight, with the index ladder prepared for trend fits."""
+
+    ns: np.ndarray
+    nu: np.ndarray
+    ladder: PreparedLadder
+
+
+def weight_profile(w: NormalWeight, n_max: int) -> WeightProfile:
+    """The weight side of the coefficient forms at truncation n_max, shared by every series of that truncation."""
+    ns = np.arange(1, n_max + 1, dtype=float)
+    return WeightProfile(ns, np.asarray(w.value_from_gap(1.0 / ns), dtype=float), PreparedLadder(ns))
+
+
+def _coefficient_form(f: TaylorSeries, profile: WeightProfile, method: str, form) -> NormEstimate:
     """a_0 + max_n q_n with q = form(n, nu(1-1/n), a_n) over n = 1..truncation."""
     a = f.coefficients
     n_max = max(f.truncation, 1)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    nu = np.asarray(w.value_from_gap(1.0 / ns), dtype=float)
-    q = form(ns, nu, a[1 : n_max + 1])
+    if len(profile.ns) != n_max:
+        raise PreconditionError(f"a weight profile to {len(profile.ns)} does not fit a series truncated at {n_max}")
+    q = form(profile.ns, profile.nu, a[1 : n_max + 1])
     value = float(a[0] + np.max(q)) if len(q) else float(a[0])
-    return _estimate(method, value, ns, q, {"n_max": n_max})
+    return _estimate(method, value, profile.ladder, q, {"n_max": n_max})
+
+
+def coefficient_sum_form(f: TaylorSeries, profile: WeightProfile) -> NormEstimate:
+    """norm_coefficient_sum on a weight profile built at f's truncation."""
+    _require_nonnegative(f, "the coefficient-sum estimator")
+    return _coefficient_form(f, profile, METHOD_COEFFICIENT_SUM, lambda ns, nu, a: nu * np.cumsum(a * ns))
+
+
+def monotone_form(f: TaylorSeries, profile: WeightProfile) -> NormEstimate:
+    """norm_monotone on a weight profile built at f's truncation."""
+    a = _require_nonnegative(f, "the monotone estimator")
+    if np.any(np.diff(a) > 1e-15 * (1.0 + np.abs(a[:-1]))):
+        raise PreconditionError("the monotone estimator needs non-increasing coefficients")
+    return _coefficient_form(f, profile, METHOD_MONOTONE, lambda ns, nu, a: ns**2 * nu * a)
 
 
 def norm_coefficient_sum(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
     """a_0 + sup_n nu(1-1/n) * sum_{k<=n} k a_k for nonnegative coefficients, n up to the truncation."""
-    _require_nonnegative(f, "the coefficient-sum estimator")
-    return _coefficient_form(f, w, METHOD_COEFFICIENT_SUM, lambda ns, nu, a: nu * np.cumsum(a * ns))
+    return coefficient_sum_form(f, weight_profile(w, max(f.truncation, 1)))
 
 
 def norm_monotone(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
     """a_0 + sup_n n^2 nu(1-1/n) a_n for nonnegative non-increasing coefficients, n up to the truncation."""
-    a = _require_nonnegative(f, "the monotone estimator")
-    if np.any(np.diff(a) > 1e-15 * (1.0 + np.abs(a[:-1]))):
-        raise PreconditionError("the monotone estimator needs non-increasing coefficients")
-    return _coefficient_form(f, w, METHOD_MONOTONE, lambda ns, nu, a: ns**2 * nu * a)
+    return monotone_form(f, weight_profile(w, max(f.truncation, 1)))
 
 
 def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight) -> NormEstimate:

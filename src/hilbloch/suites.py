@@ -18,6 +18,8 @@ so a wrapper installed on those names (a profiler, a tracer) sees the calls.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bloch import bloch_norm, norm_coefficient_sum, norm_direct, norm_monotone
+from .bloch import bloch_norm, coefficient_sum_form, monotone_form, norm_direct, weight_profile
 from .catalog import (
     atom_ladder,
     monotone_family,
@@ -214,7 +216,9 @@ class Suite(NamedTuple):
     ctx)`` computes one row.  ``case_keys`` maps each option that holds case
     specs to the keys a spec needs and the keys it may add.  Each row builds
     its own measures inside ``compare``; a measure keeps no state between
-    calls, so no row depends on the rows before it.
+    calls, so no row depends on the rows before it.  T3.3's rows of one
+    weight share a weight profile, which depends only on (weight,
+    truncation), so a row reads the same with or without its neighbours.
     """
 
     defaults: dict
@@ -421,10 +425,24 @@ def _norm_suite(estimator_name: str) -> Suite:
     )
 
 
+def _monotone_cases(ctx: dict):
+    """_norm_cases over the monotone family, each row holding its weight's shared profile instead of the weight.
+
+    A weight's profile at the truncation is built inside compare by the first
+    of its rows, so a weight whose ladder fails gives error rows.  Rows come
+    weight by weight, so no two weights' profiles are alive at once.
+    """
+    rows = _norm_cases(ctx, monotone_family(ctx["truncation"]), "monotone series")
+    for weight, group in itertools.groupby(rows, key=lambda row: row[1][0]):
+        profile = functools.cache(functools.partial(weight_profile, weight, ctx["truncation"]))
+        for label, (_, series) in group:
+            yield label, (profile, series)
+
+
 def _compare_monotone(case: Case, ctx: dict) -> CaseResult:
-    weight, series = case.item
-    simple = norm_monotone(series, weight)
-    reference = norm_coefficient_sum(series, weight)
+    profile, series = case.item
+    simple = monotone_form(series, profile())
+    reference = coefficient_sum_form(series, profile())
     in_band = simple.divergent or (1.0 / ctx["band"] <= _safe_ratio(simple.value, reference.value) <= ctx["band"])
     agree = simple.divergent == reference.divergent and in_band
     detail = {"slopes": [simple.slope, reference.slope]}
@@ -872,7 +890,7 @@ _REGISTRY: dict[str, Suite] = {
         scale=lambda s: {**_truncation(s), "band": 50.0},
         report=("truncation", "band"),
         names=("monotone_bound", "coefficient_sum"),
-        cases=lambda ctx: _norm_cases(ctx, monotone_family(ctx["truncation"]), "monotone series"),
+        cases=_monotone_cases,
         compare=_compare_monotone,
     ),
     "P4.1": Suite(

@@ -9,7 +9,9 @@ is what separates slowly divergent (logarithmic) quantities from convergent
 ones on reachable ladders.  The verdict uses the log-log slope; both slopes
 are reported.  Each slope is the centred least-squares slope in closed form,
 sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), with log q centred once
-for both regressors; a window whose x or q is flat reads slope 0.0.
+for both regressors; a window whose x or q is flat reads slope 0.0.  A
+ladder fitted against many quantities is prepared once (``PreparedLadder``):
+its window and x side serve every q that is usable on all its rungs x > 1.
 """
 
 from __future__ import annotations
@@ -49,6 +51,73 @@ class TrendSummary:
     window: int
 
 
+def _regressor(x: np.ndarray):
+    """(x - mean x, its sum of squares), or None where x is flat (its slope reads 0.0)."""
+    if np.ptp(x) == 0.0:
+        return None
+    centred = x - x.mean()
+    return centred, np.sum(centred * centred)
+
+
+def _slope(regressor, y_centred: np.ndarray) -> float:
+    """Least-squares slope sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), or 0.0 where x is flat.
+
+    ``regressor`` is ``_regressor(x)``.  A flat y is the caller's to test:
+    centred, it can be off zero by an ulp.
+    """
+    if regressor is None:
+        return 0.0
+    centred, sum_sq = regressor
+    # np.sum of the products, not np.dot: a BLAS dot splits long vectors by thread count.
+    return float(np.sum(centred * y_centred) / sum_sq)
+
+
+def _deep_window(xs: np.ndarray, mask: np.ndarray):
+    """The rungs of mask with x >= sqrt(max x over mask), or its last two rungs when fewer reach that."""
+    window = mask & (xs >= np.sqrt(np.max(xs, where=mask, initial=-np.inf)))
+    if np.count_nonzero(window) < 2:
+        window = np.nonzero(mask)[0][-2:]
+    return window
+
+
+def _x_side(xs: np.ndarray, window) -> tuple:
+    """The two regressors on a window: log x and log log x."""
+    lx = np.log(xs[window])
+    return _regressor(lx), _regressor(np.log(lx))
+
+
+def _fit(x_side, qs: np.ndarray, window) -> TrendSummary:
+    lq = np.log(qs[window])
+    lq -= lq.mean()
+    if np.ptp(lq) == 0.0:
+        return TrendSummary(0.0, 0.0, len(lq))
+    return TrendSummary(_slope(x_side[0], lq), _slope(x_side[1], lq), len(lq))
+
+
+class PreparedLadder:
+    """A ladder's x side, fitted once for every q that is finite and positive on all rungs x > 1.
+
+    Such a q has the usable mask x > 1, so it shares one window and one pair
+    of centred regressors with their sums of squares.  ``trend_slopes`` and
+    ``summarize_ladder`` take a prepared ladder in place of its ``xs`` and
+    give the same bits as on ``xs``; a q usable on fewer rungs takes the
+    plain path.
+    """
+
+    def __init__(self, xs):
+        self.xs = np.asarray(xs, dtype=float)
+        self.rungs = self.xs > 1.0
+        # Fewer than two rungs x > 1 leave nothing to prepare: every q takes the plain path.
+        self.window = _deep_window(self.xs, self.rungs) if np.count_nonzero(self.rungs) >= 2 else None
+        self.x_side = None if self.window is None else _x_side(self.xs, self.window)
+
+
+def _unpack(xs) -> tuple[np.ndarray, PreparedLadder | None]:
+    if isinstance(xs, PreparedLadder):
+        return xs.xs, xs
+    return np.asarray(xs, dtype=float), None
+
+
 def trend_slopes(xs, qs) -> TrendSummary:
     """Least-squares growth slopes of q over the deepest half of the ladder.
 
@@ -56,40 +125,27 @@ def trend_slopes(xs, qs) -> TrendSummary:
     small-x rungs cannot crowd out the asymptotic regime.  Non-positive or
     non-finite entries are excluded before the window is cut; an infinite
     positive quantity short-circuits to an infinite slope.  A deep half of
-    fewer than two rungs falls back to the last two usable rungs.
+    fewer than two rungs falls back to the last two usable rungs.  ``xs`` is
+    an array or a ``PreparedLadder``.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs, prepared = _unpack(xs)
     qs = np.asarray(qs, dtype=float)
-    if np.any(np.isinf(qs) & (qs > 0)):
+    return _trend(xs, prepared, qs, np.isfinite(qs))
+
+
+def _trend(xs, prepared, qs, finite) -> TrendSummary:
+    """trend_slopes given the finiteness scan of qs."""
+    if not finite.all() and np.any(qs[~finite] > 0):
         return TrendSummary(np.inf, np.inf, 0)
-    mask = np.isfinite(qs) & (qs > 0) & (xs > 1.0)
+    # A NaN or -inf on a rung x > 1 fails the test too: min gives NaN or -inf.
+    if prepared is not None and prepared.window is not None and np.min(qs, where=prepared.rungs, initial=np.inf) > 0.0:
+        return _fit(prepared.x_side, qs, prepared.window)
+    mask = finite & (qs > 0) & (xs > 1.0)
     usable = int(np.count_nonzero(mask))
     if usable < 2:
         return TrendSummary(0.0, 0.0, usable)
-    window = mask & (xs >= np.sqrt(np.max(xs, where=mask, initial=-np.inf)))
-    if np.count_nonzero(window) < 2:
-        window = np.nonzero(mask)[0][-2:]
-    lx = np.log(xs[window])
-    lq = np.log(qs[window])
-    lq -= lq.mean()
-    if np.ptp(lq) == 0.0:
-        return TrendSummary(0.0, 0.0, len(lq))
-    return TrendSummary(_slope(lx, lq), _slope(np.log(lx), lq), len(lq))
-
-
-def _slope(x: np.ndarray, y_centred: np.ndarray) -> float:
-    """Least-squares slope sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), or 0.0 where x is flat.
-
-    A flat y is the caller's to test: centred, it can be off zero by an ulp.
-    """
-    if np.ptp(x) == 0.0:
-        return 0.0
-    x_centred = x - x.mean()
-    # np.sum of the products, not np.dot: a BLAS dot splits long vectors by thread count.
-    products = np.multiply(x_centred, y_centred)
-    cross = np.sum(products)
-    np.multiply(x_centred, x_centred, out=products)
-    return float(cross / np.sum(products))
+    window = _deep_window(xs, mask)
+    return _fit(_x_side(xs, window), qs, window)
 
 
 def verdict_from_trend(trend: TrendSummary) -> str:
@@ -119,22 +175,23 @@ class CriterionResult:
 def summarize_ladder(xs, qs, quantity: str, details: dict | None = None) -> CriterionResult:
     """Build a CriterionResult from ladder samples of a quantity.
 
-    A sample of +-inf reads as unbounded; a NaN sample is no reading at all and
-    raises NumericsError.
+    ``xs`` is an array or a ``PreparedLadder``.  A sample of +-inf reads as
+    unbounded; a NaN sample is no reading at all and raises NumericsError.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs, prepared = _unpack(xs)
     qs = np.asarray(qs, dtype=float)
-    if np.isnan(qs).any():
-        raise NumericsError(f"ladder of {quantity} has a NaN sample")
-    trend = trend_slopes(xs, qs)
-    verdict = verdict_from_trend(trend)
     finite = np.isfinite(qs)
+    all_finite = bool(finite.all())
+    if not all_finite and np.isnan(qs[~finite]).any():
+        raise NumericsError(f"ladder of {quantity} has a NaN sample")
+    trend = _trend(xs, prepared, qs, finite)
+    verdict = verdict_from_trend(trend)
     if np.any(finite):
-        i = int(np.argmax(np.where(finite, qs, -np.inf)))
+        i = int(np.argmax(qs if all_finite else np.where(finite, qs, -np.inf)))
         sup_value, attained_at = float(qs[i]), float(xs[i])
     else:
         sup_value, attained_at = np.inf, float(xs[-1])
-    if np.any(~finite):
+    if not all_finite:
         verdict = VERDICT_UNBOUNDED
         sup_value = np.inf
     return CriterionResult(

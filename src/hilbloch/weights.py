@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericsError, require_number
 from .quadrature import integrate_radial, integrate_segments, integrate_tail
-from .trend import _slope
+from .trend import _regressor, _slope
 
 # Dyadic grid depth and ceiling used when validating normality.
 NORMALITY_GRID_DEPTH = 20
@@ -421,7 +421,7 @@ def laplace_tail_sweep(w: NormalWeight, deltas: Sequence[float]) -> LaplaceTailR
     spread = float(np.max(values) / np.min(values))
     log_values = np.log(values)
     log_values -= log_values.mean()
-    slope = 0.0 if np.ptp(log_values) == 0.0 else _slope(np.log(1.0 / deltas), log_values)
+    slope = 0.0 if np.ptp(log_values) == 0.0 else _slope(_regressor(np.log(1.0 / deltas)), log_values)
     return LaplaceTailReport(deltas, values, spread, slope)
 
 

@@ -13,11 +13,14 @@ from hilbloch.bloch import (
     METHOD_DYADIC_BLOCK,
     METHOD_MONOTONE,
     bloch_norm,
+    coefficient_sum_form,
     growth_envelope_ratio,
+    monotone_form,
     norm_coefficient_sum,
     norm_direct,
     norm_dyadic_blocks,
     norm_monotone,
+    weight_profile,
 )
 from hilbloch.catalog import builtin_weights, monotone_family, random_signed_polynomials, series_catalog
 from hilbloch.errors import PreconditionError
@@ -213,6 +216,21 @@ class TestMonotone:
                 a = norm_monotone(f, w)
                 b = norm_coefficient_sum(f, w)
                 assert a.divergent == b.divergent, f"{wname}|{fname}"
+
+
+class TestWeightProfile:
+    @pytest.mark.parametrize("form", [monotone_form, coefficient_sum_form])
+    def test_a_profile_of_another_truncation_is_refused(self, form):
+        f = monotone_family(2**8)["harmonic_shift"]
+        with pytest.raises(PreconditionError, match="truncated at 256"):
+            form(f, weight_profile(power_weight(1.0), 2**9))
+
+    def test_one_profile_serves_both_forms_and_every_series(self):
+        w = builtin_weights()["power_log_1_1"]
+        profile = weight_profile(w, 2**10)
+        for f in monotone_family(2**10).values():
+            assert monotone_form(f, profile) == norm_monotone(f, w)
+            assert coefficient_sum_form(f, profile) == norm_coefficient_sum(f, w)
 
 
 class TestDyadicBlocks:

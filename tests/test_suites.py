@@ -6,10 +6,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hilbloch import suites
-from hilbloch.errors import DomainError
+from hilbloch.catalog import resolve_weight
+from hilbloch.errors import DomainError, NumericsError
 from hilbloch.reports import emit_report, render_csv, render_json, render_markdown, write_report
 from hilbloch.suites import (
     CONFIG_VERSION,
@@ -21,6 +23,7 @@ from hilbloch.suites import (
     list_suites,
     run_suite,
 )
+from hilbloch.weights import NormalWeight
 
 ALL_SUITES = [
     "L2.1",
@@ -266,6 +269,63 @@ class TestRunSuite:
                 rep["wall_time"] = 0.0
             outputs.append((doc, digest))
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def monotone_rows():
+    """T3.3's default rows at resolution scale 2, as JSON text by label."""
+    report = run_suite(ExperimentConfig(suite="T3.3", resolution_scale=2.0))
+    return {case.label: json.dumps(case.to_dict()) for case in report.cases}
+
+
+class TestSharedWeightProfile:
+    def test_each_weight_ladder_is_evaluated_once(self, monkeypatch, monotone_rows):
+        sizes = []
+        value_from_gap = NormalWeight.value_from_gap
+
+        def counting(self, gap):
+            sizes.append(np.size(gap))
+            return value_from_gap(self, gap)
+
+        monkeypatch.setattr(NormalWeight, "value_from_gap", counting)
+        report = run_suite(ExperimentConfig(suite="T3.3", resolution_scale=2.0))
+        assert report.resolution["truncation"] == 2**16
+        assert sizes.count(2**16) == 4  # one per weight, not one per (weight, function, form)
+        assert {case.label: json.dumps(case.to_dict()) for case in report.cases} == monotone_rows
+
+    @pytest.mark.parametrize(
+        "weight, function",
+        [("power_0.5", "ones"), ("power_2", "geometric"), ("power_log_1_1", "log_damped_shift")],
+    )
+    def test_one_row_alone_reads_as_in_the_full_run(self, weight, function, monotone_rows):
+        options = {"weights": [weight], "functions": [function]}
+        report = run_suite(ExperimentConfig(suite="T3.3", resolution_scale=2.0, options=options))
+        assert [json.dumps(case.to_dict()) for case in report.cases] == [monotone_rows[f"{weight}|{function}"]]
+
+    def test_a_weight_whose_ladder_fails_gives_error_rows(self, monkeypatch, monotone_rows):
+        def resolve(name):
+            weight = resolve_weight(name)
+            if name == "power_1":
+
+                def failing(gap):
+                    raise NumericsError("ladder failed")
+
+                weight.value_from_gap = failing
+            return weight
+
+        monkeypatch.setattr(suites, "resolve_weight", resolve)
+        report = run_suite(ExperimentConfig(suite="T3.3", resolution_scale=2.0))
+        rows = {case.label: case for case in report.cases}
+        assert list(rows) == list(monotone_rows)
+        failed = [label for label in rows if label.startswith("power_1|")]
+        assert len(failed) == 6
+        for label in failed:
+            case = rows[label]
+            assert (case.left_verdict, case.right_verdict, case.agree) == (FLAG_ERROR, FLAG_ERROR, False)
+            assert case.detail == {"error": "NumericsError: ladder failed"}
+        assert {label: json.dumps(case.to_dict()) for label, case in rows.items() if label not in failed} == {
+            label: row for label, row in monotone_rows.items() if label not in failed
+        }
 
 
 @pytest.fixture(scope="module")

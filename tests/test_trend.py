@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hilbloch.catalog import monotone_family
 from hilbloch.errors import NumericsError
+from hilbloch import trend
+from hilbloch.bloch import weight_profile
+from hilbloch.catalog import resolve_weight
 from hilbloch.trend import (
     BOUNDED_MAX_SLOPE,
     UNBOUNDED_MIN_SLOPE,
@@ -16,6 +19,7 @@ from hilbloch.trend import (
     VERDICT_INCONCLUSIVE,
     VERDICT_UNBOUNDED,
     CriterionResult,
+    PreparedLadder,
     TrendSummary,
     index_ladder,
     radius_ladder,
@@ -214,6 +218,104 @@ class TestMaskedWindow:
         nu = power_weight(1.0).value_from_gap(1.0 / ns)
         for qs in (ns**2 * nu * a, nu * np.cumsum(a * ns)):
             assert trend_slopes(ns, qs) == gathered_trend_slopes(ns, qs)
+
+
+def _summary(xs, qs):
+    """summarize_ladder's result, or the type and message of what it raises (NaN samples, empty ladders)."""
+    try:
+        return summarize_ladder(xs, qs, quantity="q")
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_prepared_matches(xs, qs):
+    """A prepared ladder gives == slopes, sup, attained rung and verdict to the plain array."""
+    prepared = PreparedLadder(xs)
+    assert trend_slopes(prepared, qs) == trend_slopes(xs, qs)
+    assert _summary(prepared, qs) == _summary(xs, qs)
+
+
+class TestPreparedLadder:
+    @settings(max_examples=400)
+    @given(
+        rungs=st.lists(st.tuples(_RUNG_X, _RUNG_Q), max_size=200),
+        order=st.sampled_from(["drawn", "sorted", "reversed"]),
+        flat=st.sampled_from([None, 7.3, 0.1]),
+        usable=st.sampled_from(["drawn", "finite", "everywhere"]),
+    )
+    def test_drawn_ladders_match_the_plain_path(self, rungs, order, flat, usable):
+        xs = np.array([x for x, _ in rungs], dtype=float)
+        qs = np.array([q for _, q in rungs], dtype=float)
+        if usable != "drawn":
+            qs[np.isinf(qs) & (qs > 0)] = 3.0
+        if usable == "everywhere":
+            # Usable on every rung x > 1, so the prepared window applies.
+            qs[(xs > 1.0) & ~(np.isfinite(qs) & (qs > 0))] = 0.5
+        if flat is not None:
+            qs[np.isfinite(qs) & (qs > 0)] = flat
+        if order != "drawn":
+            keep = np.argsort(xs, kind="stable")
+            xs, qs = xs[keep], qs[keep]
+            if order == "reversed":
+                xs, qs = xs[::-1], qs[::-1]
+        assert_prepared_matches(xs, qs)
+
+    @given(
+        rungs=st.integers(min_value=2, max_value=3000),
+        span=st.floats(min_value=0.5, max_value=30.0),
+        p=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+        bad=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), _RUNG_X, _RUNG_Q), max_size=20),
+        shuffle=st.booleans(),
+    )
+    def test_noisy_ladders_match_the_plain_path(self, rungs, span, p, seed, bad, shuffle):
+        rng = np.random.default_rng(seed)
+        xs = 0.5 * np.exp(np.linspace(0.0, span, rungs))
+        qs = xs**p * np.exp(rng.normal(0.0, 0.3, rungs))
+        assert_prepared_matches(xs, qs)
+        for where, x, q in bad:
+            i = min(int(where * rungs), rungs - 1)
+            xs[i], qs[i] = x, q
+        if shuffle:
+            keep = rng.permutation(rungs)
+            xs, qs = xs[keep], qs[keep]
+        assert_prepared_matches(xs, qs)
+
+    @pytest.mark.parametrize(
+        "xs, qs",
+        [
+            ([2.0, 1e6], [1.0, 5.0]),  # two-point fallback in the prepared window
+            ([3.0, 0.5, 1e6, 2.0], [1.0, 9.0, 5.0, 4.0]),  # unsorted, a rung x <= 1 outside the window
+            ([2.0, 4.0, 8.0, 16.0], [7.3, 7.3, 7.3, 7.3]),  # flat q
+            ([16.0, 16.0, 16.0], [1.0, 2.0, 3.0]),  # flat x
+            ([0.5, 1.0, 4.0], [1.0, 2.0, 3.0]),  # one rung x > 1: nothing to prepare
+            ([0.5, 2.0, 4.0], [math.inf, 2.0, 3.0]),  # +inf on a rung x <= 1
+            ([0.5, 2.0, 4.0], [-math.inf, 2.0, 3.0]),  # -inf on a rung x <= 1
+            ([], []),
+        ],
+    )
+    def test_edge_ladders_match_the_plain_path(self, xs, qs):
+        assert_prepared_matches(xs, qs)
+
+    @pytest.mark.parametrize("weight", ["power_0.5", "power_1", "power_2", "power_log_1_1"])
+    def test_monotone_index_ladders_match_the_plain_path(self, weight, monkeypatch):
+        # T3.3 at resolution scale 2: both coefficient forms of the 6 monotone
+        # functions over n = 1..2^16.  Only geometric's monotone form, whose
+        # a_n underflow to zero past n = 1074, refits its x side.
+        profile = weight_profile(resolve_weight(weight), 2**16)
+        calls = []
+        x_side = trend._x_side
+        monkeypatch.setattr(trend, "_x_side", lambda *args: calls.append(1) or x_side(*args))
+        refitted = set()
+        for name, f in monotone_family(2**16).items():
+            a = f.coefficients[1:]
+            for form, qs in (("monotone", profile.ns**2 * profile.nu * a), ("sum", profile.nu * np.cumsum(a * profile.ns))):
+                before = len(calls)
+                assert trend_slopes(profile.ladder, qs) == trend_slopes(profile.ns, qs)
+                assert summarize_ladder(profile.ladder, qs, "q") == summarize_ladder(profile.ns, qs, "q")
+                if len(calls) > before + 2:
+                    refitted.add((name, form))
+        assert refitted == {("geometric", "monotone")}
 
 
 class TestVerdicts:

@@ -15,7 +15,9 @@ from .bloch import (
     NormEstimate,
     WeightProfile,
     bloch_norm,
+    block_peaks,
     coefficient_sum_form,
+    dyadic_block_form,
     growth_envelope_ratio,
     monotone_form,
     norm_coefficient_sum,

@@ -6,6 +6,11 @@ coefficient prefix-sum bound for nonnegative coefficients, a simplified bound
 for monotone coefficients, and a smooth dyadic-block bound.  Each returns a
 NormEstimate carrying its resolution and a divergence flag: the shared trend
 verdict on its ladder, so the flag follows from the fitted log-log slope.
+
+The dyadic-block bound takes two steps: the weight-free block peaks of a
+series (`block_peaks`), then the weighted supremum (`dyadic_block_form`), so
+the peaks of one series serve every weight.  The coefficient forms split the
+other way, sharing one weight profile between series.
 """
 
 from __future__ import annotations
@@ -58,8 +63,7 @@ def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> Nor
     """
     df = f.derivative()
     radii = np.concatenate([[0.0], radius_ladder(radial_depth)])
-    nonzero = np.nonzero(np.abs(f.coefficients) > 0.0)[0]
-    degree = int(nonzero[-1]) if len(nonzero) else 0
+    degree = f.degree
 
     if f.has_nonnegative_coefficients:
         angles = 1
@@ -78,7 +82,8 @@ def norm_direct(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> Nor
     best = int(np.argmax(profile))
     peak = float(profile[best])
 
-    if len(radii) > 1:
+    # With f' = 0 the profile is 0 at every radius, so there is nothing to polish.
+    if degree and len(radii) > 1:
         lo = radii[best - 1] if best > 0 else 0.0
         hi = radii[best + 1] if best + 1 < len(radii) else 1.0 - 2.0 ** -(radial_depth + 1)
         if hi > lo:
@@ -156,22 +161,36 @@ def norm_monotone(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
     return monotone_form(f, weight_profile(w, max(f.truncation, 1)))
 
 
-def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
-    """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over blocks n <= depth, the fewest covering the truncation.
+def block_peaks(f: TaylorSeries) -> np.ndarray:
+    """|block_n * f|_inf for blocks n <= depth, the fewest covering the truncation; the weight-free step.
 
     A block whose support [2^(n-1), 2^(n+1)) ([0, 2) for n = 0) holds no
-    nonzero coefficient of f has the zero product, so it is not built.
+    nonzero coefficient of f has the zero product, so it is not built and
+    its peak is 0.
     """
     depth = max(f.truncation.bit_length() - 1, 0)
     a = f.coefficients
-    terms = []
-    for n in range(depth + 1):
-        nu = float(w.value_from_gap(2.0**-n)) if n else 1.0
-        peak = sup_norm(block_polynomial(n).hadamard(f)) if np.any(a[(1 << n) >> 1 : 2 << n]) else 0.0
-        terms.append(nu * 2.0**n * peak)
-    qs = np.asarray(terms)
+    return np.array(
+        [sup_norm(block_polynomial(n).hadamard(f)) if np.any(a[(1 << n) >> 1 : 2 << n]) else 0.0 for n in range(depth + 1)]
+    )
+
+
+def dyadic_block_form(peaks: np.ndarray, w: NormalWeight) -> NormEstimate:
+    """sup_n nu(1-2^{-n}) 2^n peaks[n] with its trend verdict: the weighted step of norm_dyadic_blocks."""
+    depth = len(peaks) - 1
+    qs = np.array([(float(w.value_from_gap(2.0**-n)) if n else 1.0) * 2.0**n * peak for n, peak in enumerate(peaks)])
     xs = 2.0 ** np.arange(depth + 1)
     return _estimate(METHOD_DYADIC_BLOCK, float(np.max(qs)), xs, qs, {"depth": depth, "blocks": depth + 1})
+
+
+def norm_dyadic_blocks(f: TaylorSeries, w: NormalWeight) -> NormEstimate:
+    """sup_n nu(1-2^{-n}) 2^n |block_n * f|_inf over blocks n <= depth, the fewest covering the truncation.
+
+    Two steps: the weight-free `block_peaks(f)`, then `dyadic_block_form`,
+    which applies the weight; a caller with several weights runs the first
+    step once.
+    """
+    return dyadic_block_form(block_peaks(f), w)
 
 
 _METHODS = {

@@ -1,5 +1,9 @@
 """Truncated Taylor series and smooth dyadic block polynomials.
 
+A series is immutable: it holds a read-only copy of its coefficients, so the
+evaluation state it prepares once (the last nonzero and the Horner table)
+stays valid for every later call.
+
 The block family W_n is built from a C-infinity cutoff psi: psi = 1 below 1,
 0 above 2, strictly decreasing between.  Block n >= 1 carries coefficients
 phi(k / 2^{n-1}) with phi(s) = psi(s/2) - psi(s) on the dyadic band
@@ -10,8 +14,10 @@ telescope to 1, which is what makes the blocks a partition of a series.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,26 +28,48 @@ _CHUNK_ELEMENTS = 2**16
 
 
 class TaylorSeries:
-    """A polynomial f(z) = sum a_k z^k stored as a dense coefficient vector."""
+    """A polynomial f(z) = sum a_k z^k stored as a dense, read-only coefficient vector.
 
-    __slots__ = ("coefficients",)
+    The constructor copies its input, so the caller's array stays writable.
+    The copy is laid out as the Horner table: zero-padded rows of B, B the
+    power of two nearest sqrt(N).  When the last coefficient is nonzero that
+    is the table `_evaluate` needs, at no second copy; otherwise the first
+    call finds the last nonzero and builds a table cut there.  Later calls
+    reuse it.
+    """
+
+    __slots__ = ("coefficients", "_horner")
 
     def __init__(self, coefficients):
         arr = np.asarray(coefficients)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("coefficients must form a nonempty 1-d array")
         if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
+            arr = arr.astype(float, copy=False)
         if not np.all(np.isfinite(arr)):
             raise DomainError("coefficients must be finite")
-        self.coefficients = arr
+        table = _horner_rows(arr)
+        self.coefficients = table.reshape(-1)[: len(arr)]
+        self._horner = _HornerTable(len(arr), table) if arr[-1] else None
 
     @property
     def truncation(self) -> int:
         return len(self.coefficients) - 1
 
+    @property
+    def degree(self) -> int:
+        """Index of the last nonzero coefficient; 0 for the zero series."""
+        return max(self._prepared().length - 1, 0)
+
+    def _prepared(self) -> "_HornerTable":
+        if self._horner is None:
+            nonzero = np.flatnonzero(self.coefficients)
+            n = int(nonzero[-1]) + 1 if len(nonzero) else 0
+            self._horner = _HornerTable(n, _horner_rows(self.coefficients[:n]))
+        return self._horner
+
     def __call__(self, z):
-        return _evaluate(self.coefficients, z)
+        return _evaluate(self._prepared().table, z)
 
     def derivative(self) -> "TaylorSeries":
         if len(self.coefficients) == 1:
@@ -74,27 +102,42 @@ class TaylorSeries:
         return f"TaylorSeries<N={self.truncation}>"
 
 
-def _evaluate(coeffs: np.ndarray, z):
-    """sum_k coeffs[k] z^k elementwise, with the shape of z (a scalar for a scalar).
+class _HornerTable(NamedTuple):
+    """A series' evaluation state: its `length` coefficients through the last nonzero, in the rows of `table`."""
 
-    The coefficients, cut after the last nonzero, are split into blocks of B.
-    Powers z^0..z^(B-1) come from one cumulative product, every block from one
-    matrix product, and Horner's rule runs across the blocks in z^B, so the
-    Python loop takes about sqrt(N) steps instead of N.  Points are taken in
-    chunks that keep each temporary near 1 MiB.
+    length: int
+    table: np.ndarray
+
+
+def _horner_rows(coeffs: np.ndarray) -> np.ndarray:
+    """A read-only copy of coeffs zero-padded into `count` rows of B, B the power of two nearest sqrt(length).
+
+    `_evaluate` then loops about sqrt(N) times; no coefficients give no rows.
+    """
+    n = len(coeffs)
+    block = 1 << ((n - 1).bit_length() + 1) // 2 if n else 1
+    table = np.zeros((-(-n // block), block), dtype=coeffs.dtype)
+    table.reshape(-1)[:n] = coeffs
+    table.setflags(write=False)
+    return table
+
+
+def _evaluate(table: np.ndarray, z):
+    """sum_k a_k z^k elementwise over a Horner table, with the shape of z (a scalar for a scalar).
+
+    Powers z^0..z^(B-1) come from one cumulative product, every row of the
+    table from one matrix product, and Horner's rule runs across the rows in
+    z^B.  Points are taken in chunks that keep each temporary near 1 MiB.  A
+    single real point runs the row Horner on Python floats: the same multiply
+    then add in the same order, so the same bits, without two ufunc calls a
+    row.
     """
     z = np.asarray(z)
-    dtype = np.result_type(coeffs, z, float)
+    dtype = np.result_type(table, z, float)
     flat = z.astype(dtype, copy=False).reshape(-1)
     out = np.zeros(flat.shape, dtype=dtype)
-    nonzero = np.flatnonzero(coeffs)
-    n = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    if n:
-        block = 1 << ((n - 1).bit_length() + 1) // 2
-        count = -(-n // block)
-        table = np.zeros(count * block, dtype=coeffs.dtype)
-        table[:n] = coeffs[:n]
-        table = table.reshape(count, block)
+    count, block = table.shape
+    if count:
         chunk = max(1, _CHUNK_ELEMENTS // max(block, count))
         for start in range(0, len(flat), chunk):
             x = flat[start : start + chunk]
@@ -104,11 +147,18 @@ def _evaluate(coeffs: np.ndarray, z):
             np.cumprod(powers, axis=0, out=powers)
             blocks = table @ powers
             step = powers[-1] * x
-            acc = blocks[-1]
-            for row in blocks[-2::-1]:
-                acc *= step
-                acc += row
-            out[start : start + chunk] = acc
+            if len(flat) == 1 and dtype == np.float64:
+                rows, step_value = blocks[:, 0].tolist(), float(step[0])
+                value = rows[-1]
+                for row in rows[-2::-1]:
+                    value = value * step_value + row
+                out[0] = value
+            else:
+                acc = blocks[-1]
+                for row in blocks[-2::-1]:
+                    acc *= step
+                    acc += row
+                out[start : start + chunk] = acc
     out = out.reshape(z.shape)
     return out if out.shape else out[()]
 
@@ -197,14 +247,18 @@ class BlockPolynomial:
         return self.values * segment
 
 
+@functools.cache
 def block_polynomial(n: int) -> BlockPolynomial:
+    """Block n, built once per n; its `values` are read-only, so every caller shares them."""
     if n < 0:
         raise DomainError("block index must be nonnegative")
     if n == 0:
-        return BlockPolynomial(0, np.array([1.0, 1.0]))
-    m = 2 ** (n - 1)
-    ks = np.arange(m, 4 * m)
-    return BlockPolynomial(m, phi_cutoff(ks / m))
+        offset, values = 0, np.array([1.0, 1.0])
+    else:
+        offset = 2 ** (n - 1)
+        values = phi_cutoff(np.arange(offset, 4 * offset) / offset)
+    values.setflags(write=False)
+    return BlockPolynomial(offset, values)
 
 
 def reconstruction_defect(f: TaylorSeries, depth: int) -> float:

@@ -27,7 +27,17 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bloch import bloch_norm, coefficient_sum_form, monotone_form, norm_direct, weight_profile
+from .bloch import (
+    METHOD_COEFFICIENT_SUM,
+    METHOD_DYADIC_BLOCK,
+    block_peaks,
+    coefficient_sum_form,
+    dyadic_block_form,
+    monotone_form,
+    norm_coefficient_sum,
+    norm_direct,
+    weight_profile,
+)
 from .catalog import (
     atom_ladder,
     monotone_family,
@@ -397,14 +407,25 @@ def _norm_cases(ctx: dict, catalog: dict, kind: str):
     return cases
 
 
+def _block_estimator(series):
+    """norm_dyadic_blocks of series.pad(n) under a weight, with the weight-free block peaks computed once per n.
+
+    The first row of a function computes its peaks inside compare, so a
+    failure still gives that row's error; the other weights' rows reuse them.
+    Only the peak arrays stay alive, not the padded series.
+    """
+    peaks = functools.cache(lambda n: block_peaks(series.pad(n)))
+    return lambda fn, weight: dyadic_block_form(peaks(fn.truncation), weight)
+
+
 def _compare_norms(case: Case, ctx: dict) -> CaseResult:
     """Direct norm against an estimator at the truncation and at twice it; the ratio must hold still."""
-    weight, series = case.item
+    weight, (series, estimator) = case.item
     ratios = []
     for n, depth in ((ctx["truncation"], ctx["exponent"] + 2), (2 * ctx["truncation"], ctx["exponent"] + 3)):
         fn = series.pad(n)
         direct = norm_direct(fn, weight, radial_depth=depth)
-        estimate = bloch_norm(fn, weight, method=case.right_name)
+        estimate = estimator(fn, weight)
         ratios.append(_safe_ratio(direct.value, estimate.value))
     drift = abs(ratios[1] - ratios[0]) / abs(ratios[0])
     in_band = 1.0 / ctx["band"] <= ratios[1] <= ctx["band"]
@@ -413,14 +434,23 @@ def _compare_norms(case: Case, ctx: dict) -> CaseResult:
     return case.result(direct.value, estimate.value, _flag(direct.divergent), _flag(estimate.divergent), agree, detail)
 
 
-def _norm_suite(estimator_name: str) -> Suite:
-    """L2.1 and T3.1: the direct norm against one coefficient-side estimator."""
+def _norm_suite(estimator_name: str, estimator_for: Callable) -> Suite:
+    """L2.1 and T3.1: the direct norm against one coefficient-side estimator.
+
+    ``estimator_for(series)`` gives the estimator of that series' rows, a
+    function of (padded series, weight).
+    """
+
+    def cases(ctx: dict):
+        catalog = series_catalog(2 * ctx["truncation"])
+        return _norm_cases(ctx, {name: (f, estimator_for(f)) for name, f in catalog.items()}, "series name")
+
     return Suite(
         defaults={"weights": _NORM_WEIGHTS, "functions": _NORM_FUNCTIONS},
         scale=lambda s: {**_truncation(s), "band": 50.0, "drift_cap": 0.2},
         report=("truncation", "band", "drift_cap"),
         names=("direct_norm", estimator_name),
-        cases=lambda ctx: _norm_cases(ctx, series_catalog(2 * ctx["truncation"]), "series name"),
+        cases=cases,
         compare=_compare_norms,
     )
 
@@ -545,10 +575,16 @@ def _compare_reweight(case: Case, ctx: dict) -> CaseResult:
 def _witness_values(weight: NormalWeight, gap_target: float):
     """Antiderivative of the comparison series, evaluated sparsely.
 
-    Levels are added until the solved radii reach gap_target, so the witness
-    keeps growing through every atom the suite places.
+    The level count is the first rung of 8, 14, ..., 62 whose deepest radius
+    reaches gap_target, so the witness keeps growing through every atom the
+    suite places.  Level s solves nu(r_s) = 2^-s, so the rung is read off
+    nu(1 - gap_target); the loop adds levels only if the solved radius still
+    falls short, and builds the series once when it does not.
     """
+    nu_target = float(weight.value_from_gap(gap_target))
     levels = 8
+    while levels < 58 and 2.0**-levels > nu_target:
+        levels += 6
     while True:
         ext = build_extremal(weight, levels)
         if 1.0 - ext.radii[-1] <= gap_target or levels >= 58:
@@ -842,7 +878,7 @@ def _log_suite(defaults: dict, cases: Callable, recorded: dict, case_keys: tuple
 # -- registry -------------------------------------------------------------------
 
 _REGISTRY: dict[str, Suite] = {
-    "L2.1": _norm_suite("dyadic_block"),
+    "L2.1": _norm_suite(METHOD_DYADIC_BLOCK, _block_estimator),
     "L2.2": Suite(
         defaults={"weights": ["power_0.5", "power_1", "power_2", "power_log_1_1", "log_power_1"]},
         scale=lambda s: {"levels": _scaled(10, s, 4, 40), "band_cap": 32.0, "growth_cap": 1.5},
@@ -876,7 +912,7 @@ _REGISTRY: dict[str, Suite] = {
         compare=_compare_reweight,
         case_keys={"cases": (("measure", "beta", "gamma"), ())},
     ),
-    "T3.1": _norm_suite("coefficient_sum"),
+    "T3.1": _norm_suite(METHOD_COEFFICIENT_SUM, lambda f: norm_coefficient_sum),
     "E3.1": Suite(
         defaults={"weights": _NORM_WEIGHTS},
         scale=lambda s: {**_dyadic_depths(s), "growth_cap": 2.0},

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import DomainError, NumericsError
 
 BOUNDED_MAX_SLOPE = 0.05
 UNBOUNDED_MIN_SLOPE = 0.15
@@ -177,9 +177,12 @@ def summarize_ladder(xs, qs, quantity: str, details: dict | None = None) -> Crit
 
     ``xs`` is an array or a ``PreparedLadder``.  A sample of +-inf reads as
     unbounded; a NaN sample is no reading at all and raises NumericsError.
+    An empty ladder has no supremum and raises DomainError.
     """
     xs, prepared = _unpack(xs)
     qs = np.asarray(qs, dtype=float)
+    if len(xs) == 0:
+        raise DomainError(f"ladder of {quantity} has no rungs")
     finite = np.isfinite(qs)
     all_finite = bool(finite.all())
     if not all_finite and np.isnan(qs[~finite]).any():

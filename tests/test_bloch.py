@@ -12,8 +12,11 @@ from hilbloch.bloch import (
     METHOD_DIRECT,
     METHOD_DYADIC_BLOCK,
     METHOD_MONOTONE,
+    NormEstimate,
+    block_peaks,
     bloch_norm,
     coefficient_sum_form,
+    dyadic_block_form,
     growth_envelope_ratio,
     monotone_form,
     norm_coefficient_sum,
@@ -24,7 +27,8 @@ from hilbloch.bloch import (
 )
 from hilbloch.catalog import builtin_weights, monotone_family, random_signed_polynomials, series_catalog
 from hilbloch.errors import PreconditionError
-from hilbloch.series import TaylorSeries
+from hilbloch import bloch
+from hilbloch.series import TaylorSeries, block_polynomial, sup_norm
 from hilbloch.trend import UNBOUNDED_MIN_SLOPE
 from hilbloch.weights import power_weight
 
@@ -326,3 +330,67 @@ class TestDispatchAndEnvelope:
         base = norm_direct(f, w).value
         scaled = norm_direct(TaylorSeries(c * f.coefficients), w).value
         assert scaled == pytest.approx(c * base, rel=1e-9)
+
+
+class TestConstantsSkipThePolish:
+    @pytest.mark.parametrize(
+        "coeffs, angles",
+        [([3.0], 1), ([0.0], 1), ([2.5, 0.0, 0.0], 1), ([-2.5], 256), ([1.0 - 2.0j, 0.0], 256)],
+    )
+    def test_no_search_and_the_same_estimate(self, monkeypatch, coeffs, angles):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the bounded polish ran on f' = 0")
+
+        monkeypatch.setattr(bloch, "minimize_scalar", no_search)
+        est = norm_direct(TaylorSeries(coeffs), power_weight(1.0))
+        expected = NormEstimate(float(np.abs(coeffs[0])), METHOD_DIRECT, {"radial_depth": 12, "angles": angles}, False, 0.0)
+        assert est == expected
+
+    def test_a_nonconstant_series_is_still_polished(self, monkeypatch):
+        calls = []
+        search = bloch.minimize_scalar
+        monkeypatch.setattr(bloch, "minimize_scalar", lambda *a, **k: calls.append(1) or search(*a, **k))
+        est = norm_direct(TaylorSeries([0.0, 0.0, 1.0]), power_weight(1.0))
+        assert calls == [1]
+        assert est.value == pytest.approx(Z2_NORM, rel=1e-9)
+
+
+def _single_loop_dyadic_blocks(f, w):
+    """norm_dyadic_blocks as one loop over blocks, before it split into peaks and a weighted step."""
+    depth = max(f.truncation.bit_length() - 1, 0)
+    a = f.coefficients
+    terms = []
+    for n in range(depth + 1):
+        nu = float(w.value_from_gap(2.0**-n)) if n else 1.0
+        peak = sup_norm(block_polynomial(n).hadamard(f)) if np.any(a[(1 << n) >> 1 : 2 << n]) else 0.0
+        terms.append(nu * 2.0**n * peak)
+    return np.asarray(terms)
+
+
+class TestTwoStepDyadicBlocks:
+    CASES = [
+        *series_catalog(2**9).values(),
+        *(f for _, f in random_signed_polynomials(3, 300, seed=5)),
+        TaylorSeries([0.0, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("weight", NORM_WEIGHTS)
+    def test_peaks_then_weight_is_the_estimator_bitwise(self, weight):
+        w = builtin_weights()[weight]
+        for f in self.CASES:
+            peaks = block_peaks(f)
+            two_step = dyadic_block_form(peaks, w)
+            assert two_step == norm_dyadic_blocks(f, w)
+            assert len(peaks) == two_step.resolution["blocks"]
+            assert two_step.value == float(np.max(_single_loop_dyadic_blocks(f, w)))
+
+    def test_peaks_are_weight_free_block_norms(self):
+        f = series_catalog(2**8)["harmonic"]
+        peaks = block_peaks(f)
+        assert len(peaks) == 9
+        for n, peak in enumerate(peaks):
+            assert peak == sup_norm(block_polynomial(n).hadamard(f))
+
+    def test_empty_blocks_read_zero(self):
+        f = TaylorSeries(np.r_[1.0, np.zeros(62), 1.0])  # 1 + z^63: blocks 1..4 hold no coefficient
+        assert block_peaks(f).tolist()[1:5] == [0.0, 0.0, 0.0, 0.0]

@@ -294,3 +294,156 @@ class TestPolynomialNorms:
             vn = block_polynomial(n).to_series()
             assert hardy_norm(vn, 1) < 4.0
             assert 0.25 <= sup_norm(vn) / 2.0**n <= 4.0
+
+
+def _unprepared_evaluate(coeffs: np.ndarray, z):
+    """The evaluator as it was before series prepared their Horner table, kept verbatim as the reference."""
+    z = np.asarray(z)
+    dtype = np.result_type(coeffs, z, float)
+    flat = z.astype(dtype, copy=False).reshape(-1)
+    out = np.zeros(flat.shape, dtype=dtype)
+    nonzero = np.flatnonzero(coeffs)
+    n = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    if n:
+        block = 1 << ((n - 1).bit_length() + 1) // 2
+        count = -(-n // block)
+        table = np.zeros(count * block, dtype=coeffs.dtype)
+        table[:n] = coeffs[:n]
+        table = table.reshape(count, block)
+        chunk = max(1, 2**16 // max(block, count))
+        for start in range(0, len(flat), chunk):
+            x = flat[start : start + chunk]
+            powers = np.empty((block, len(x)), dtype=dtype)
+            powers[0] = 1.0
+            powers[1:] = x
+            np.cumprod(powers, axis=0, out=powers)
+            blocks = table @ powers
+            step = powers[-1] * x
+            acc = blocks[-1]
+            for row in blocks[-2::-1]:
+                acc *= step
+                acc += row
+            out[start : start + chunk] = acc
+    out = out.reshape(z.shape)
+    return out if out.shape else out[()]
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.result_type(got) == np.result_type(want)
+    assert np.array_equal(got, want)
+
+
+class TestImmutableSeries:
+    def test_coefficients_are_read_only(self):
+        f = TaylorSeries([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            f.coefficients[1] = 5.0
+        with pytest.raises(ValueError):
+            f.coefficients *= 2.0
+        assert f.coefficients.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.complex128])
+    def test_the_callers_array_stays_writable_and_untouched(self, dtype):
+        source = np.array([3, 0, 1, 2], dtype=dtype)
+        f = TaylorSeries(source)
+        assert source.flags.writeable
+        assert not np.shares_memory(source, f.coefficients)
+        source[0] = 7
+        assert f.coefficients[0] == 3 and f(0.0) == 3.0
+
+    def test_derived_series_are_read_only_too(self):
+        f = TaylorSeries(np.arange(1.0, 9.0))
+        for g in (f.derivative(), f.antiderivative(), f.pad(3), f.pad(20), f.hadamard(f)):
+            assert not g.coefficients.flags.writeable
+
+    @pytest.mark.parametrize(
+        "coeffs, degree",
+        [([0.0], 0), ([2.0], 0), ([0.0, 0.0, 0.0], 0), ([1.0, 0.0, -2.0, 0.0, 0.0], 2), ([0.0, 1j], 1), ([-0.0, 3.0, -0.0], 1)],
+    )
+    def test_degree_is_the_last_nonzero(self, coeffs, degree):
+        assert TaylorSeries(coeffs).degree == degree
+
+
+class TestPreparedEvaluation:
+    """Evaluation through the prepared table gives the bits of the unprepared evaluator."""
+
+    dense = np.random.default_rng(11).uniform(-1.0, 1.0, 2**14)
+
+    @pytest.mark.parametrize("z", [0.0, 0.37, -0.81, 1.0 - 2.0**-16, -1.0])
+    def test_real_scalar(self, z):
+        f = TaylorSeries(self.dense)
+        for point in (z, np.float64(z), np.array(z)):
+            _assert_same_bits(f(point), _unprepared_evaluate(self.dense, point))
+
+    def test_one_point_arrays(self):
+        f = TaylorSeries(self.dense)
+        for point in (np.array([0.93]), [0.5], np.array([[0.25]])):
+            _assert_same_bits(f(point), _unprepared_evaluate(self.dense, point))
+
+    @pytest.mark.parametrize("count", [511, 512, 513, 1500])
+    def test_vectors_across_the_chunk_boundary(self, count):
+        # 2^14 coefficients in blocks of 128 take 512 points per chunk.
+        f = TaylorSeries(self.dense)
+        real = np.linspace(-0.999, 0.999, count)
+        circle = 0.999 * np.exp(2j * np.pi * np.arange(count) / count)
+        for z in (real, circle):
+            _assert_same_bits(f(z), _unprepared_evaluate(self.dense, z))
+
+    def test_complex_coefficients_and_points(self):
+        rng = np.random.default_rng(12)
+        coeffs = rng.normal(size=300) + 1j * rng.normal(size=300)
+        f = TaylorSeries(coeffs)
+        for z in (0.8, 0.6 - 0.7j, np.array([0.6 - 0.7j]), np.array([0.1, 0.2 + 0.3j, -0.9j])):
+            _assert_same_bits(f(z), _unprepared_evaluate(coeffs, z))
+        real = TaylorSeries(self.dense[:300])
+        for z in (0.6 - 0.7j, np.array([0.5j])):
+            _assert_same_bits(real(z), _unprepared_evaluate(self.dense[:300], z))
+
+    def test_zero_series(self):
+        coeffs = np.zeros(9)
+        f = TaylorSeries(coeffs)
+        for z in (0.5, np.array([0.5]), np.full((2, 3), 0.5 + 0.5j)):
+            _assert_same_bits(f(z), _unprepared_evaluate(coeffs, z))
+
+    def test_trailing_zeros(self):
+        coeffs = np.zeros(5000)
+        coeffs[:3] = [1.0, -2.0, 3.0]
+        f = TaylorSeries(coeffs)
+        for z in (0.3, np.array([-0.7]), np.array([0.3, -0.7, 0.5 + 0.5j])):
+            _assert_same_bits(f(z), _unprepared_evaluate(coeffs, z))
+
+    def test_the_coefficients_are_their_own_table(self):
+        # A nonzero last coefficient: evaluation reads the coefficient copy, no second one.
+        f = TaylorSeries(self.dense)
+        f(0.5)
+        assert np.shares_memory(f._horner.table, f.coefficients)
+        # Trailing zeros: the table is cut at the last nonzero.
+        g = f.pad(2**15)
+        g(0.5)
+        assert g._horner.length == 2**14 and g._horner.table.size < len(g.coefficients)
+
+    def test_repeated_calls_reuse_the_table(self):
+        f = TaylorSeries(self.dense)
+        first = f(0.5)
+        table = f._horner.table
+        assert f(0.5) == first and f._horner.table is table
+
+    @given(
+        coeffs=coeff_arrays,
+        z=st.floats(min_value=-1.2, max_value=1.2, allow_nan=False),
+    )
+    def test_any_real_point_gives_the_same_bits(self, coeffs, z):
+        f = TaylorSeries(coeffs)
+        _assert_same_bits(f(z), _unprepared_evaluate(coeffs, z))
+        _assert_same_bits(f(np.array([z])), _unprepared_evaluate(coeffs, np.array([z])))
+
+
+class TestSharedBlocks:
+    def test_each_block_is_built_once(self):
+        assert block_polynomial(5) is block_polynomial(5)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_block_values_are_read_only(self, n):
+        with pytest.raises(ValueError):
+            block_polynomial(n).values[0] = 2.0

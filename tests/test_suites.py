@@ -23,7 +23,7 @@ from hilbloch.suites import (
     list_suites,
     run_suite,
 )
-from hilbloch.weights import NormalWeight
+from hilbloch.weights import NormalWeight, build_extremal
 
 ALL_SUITES = [
     "L2.1",
@@ -326,6 +326,95 @@ class TestSharedWeightProfile:
         assert {label: json.dumps(case.to_dict()) for label, case in rows.items() if label not in failed} == {
             label: row for label, row in monotone_rows.items() if label not in failed
         }
+
+
+@pytest.fixture(scope="module")
+def block_rows():
+    """L2.1's default rows at resolution scale 1, as JSON text by label."""
+    report = run_suite(ExperimentConfig(suite="L2.1"))
+    return {case.label: json.dumps(case.to_dict()) for case in report.cases}
+
+
+class TestSharedBlockPeaks:
+    def test_each_function_and_truncation_takes_one_peak_table(self, monkeypatch, block_rows):
+        truncations = []
+        block_peaks = suites.block_peaks
+
+        def counting(f):
+            truncations.append(f.truncation)
+            return block_peaks(f)
+
+        monkeypatch.setattr(suites, "block_peaks", counting)
+        report = run_suite(ExperimentConfig(suite="L2.1"))
+        truncation = report.resolution["truncation"]
+        # Ten functions at two truncations, not once per weight as well.
+        assert sorted(truncations) == [truncation] * 10 + [2 * truncation] * 10
+        assert {case.label: json.dumps(case.to_dict()) for case in report.cases} == block_rows
+
+    @pytest.mark.parametrize("weight", ["power_0.5", "power_1", "power_2", "power_log_1_1"])
+    def test_one_weight_reads_as_in_the_full_run(self, weight, block_rows):
+        report = run_suite(ExperimentConfig(suite="L2.1", options={"weights": [weight]}))
+        rows = {case.label: json.dumps(case.to_dict()) for case in report.cases}
+        assert rows == {label: row for label, row in block_rows.items() if label.startswith(f"{weight}|")}
+
+    def test_failing_peaks_give_error_rows_for_that_function_only(self, monkeypatch, block_rows):
+        block_peaks = suites.block_peaks
+
+        def failing(f):
+            if f.truncation and np.all(f.coefficients == 1.0):  # "ones", at either truncation
+                raise NumericsError("peaks failed")
+            return block_peaks(f)
+
+        monkeypatch.setattr(suites, "block_peaks", failing)
+        report = run_suite(ExperimentConfig(suite="L2.1"))
+        rows = {case.label: case for case in report.cases}
+        failed = sorted(label for label, case in rows.items() if case.detail.get("error"))
+        assert failed == sorted(f"{w}|ones" for w in ("power_0.5", "power_1", "power_2", "power_log_1_1"))
+        assert all(rows[label].detail == {"error": "NumericsError: peaks failed"} for label in failed)
+        assert {label: json.dumps(case.to_dict()) for label, case in rows.items() if label not in failed} == {
+            label: row for label, row in block_rows.items() if label not in failed
+        }
+
+
+def _looped_witness_values(weight, gap_target):
+    """P4.1's witness as first written: extremal series at levels 8, 14, ... until the gap is reached."""
+    levels = 8
+    while True:
+        ext = build_extremal(weight, levels)
+        if 1.0 - ext.radii[-1] <= gap_target or levels >= 58:
+            break
+        levels += 6
+    pairs = ext.coefficient_pairs()
+
+    def values(ts):
+        ts = np.asarray(ts, dtype=float)
+        out = np.ones_like(ts)
+        for exponent, coeff in pairs:
+            out = out + coeff * ts ** (exponent + 1) / (exponent + 1)
+        return out
+
+    return values
+
+
+class TestWitnessLevel:
+    @pytest.mark.parametrize("weight", ["power_0.5", "power_1", "power_2", "power_log_1_1"])
+    @pytest.mark.parametrize("gap_exponent", [6, 10, 22, 30, 44])
+    def test_one_build_and_the_looped_values(self, monkeypatch, weight, gap_exponent):
+        w = resolve_weight(weight)
+        gap_target = 2.0**-gap_exponent
+        levels = []
+        monkeypatch.setattr(suites, "build_extremal", lambda w, n: levels.append(n) or build_extremal(w, n))
+        values = suites._witness_values(w, gap_target)
+        assert len(levels) == 1 and (levels[0] - 8) % 6 == 0
+        ts = np.concatenate([np.linspace(0.0, 0.99, 50), 1.0 - 2.0 ** -np.arange(1.0, gap_exponent + 1)])
+        assert np.array_equal(values(ts), _looped_witness_values(w, gap_target)(ts))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_the_suite_builds_one_series_per_weight(self, monkeypatch, scale):
+        levels = []
+        monkeypatch.setattr(suites, "build_extremal", lambda w, n: levels.append(n) or build_extremal(w, n))
+        report = run_suite(ExperimentConfig(suite="P4.1", resolution_scale=scale))
+        assert len(levels) == sum(case.label.startswith("atom_family|") for case in report.cases) == 3
 
 
 @pytest.fixture(scope="module")

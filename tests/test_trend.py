@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbloch.catalog import monotone_family
-from hilbloch.errors import NumericsError
+from hilbloch.errors import DomainError, HilblochError, NumericsError
 from hilbloch import trend
 from hilbloch.bloch import weight_profile
 from hilbloch.catalog import resolve_weight
@@ -363,6 +363,22 @@ class TestSummarizeLadder:
     def test_nan_entry_is_no_verdict(self):
         with pytest.raises(NumericsError, match="NaN"):
             summarize_ladder(np.array([1.0, 2.0, 4.0]), np.array([1.0, math.nan, 0.5]), quantity="q")
+
+    @pytest.mark.parametrize("xs", [[], np.array([]), PreparedLadder(np.array([]))])
+    def test_empty_ladder_is_rejected(self, xs):
+        with pytest.raises(DomainError, match="no rungs"):
+            summarize_ladder(xs, [], quantity="q")
+        assert issubclass(DomainError, HilblochError)
+
+    def test_empty_ladder_exits_the_cli_with_2(self, monkeypatch, capsys):
+        from hilbloch import bloch
+        from hilbloch.cli import main
+
+        # A radius ladder with no rungs leaves norm_direct only the origin, so its trend ladder is empty.
+        monkeypatch.setattr(bloch, "radius_ladder", lambda depth: np.array([]))
+        assert main(["bloch-norm", "--weight", "power_1", "--series", "affine"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ladder of ladder has no rungs") and "Traceback" not in err
 
     def test_details_round_trip_json(self):
         xs = 2.0 ** np.arange(0, 8)

@@ -1,7 +1,10 @@
 """Built-in named weights, measures, and series shared by suites, probes, demos.
 
-Everything here is deterministic except the signed-polynomial generator,
-which takes an explicit seed.
+Each named family is a table of factories, so a lookup by name (the
+``resolve_*`` functions, the norm suites' rows) builds only that entry; the
+whole-family views (``builtin_weights``, ``series_catalog``, ...) build every
+entry.  Everything here is deterministic except the signed-polynomial
+generator, which takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .weights import (
 DEFAULT_SERIES_TRUNCATION = 2**10
 
 
-# Name -> factory tables: a lookup builds only the named entry.
+# Name -> factory tables, here and for series below: a lookup builds only the named entry.
 _WEIGHT_FACTORIES = {
     "power_0.5": lambda: power_weight(0.5),
     "power_1": lambda: power_weight(1.0),
@@ -81,58 +84,69 @@ def monomial(m: int) -> TaylorSeries:
     return TaylorSeries(coeffs)
 
 
-def _with_zero(values: np.ndarray) -> TaylorSeries:
-    return TaylorSeries(np.concatenate([[0.0], values]))
+def _on_indices(term):
+    """A factory of the series with coefficients term(n) at n = 0..truncation, n as floats."""
+    return lambda truncation: TaylorSeries(term(np.arange(truncation + 1, dtype=float)))
+
+
+def _zero_then(term):
+    """A factory of the series with coefficient 0 at n = 0 and term(k) at k = 1..truncation, k as floats."""
+    return lambda truncation: TaylorSeries(np.concatenate([[0.0], term(np.arange(1, truncation + 1, dtype=float))]))
+
+
+# Series factories take the truncation; the fixed polynomials ignore it.
+_SERIES_FACTORIES = {
+    "constant": lambda truncation: TaylorSeries([1.0]),
+    "affine": lambda truncation: TaylorSeries([1.0, 1.0]),
+    "monomial_8": lambda truncation: monomial(8),
+    "monomial_64": lambda truncation: monomial(64),
+    "geometric": _on_indices(lambda n: 2.0**-n),
+    "ones": lambda truncation: TaylorSeries(np.ones(truncation + 1)),
+    "harmonic": _zero_then(lambda k: 1.0 / k),
+    "inverse_square": _zero_then(lambda k: 1.0 / k**2),
+    "inverse_sqrt": _zero_then(lambda k: k**-0.5),
+    "log_damped": _zero_then(lambda k: 1.0 / (k * np.log(k + 1.0) ** 2)),
+}
+
+_MONOTONE_FACTORIES = {
+    "ones": _SERIES_FACTORIES["ones"],
+    "geometric": _SERIES_FACTORIES["geometric"],
+    "harmonic_shift": _on_indices(lambda n: 1.0 / (n + 1.0)),
+    "inverse_square_shift": _on_indices(lambda n: 1.0 / (n + 1.0) ** 2),
+    "inverse_sqrt_shift": _on_indices(lambda n: (n + 1.0) ** -0.5),
+    "log_damped_shift": _on_indices(lambda n: 1.0 / ((n + 1.0) * np.log(n + 2.0) ** 2)),
+}
 
 
 def series_catalog(n_max: int = DEFAULT_SERIES_TRUNCATION) -> dict[str, TaylorSeries]:
     """Nonnegative-coefficient inputs with graded decay rates."""
-    k = np.arange(1, n_max + 1, dtype=float)
-    return {
-        "constant": TaylorSeries([1.0]),
-        "affine": TaylorSeries([1.0, 1.0]),
-        "monomial_8": monomial(8),
-        "monomial_64": monomial(64),
-        "geometric": TaylorSeries(2.0 ** -np.arange(n_max + 1, dtype=float)),
-        "ones": TaylorSeries(np.ones(n_max + 1)),
-        "harmonic": _with_zero(1.0 / k),
-        "inverse_square": _with_zero(1.0 / k**2),
-        "inverse_sqrt": _with_zero(k**-0.5),
-        "log_damped": _with_zero(1.0 / (k * np.log(k + 1.0) ** 2)),
-    }
+    return {name: make(n_max) for name, make in _SERIES_FACTORIES.items()}
 
 
 def monotone_family(n_max: int = DEFAULT_SERIES_TRUNCATION) -> dict[str, TaylorSeries]:
     """Inputs with non-increasing coefficient sequences (monotone-criterion domain)."""
-    n = np.arange(n_max + 1, dtype=float)
-    return {
-        "ones": TaylorSeries(np.ones(n_max + 1)),
-        "geometric": TaylorSeries(2.0**-n),
-        "harmonic_shift": TaylorSeries(1.0 / (n + 1.0)),
-        "inverse_square_shift": TaylorSeries(1.0 / (n + 1.0) ** 2),
-        "inverse_sqrt_shift": TaylorSeries((n + 1.0) ** -0.5),
-        "log_damped_shift": TaylorSeries(1.0 / ((n + 1.0) * np.log(n + 2.0) ** 2)),
-    }
+    return {name: make(n_max) for name, make in _MONOTONE_FACTORIES.items()}
 
 
 def extremal_antiderivative(w: NormalWeight, truncation: int) -> TaylorSeries:
     """Antiderivative-plus-one of the lacunary extremal series, cut at truncation.
 
-    The series is built through the first level whose gap falls below
-    1/truncation, the level that pad cuts off, so deeper truncations see the
-    same function with more blocks.
+    Level s sits at the exponent floor(1/gap) where nu(1 - gap) = 2^-s.  The
+    first level whose gap falls to 1/truncation, level L = ceil(-log2
+    nu(1 - 1/truncation)), is the first that pad cuts off, so the series is
+    built through level L - 1 (at least one level): every level it holds is
+    kept, and deeper truncations see the same function with more blocks.
     """
-    levels = max(1, math.ceil(-math.log2(w.value_from_gap(1.0 / truncation))))
+    levels = max(1, math.ceil(-math.log2(w.value_from_gap(1.0 / truncation))) - 1)
     return TaylorSeries(build_extremal(w, levels).antiderivative_coefficients()).pad(truncation)
 
 
 def probe_functions(omega: NormalWeight, truncation: int) -> list[tuple[str, TaylorSeries]]:
     """Probe inputs with finite source norms; includes the extremal witness."""
-    k = np.arange(1, truncation + 1, dtype=float)
     return [
         ("constant", TaylorSeries([1.0])),
         ("monomial_1", monomial(1)),
-        ("inverse_square", _with_zero(1.0 / k**2)),
+        ("inverse_square", _SERIES_FACTORIES["inverse_square"](truncation)),
         ("gauge_extremal", extremal_antiderivative(omega, truncation)),
     ]
 
@@ -149,10 +163,11 @@ def random_signed_polynomials(count: int, degree: int, seed: int) -> list[tuple[
 # -- spec resolution --------------------------------------------------------------
 
 
-def _build_named(factories: dict, kind: str, name: str):
+def _build_named(factories: dict, kind: str, name: str, *args):
+    """factories[name](*args), or a DomainError naming the known names."""
     if name not in factories:
         raise DomainError(f"unknown {kind} name {name!r}; known: {sorted(factories)}")
-    return factories[name]()
+    return factories[name](*args)
 
 
 def resolve_weight(spec) -> NormalWeight:
@@ -178,8 +193,5 @@ def resolve_series(spec, truncation: int = DEFAULT_SERIES_TRUNCATION) -> TaylorS
     if isinstance(spec, TaylorSeries):
         return spec
     if isinstance(spec, str):
-        table = series_catalog(truncation)
-        if spec not in table:
-            raise DomainError(f"unknown series name {spec!r}; known: {sorted(table)}")
-        return table[spec]
+        return _build_named(_SERIES_FACTORIES, "series", spec, truncation)
     return series_from_json(spec)

@@ -1,8 +1,8 @@
 """Truncated Taylor series and smooth dyadic block polynomials.
 
-A series is immutable: it holds a read-only copy of its coefficients, so the
-evaluation state it prepares once (the last nonzero and the Horner table)
-stays valid for every later call.
+A series is immutable: its constructor copies the coefficients into one
+read-only buffer that is also its Horner table, so every call evaluates with
+no further preparation.
 
 The block family W_n is built from a C-infinity cutoff psi: psi = 1 below 1,
 0 above 2, strictly decreasing between.  Block n >= 1 carries coefficients
@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,15 +29,17 @@ _CHUNK_ELEMENTS = 2**16
 class TaylorSeries:
     """A polynomial f(z) = sum a_k z^k stored as a dense, read-only coefficient vector.
 
-    The constructor copies its input, so the caller's array stays writable.
-    The copy is laid out as the Horner table: zero-padded rows of B, B the
-    power of two nearest sqrt(N).  When the last coefficient is nonzero that
-    is the table `_evaluate` needs, at no second copy; otherwise the first
-    call finds the last nonzero and builds a table cut there.  Later calls
-    reuse it.
+    The constructor copies its input, so the caller's array stays writable,
+    and prepares evaluation there.  The copy is one read-only buffer of
+    max(N + 1, rows * B) elements: its first N + 1 are `coefficients`, and
+    its first rows * B, reshaped, are the Horner table, zero-padded rows of
+    B, B the power of two nearest the square root of the length through the
+    last nonzero.  Trailing zeros fall in the padding or past the table, so
+    no second copy is made.  `degree` is the index of that last nonzero, 0
+    for the zero series.
     """
 
-    __slots__ = ("coefficients", "_horner")
+    __slots__ = ("coefficients", "degree", "_horner")
 
     def __init__(self, coefficients):
         arr = np.asarray(coefficients)
@@ -48,28 +49,27 @@ class TaylorSeries:
             arr = arr.astype(float, copy=False)
         if not np.all(np.isfinite(arr)):
             raise DomainError("coefficients must be finite")
-        table = _horner_rows(arr)
-        self.coefficients = table.reshape(-1)[: len(arr)]
-        self._horner = _HornerTable(len(arr), table) if arr[-1] else None
+        if arr[-1]:
+            length = len(arr)
+        else:
+            nonzero = np.flatnonzero(arr)
+            length = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        # _evaluate then loops about sqrt(length) times; no nonzero coefficient gives no rows.
+        block = 1 << ((length - 1).bit_length() + 1) // 2 if length else 1
+        rows = -(-length // block)
+        buffer = np.zeros(max(len(arr), rows * block), dtype=arr.dtype)
+        buffer[: len(arr)] = arr
+        buffer.setflags(write=False)
+        self.coefficients = buffer[: len(arr)]
+        self.degree = max(length - 1, 0)
+        self._horner = buffer[: rows * block].reshape(rows, block)
 
     @property
     def truncation(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def degree(self) -> int:
-        """Index of the last nonzero coefficient; 0 for the zero series."""
-        return max(self._prepared().length - 1, 0)
-
-    def _prepared(self) -> "_HornerTable":
-        if self._horner is None:
-            nonzero = np.flatnonzero(self.coefficients)
-            n = int(nonzero[-1]) + 1 if len(nonzero) else 0
-            self._horner = _HornerTable(n, _horner_rows(self.coefficients[:n]))
-        return self._horner
-
     def __call__(self, z):
-        return _evaluate(self._prepared().table, z)
+        return _evaluate(self._horner, z)
 
     def derivative(self) -> "TaylorSeries":
         if len(self.coefficients) == 1:
@@ -100,26 +100,6 @@ class TaylorSeries:
 
     def __repr__(self) -> str:
         return f"TaylorSeries<N={self.truncation}>"
-
-
-class _HornerTable(NamedTuple):
-    """A series' evaluation state: its `length` coefficients through the last nonzero, in the rows of `table`."""
-
-    length: int
-    table: np.ndarray
-
-
-def _horner_rows(coeffs: np.ndarray) -> np.ndarray:
-    """A read-only copy of coeffs zero-padded into `count` rows of B, B the power of two nearest sqrt(length).
-
-    `_evaluate` then loops about sqrt(N) times; no coefficients give no rows.
-    """
-    n = len(coeffs)
-    block = 1 << ((n - 1).bit_length() + 1) // 2 if n else 1
-    table = np.zeros((-(-n // block), block), dtype=coeffs.dtype)
-    table.reshape(-1)[:n] = coeffs
-    table.setflags(write=False)
-    return table
 
 
 def _evaluate(table: np.ndarray, z):

@@ -19,7 +19,6 @@ so a wrapper installed on those names (a profiler, a tracer) sees the calls.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,17 +33,17 @@ from .bloch import (
     coefficient_sum_form,
     dyadic_block_form,
     monotone_form,
-    norm_coefficient_sum,
     norm_direct,
     weight_profile,
 )
 from .catalog import (
+    _MONOTONE_FACTORIES,
+    _SERIES_FACTORIES,
+    _build_named,
     atom_ladder,
-    monotone_family,
     probe_functions,
     resolve_measure,
     resolve_weight,
-    series_catalog,
 )
 from .errors import DomainError, HilblochError, require_number
 from .hilbert_op import (
@@ -226,9 +225,11 @@ class Suite(NamedTuple):
     ctx)`` computes one row.  ``case_keys`` maps each option that holds case
     specs to the keys a spec needs and the keys it may add.  Each row builds
     its own measures inside ``compare``; a measure keeps no state between
-    calls, so no row depends on the rows before it.  T3.3's rows of one
-    weight share a weight profile, which depends only on (weight,
-    truncation), so a row reads the same with or without its neighbours.
+    calls, so no row depends on the rows before it.  The norm suites' rows
+    (L2.1, T3.1, T3.3, see ``_norm_cases``) share each weight's profiles and
+    each function's block peaks, which depend only on (weight, truncation)
+    and (function, truncation), so a row reads the same with or without its
+    neighbours.
     """
 
     defaults: dict
@@ -395,84 +396,62 @@ def _truncation(scale: float) -> dict:
     return {"exponent": exponent, "truncation": 2**exponent}
 
 
-def _norm_cases(ctx: dict, catalog: dict, kind: str):
-    """One row per (weight, function); a weight object is shared by its row of functions."""
-    cases = []
+def _norm_cases(ctx: dict, factories: dict, kind: str, truncation: int):
+    """One row (weight, series, profile, peaks) per (weight, function), weight by weight.
+
+    Only the functions the "functions" option names are built, at
+    truncation.  ``profile(n)`` is the weight's profile at truncation n and
+    ``peaks(n)`` the function's block peaks at n, each built inside compare
+    by the first row that asks, so a failure still gives that row's error,
+    and shared by the rest.  A weight's profiles are dropped with its last
+    row, so no two weights' profiles are alive at once.
+    """
+    series = {name: _build_named(factories, kind, name, truncation) for name in ctx["functions"]}
+    peaks = {name: functools.cache(lambda n, f=f: block_peaks(f.pad(n))) for name, f in series.items()}
     for weight_name in ctx["weights"]:
         weight = resolve_weight(weight_name)
-        for fn_name in ctx["functions"]:
-            if fn_name not in catalog:
-                raise DomainError(f"unknown {kind} {fn_name!r}; known: {sorted(catalog)}")
-            cases.append((f"{_name(weight_name)}|{fn_name}", (weight, catalog[fn_name])))
-    return cases
+        profile = functools.cache(functools.partial(weight_profile, weight))
+        for name in ctx["functions"]:
+            yield f"{_name(weight_name)}|{name}", (weight, series[name], profile, peaks[name])
 
 
-def _block_estimator(series):
-    """norm_dyadic_blocks of series.pad(n) under a weight, with the weight-free block peaks computed once per n.
-
-    The first row of a function computes its peaks inside compare, so a
-    failure still gives that row's error; the other weights' rows reuse them.
-    Only the peak arrays stay alive, not the padded series.
-    """
-    peaks = functools.cache(lambda n: block_peaks(series.pad(n)))
-    return lambda fn, weight: dyadic_block_form(peaks(fn.truncation), weight)
-
-
-def _compare_norms(case: Case, ctx: dict) -> CaseResult:
-    """Direct norm against an estimator at the truncation and at twice it; the ratio must hold still."""
-    weight, (series, estimator) = case.item
-    ratios = []
-    for n, depth in ((ctx["truncation"], ctx["exponent"] + 2), (2 * ctx["truncation"], ctx["exponent"] + 3)):
-        fn = series.pad(n)
-        direct = norm_direct(fn, weight, radial_depth=depth)
-        estimate = estimator(fn, weight)
-        ratios.append(_safe_ratio(direct.value, estimate.value))
-    drift = abs(ratios[1] - ratios[0]) / abs(ratios[0])
-    in_band = 1.0 / ctx["band"] <= ratios[1] <= ctx["band"]
-    agree = direct.divergent == estimate.divergent and in_band and drift <= ctx["drift_cap"]
-    detail = {"base_ratio": ratios[0], "drift": drift, "in_band": in_band}
-    return case.result(direct.value, estimate.value, _flag(direct.divergent), _flag(estimate.divergent), agree, detail)
-
-
-def _norm_suite(estimator_name: str, estimator_for: Callable) -> Suite:
+def _norm_suite(estimator_name: str, estimator: Callable) -> Suite:
     """L2.1 and T3.1: the direct norm against one coefficient-side estimator.
 
-    ``estimator_for(series)`` gives the estimator of that series' rows, a
-    function of (padded series, weight).
+    ``estimator(fn, weight, profile, peaks)`` estimates a row's series padded
+    to fn's truncation.  The ratio of the direct norm to it must hold still
+    from the truncation to twice it.
     """
 
-    def cases(ctx: dict):
-        catalog = series_catalog(2 * ctx["truncation"])
-        return _norm_cases(ctx, {name: (f, estimator_for(f)) for name, f in catalog.items()}, "series name")
+    def compare(case: Case, ctx: dict) -> CaseResult:
+        weight, series, profile, peaks = case.item
+        ratios = []
+        for n, depth in ((ctx["truncation"], ctx["exponent"] + 2), (2 * ctx["truncation"], ctx["exponent"] + 3)):
+            fn = series.pad(n)
+            direct = norm_direct(fn, weight, radial_depth=depth)
+            estimate = estimator(fn, weight, profile, peaks)
+            ratios.append(_safe_ratio(direct.value, estimate.value))
+        drift = abs(ratios[1] - ratios[0]) / abs(ratios[0])
+        in_band = 1.0 / ctx["band"] <= ratios[1] <= ctx["band"]
+        agree = direct.divergent == estimate.divergent and in_band and drift <= ctx["drift_cap"]
+        detail = {"base_ratio": ratios[0], "drift": drift, "in_band": in_band}
+        left, right = _flag(direct.divergent), _flag(estimate.divergent)
+        return case.result(direct.value, estimate.value, left, right, agree, detail)
 
     return Suite(
         defaults={"weights": _NORM_WEIGHTS, "functions": _NORM_FUNCTIONS},
         scale=lambda s: {**_truncation(s), "band": 50.0, "drift_cap": 0.2},
         report=("truncation", "band", "drift_cap"),
         names=("direct_norm", estimator_name),
-        cases=cases,
-        compare=_compare_norms,
+        cases=lambda ctx: _norm_cases(ctx, _SERIES_FACTORIES, "series", 2 * ctx["truncation"]),
+        compare=compare,
     )
 
 
-def _monotone_cases(ctx: dict):
-    """_norm_cases over the monotone family, each row holding its weight's shared profile instead of the weight.
-
-    A weight's profile at the truncation is built inside compare by the first
-    of its rows, so a weight whose ladder fails gives error rows.  Rows come
-    weight by weight, so no two weights' profiles are alive at once.
-    """
-    rows = _norm_cases(ctx, monotone_family(ctx["truncation"]), "monotone series")
-    for weight, group in itertools.groupby(rows, key=lambda row: row[1][0]):
-        profile = functools.cache(functools.partial(weight_profile, weight, ctx["truncation"]))
-        for label, (_, series) in group:
-            yield label, (profile, series)
-
-
 def _compare_monotone(case: Case, ctx: dict) -> CaseResult:
-    profile, series = case.item
-    simple = monotone_form(series, profile())
-    reference = coefficient_sum_form(series, profile())
+    _, series, profile, _ = case.item
+    simple = monotone_form(series, profile(ctx["truncation"]))
+    reference = coefficient_sum_form(series, profile(ctx["truncation"]))
     in_band = simple.divergent or (1.0 / ctx["band"] <= _safe_ratio(simple.value, reference.value) <= ctx["band"])
     agree = simple.divergent == reference.divergent and in_band
     detail = {"slopes": [simple.slope, reference.slope]}
@@ -878,7 +857,9 @@ def _log_suite(defaults: dict, cases: Callable, recorded: dict, case_keys: tuple
 # -- registry -------------------------------------------------------------------
 
 _REGISTRY: dict[str, Suite] = {
-    "L2.1": _norm_suite(METHOD_DYADIC_BLOCK, _block_estimator),
+    "L2.1": _norm_suite(
+        METHOD_DYADIC_BLOCK, lambda fn, weight, profile, peaks: dyadic_block_form(peaks(fn.truncation), weight)
+    ),
     "L2.2": Suite(
         defaults={"weights": ["power_0.5", "power_1", "power_2", "power_log_1_1", "log_power_1"]},
         scale=lambda s: {"levels": _scaled(10, s, 4, 40), "band_cap": 32.0, "growth_cap": 1.5},
@@ -912,7 +893,9 @@ _REGISTRY: dict[str, Suite] = {
         compare=_compare_reweight,
         case_keys={"cases": (("measure", "beta", "gamma"), ())},
     ),
-    "T3.1": _norm_suite(METHOD_COEFFICIENT_SUM, lambda f: norm_coefficient_sum),
+    "T3.1": _norm_suite(
+        METHOD_COEFFICIENT_SUM, lambda fn, weight, profile, peaks: coefficient_sum_form(fn, profile(fn.truncation))
+    ),
     "E3.1": Suite(
         defaults={"weights": _NORM_WEIGHTS},
         scale=lambda s: {**_dyadic_depths(s), "growth_cap": 2.0},
@@ -922,11 +905,11 @@ _REGISTRY: dict[str, Suite] = {
         compare=_compare_dyadic_sum,
     ),
     "T3.3": Suite(
-        defaults={"weights": _NORM_WEIGHTS, "functions": list(monotone_family(1))},
+        defaults={"weights": _NORM_WEIGHTS, "functions": list(_MONOTONE_FACTORIES)},
         scale=lambda s: {**_truncation(s), "band": 50.0},
         report=("truncation", "band"),
         names=("monotone_bound", "coefficient_sum"),
-        cases=_monotone_cases,
+        cases=lambda ctx: _norm_cases(ctx, _MONOTONE_FACTORIES, "monotone series", ctx["truncation"]),
         compare=_compare_monotone,
     ),
     "P4.1": Suite(

@@ -300,6 +300,19 @@ class TestDivergenceFollowsSlope:
         est = estimator(TaylorSeries(coeffs), builtin_weights()[weight])
         assert est.divergent == (est.slope >= UNBOUNDED_MIN_SLOPE)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="norm_direct's trend reads the late jump of z + z^1024 as growth (log-log slopes 4.5 to 7.0)",
+    )
+    @pytest.mark.parametrize("weight", ["power_1", "power_0.5", "power_log_1_1"])
+    def test_direct_norm_reads_a_single_spike_finite(self, weight):
+        # The coefficient-sum and dyadic-block estimators read this polynomial
+        # finite; the direct norm should too.  Its radius ladder keeps rungs with
+        # 1/(1-r) up to the degree, and the spike at 1024 lifts the deepest ones.
+        coeffs = np.zeros(1025)
+        coeffs[[1, 1024]] = 1.0
+        assert not norm_direct(TaylorSeries(coeffs), builtin_weights()[weight]).divergent
+
 
 class TestDispatchAndEnvelope:
     def test_bloch_norm_dispatch(self):

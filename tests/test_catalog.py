@@ -139,6 +139,32 @@ class TestGeneratedFamilies:
         catalog.extremal_antiderivative(power_weight(1.0), truncation)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", sorted(builtin_weights()))
+    def test_extremal_antiderivative_builds_no_level_that_pad_cuts_off(self, monkeypatch, name):
+        # Every built level survives pad(truncation), unless only one is built; with
+        # the level-loop comparison above, the level count is neither one too many
+        # nor one too few.
+        import hilbloch.catalog as catalog
+
+        built = []
+        monkeypatch.setattr(catalog, "build_extremal", lambda w, levels: built.append(build_extremal(w, levels)) or built[-1])
+        w = builtin_weights()[name]
+        kept = 0
+        for e in range(1, 17):
+            for truncation in (2**e, 2**e + 1, 3 * 2 ** (e - 1) + 1):
+                built.clear()
+                try:
+                    f = catalog.extremal_antiderivative(w, truncation)
+                except ConstructionError:
+                    continue
+                (ext,) = built
+                deepest = int(ext.exponents[-1]) + 1
+                assert len(ext.exponents) == 1 or deepest <= truncation, (truncation, len(ext.exponents))
+                if deepest <= truncation:
+                    assert f.coefficients[deepest] == 2.0 ** len(ext.exponents) / deepest
+                    kept += 1
+        assert name == "log_power_-2" or kept
+
     def test_probe_functions_roster(self):
         funcs = probe_functions(power_weight(1.0), truncation=64)
         labels = [name for name, _ in funcs]
@@ -192,8 +218,52 @@ class TestResolvers:
         assert np.allclose(f.coefficients, [1.0, 2.0, 3.0])
 
     def test_unknown_series_rejected(self):
-        with pytest.raises(DomainError, match="geometric"):
+        known = sorted(series_catalog(1))
+        with pytest.raises(DomainError) as err:
             resolve_series("unknown_name")
+        assert str(err.value) == f"unknown series name 'unknown_name'; known: {known}"
+
+    def test_series_name_builds_only_that_series(self, monkeypatch):
+        import hilbloch.catalog as catalog
+
+        built = []
+
+        class Counting(TaylorSeries):
+            def __init__(self, coefficients):
+                built.append(len(coefficients))
+                super().__init__(coefficients)
+
+        monkeypatch.setattr(catalog, "TaylorSeries", Counting)
+        f = resolve_series("harmonic", 2**14)
+        assert built == [2**14 + 1]
+        monkeypatch.undo()
+        want = series_catalog(2**14)["harmonic"]
+        assert f.coefficients.dtype == want.coefficients.dtype and np.array_equal(f.coefficients, want.coefficients)
+
+    @pytest.mark.parametrize("family", [series_catalog, monotone_family])
+    def test_families_are_unchanged(self, family):
+        # The coefficients as each family was first written, bit for bit.
+        n_max = 2**12
+        k = np.arange(1, n_max + 1, dtype=float)
+        n = np.arange(n_max + 1, dtype=float)
+        first = {
+            "constant": [1.0],
+            "affine": [1.0, 1.0],
+            "monomial_8": monomial(8).coefficients,
+            "monomial_64": monomial(64).coefficients,
+            "geometric": 2.0 ** -np.arange(n_max + 1, dtype=float),
+            "ones": np.ones(n_max + 1),
+            "harmonic": np.concatenate([[0.0], 1.0 / k]),
+            "inverse_square": np.concatenate([[0.0], 1.0 / k**2]),
+            "inverse_sqrt": np.concatenate([[0.0], k**-0.5]),
+            "log_damped": np.concatenate([[0.0], 1.0 / (k * np.log(k + 1.0) ** 2)]),
+            "harmonic_shift": 1.0 / (n + 1.0),
+            "inverse_square_shift": 1.0 / (n + 1.0) ** 2,
+            "inverse_sqrt_shift": (n + 1.0) ** -0.5,
+            "log_damped_shift": 1.0 / ((n + 1.0) * np.log(n + 2.0) ** 2),
+        }
+        for name, f in family(n_max).items():
+            assert f.coefficients.tobytes() == np.asarray(first[name], dtype=float).tobytes(), name
 
     def test_default_series_truncation_constant(self):
         assert resolve_series("harmonic").truncation == DEFAULT_SERIES_TRUNCATION

@@ -414,20 +414,30 @@ class TestPreparedEvaluation:
             _assert_same_bits(f(z), _unprepared_evaluate(coeffs, z))
 
     def test_the_coefficients_are_their_own_table(self):
-        # A nonzero last coefficient: evaluation reads the coefficient copy, no second one.
+        # A nonzero last coefficient: the table is the coefficient buffer, rows of 128.
         f = TaylorSeries(self.dense)
-        f(0.5)
-        assert np.shares_memory(f._horner.table, f.coefficients)
-        # Trailing zeros: the table is cut at the last nonzero.
+        assert f._horner.shape == (128, 128) and np.shares_memory(f._horner, f.coefficients)
+        # Trailing zeros: the table is cut at the last nonzero, in the same buffer.
         g = f.pad(2**15)
-        g(0.5)
-        assert g._horner.length == 2**14 and g._horner.table.size < len(g.coefficients)
+        assert g._horner.size == 2**14 and np.shares_memory(g._horner, g.coefficients)
 
-    def test_repeated_calls_reuse_the_table(self):
-        f = TaylorSeries(self.dense)
-        first = f(0.5)
-        table = f._horner.table
-        assert f(0.5) == first and f._horner.table is table
+    @pytest.mark.parametrize("size, last", [(5000, 2), (300, 0), (2**12 + 3, 2**12 - 1), (9, None), (1, None)])
+    def test_trailing_zeros_share_one_buffer(self, size, last):
+        # Prepared in the constructor: degree is set, and the table, cut at the last
+        # nonzero (last=None: the zero series, no rows), lies in the coefficients' buffer.
+        coeffs = np.zeros(size)
+        if last is not None:
+            coeffs[: last + 1] = np.linspace(1.0, 2.0, last + 1)
+        f = TaylorSeries(coeffs)
+        assert f.degree == (last or 0)
+        rows, block = f._horner.shape
+        length = 0 if last is None else last + 1
+        assert (rows - 1) * block < length <= rows * block or rows == length == 0
+        assert f._horner.base is f.coefficients.base is not None
+        assert not f._horner.flags.writeable
+        table = f._horner
+        _assert_same_bits(f(0.5), _unprepared_evaluate(coeffs, 0.5))
+        assert f._horner is table
 
     @given(
         coeffs=coeff_arrays,

@@ -1,13 +1,18 @@
 """Harness layer: config contract, registry, determinism, report rendering."""
 
+import dataclasses
+import gc
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
+import scipy
 
 from hilbloch import suites
 from hilbloch.catalog import resolve_weight
@@ -49,6 +54,7 @@ ALL_SUITES = [
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PINNED_ROWS = json.loads((REPO / "tests" / "data" / "suite_rows.json").read_text())
+REPORT_DIGESTS = json.loads((REPO / "tests" / "data" / "report_digests.json").read_text())
 SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.json")) + sorted((REPO / "perfbench" / "configs").glob("*.json"))
 
 # Suites whose options hold case specs: the option, and one valid spec.
@@ -62,6 +68,11 @@ CASE_OPTIONS = {
     "T5.7": ("cases", {"gamma": 1.0, "expected": "bounded"}),
     "T5.8": ("cases", {"gamma": 1.0}),
 }
+
+
+def report_digest(report):
+    """sha256 of the report's JSON rendering with its wall time zeroed, as report_digests.json records it."""
+    return hashlib.sha256(render_json(dataclasses.replace(report, wall_time=0.0)).encode()).hexdigest()
 
 
 def report_fingerprint(report):
@@ -230,6 +241,10 @@ class TestRunSuite:
         # benchmark's oracles key on the labels, and the file holds no floats.
         rows = [[c.label, c.left_name, c.right_name, c.left_verdict, c.right_verdict, c.agree] for c in base.cases]
         assert rows == PINNED_ROWS[suite]
+        # Every float is pinned too, through the report bytes at both scales; the
+        # digests hold for the numpy and scipy versions that recorded them.
+        if (np.__version__, scipy.__version__) == (REPORT_DIGESTS["numpy"], REPORT_DIGESTS["scipy"]):
+            assert [report_digest(base), report_digest(deep)] == list(REPORT_DIGESTS["digests"][suite].values())
 
     def test_case_errors_are_captured_not_raised(self):
         # A table weight sampled only up to r = 0.5 cannot reach the sweep's
@@ -374,6 +389,89 @@ class TestSharedBlockPeaks:
         assert {label: json.dumps(case.to_dict()) for label, case in rows.items() if label not in failed} == {
             label: row for label, row in block_rows.items() if label not in failed
         }
+
+
+@pytest.fixture(scope="module")
+def coefficient_sum_rows():
+    """T3.1's default rows at resolution scale 1, as JSON text by label."""
+    report = run_suite(ExperimentConfig(suite="T3.1"))
+    return {case.label: json.dumps(case.to_dict()) for case in report.cases}
+
+
+class TestSharedNormRows:
+    """L2.1, T3.1 and T3.3 build their rows through one builder, sharing profiles and peaks."""
+
+    def test_each_weight_takes_one_profile_per_truncation(self, monkeypatch, coefficient_sum_rows):
+        calls = []
+        weight_profile = suites.weight_profile
+
+        def counting(w, n_max):
+            calls.append(n_max)
+            return weight_profile(w, n_max)
+
+        monkeypatch.setattr(suites, "weight_profile", counting)
+        report = run_suite(ExperimentConfig(suite="T3.1"))
+        truncation = report.resolution["truncation"]
+        # Four weights at two truncations, not once per function as well.
+        assert sorted(calls) == [truncation] * 4 + [2 * truncation] * 4
+        assert {case.label: json.dumps(case.to_dict()) for case in report.cases} == coefficient_sum_rows
+
+    @pytest.mark.parametrize("weight, function", [("power_0.5", "ones"), ("power_log_1_1", "log_damped")])
+    def test_one_row_alone_reads_as_in_the_full_run(self, weight, function, coefficient_sum_rows):
+        options = {"weights": [weight], "functions": [function]}
+        report = run_suite(ExperimentConfig(suite="T3.1", options=options))
+        assert [json.dumps(case.to_dict()) for case in report.cases] == [coefficient_sum_rows[f"{weight}|{function}"]]
+
+    def test_a_weight_whose_profile_fails_gives_error_rows_for_its_rows_only(self, monkeypatch, coefficient_sum_rows):
+        weight_profile = suites.weight_profile
+        failing_weight = resolve_weight("power_2")
+
+        def failing(w, n_max):
+            if w.label == failing_weight.label:
+                raise NumericsError("profile failed")
+            return weight_profile(w, n_max)
+
+        monkeypatch.setattr(suites, "weight_profile", failing)
+        report = run_suite(ExperimentConfig(suite="T3.1"))
+        rows = {case.label: case for case in report.cases}
+        failed = sorted(label for label, case in rows.items() if case.detail.get("error"))
+        assert failed == sorted(label for label in coefficient_sum_rows if label.startswith("power_2|"))
+        assert all(rows[label].detail == {"error": "NumericsError: profile failed"} for label in failed)
+        assert {label: json.dumps(case.to_dict()) for label, case in rows.items() if label not in failed} == {
+            label: row for label, row in coefficient_sum_rows.items() if label not in failed
+        }
+
+    def test_only_the_named_functions_are_built(self, monkeypatch):
+        built = []
+        for name, make in list(suites._SERIES_FACTORIES.items()):
+            monkeypatch.setitem(suites._SERIES_FACTORIES, name, lambda n, name=name, make=make: built.append(name) or make(n))
+        options = {"weights": ["power_1", "power_2"], "functions": ["harmonic", "monomial_8"]}
+        report = run_suite(ExperimentConfig(suite="L2.1", options=options))
+        assert built == ["harmonic", "monomial_8"]
+        assert len(report.cases) == 4
+
+    @pytest.mark.parametrize("suite", ["T3.1", "T3.3"])
+    def test_no_two_weights_profiles_are_alive_at_once(self, monkeypatch, suite):
+        # A profile's nu array lives exactly as long as the profile.
+        alive = []
+        weight_profile = suites.weight_profile
+
+        def tracked(w, n_max):
+            gc.collect()
+            assert {label for ref, label in alive if ref() is not None} <= {w.label}
+            profile = weight_profile(w, n_max)
+            alive.append((weakref.ref(profile.nu), w.label))
+            return profile
+
+        monkeypatch.setattr(suites, "weight_profile", tracked)
+        run_suite(ExperimentConfig(suite=suite))
+        assert len(alive) == (8 if suite == "T3.1" else 4)
+
+    def test_an_unknown_function_raises_before_any_row(self):
+        with pytest.raises(DomainError, match="unknown monotone series name 'harmonic'"):
+            run_suite(ExperimentConfig(suite="T3.3", options={"functions": ["ones", "harmonic"]}))
+        with pytest.raises(DomainError, match="unknown series name 'harmonic_shift'"):
+            run_suite(ExperimentConfig(suite="T3.1", options={"functions": ["harmonic_shift"]}))
 
 
 def _looped_witness_values(weight, gap_target):

@@ -23,6 +23,9 @@ from .trend import CriterionResult, summarize_ladder
 
 # Both power tables of contiguous_moments together (nodes x (B + R) floats) stay within 1 MiB.
 _MOMENT_TABLE_ELEMENTS = 2**17
+# contiguous_moments pads its node set with zero-weight nodes to a multiple of this count, at
+# which OpenBLAS's threaded and single-threaded products round alike (a multiple of 16 does not).
+_NODE_PAD = 64
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,21 @@ class RadialMeasure:
     # -- moments -----------------------------------------------------------
 
     def _moment_nodes(self, n_max: int, phi, rel_tol: float, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
-        """One weighted node set (t, w) for the moments up to n_max: atoms wgt * phi(t), then density nodes."""
+        """One weighted node set (t, w) for the moments up to n_max: atoms wgt * phi(t), then density nodes.
+
+        Deep in the tail t = -expm1(-u) rounds to 1.0, where every such node adds
+        its weight to every moment; those nodes become one node (1.0, fsum of their w).
+        """
         t, w = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         if phi is not None and len(t):
             w = w * np.asarray(phi(t, 1.0 - t), dtype=float)
         if self.density is None:
             return t, w
         t_dens, w_dens = self._density_grid(n_max, phi, rel_tol, _u_edges(breakpoints))
+        at_one = t_dens == 1.0
+        if at_one.any():
+            t_dens = np.append(t_dens[~at_one], 1.0)
+            w_dens = np.append(w_dens[~at_one], math.fsum(w_dens[at_one]))
         return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
 
     def moments_at(
@@ -199,9 +210,10 @@ class RadialMeasure:
         """Moments for every n = 0..n_max, sharing one node grid.
 
         The atoms, weighted wgt * phi(t), and the density nodes, weighted
-        base * phi(t), form one node set (t, w).  Two tables (see
-        _moment_block) cover the indices: the columns P[i, j] = t_i^j, j < B,
-        come from one cumulative product, and the rows T[r, i] = w_i t_i^(rB),
+        base * phi(t), form one node set (t, w), padded with nodes (0, 0) to a
+        multiple of _NODE_PAD so that no result depends on the BLAS thread
+        count.  Two tables (see _moment_block) cover the indices: the columns
+        P[i, j] = t_i^j, j < B, come from one cumulative product, and the rows T[r, i] = w_i t_i^(rB),
         r < R, from R - 1 steps by t^B.  Each chunk of R * B consecutive
         indices is then one matrix product T @ P, written row-major, after
         which T steps by t^(RB); the last chunk takes only the rows it needs.
@@ -215,6 +227,8 @@ class RadialMeasure:
         t, w = self._moment_nodes(n_max, phi, rel_tol, breakpoints)
         if not len(t):
             return np.zeros(n_max + 1)
+        pad = -len(t) % _NODE_PAD
+        t, w = np.append(t, np.zeros(pad)), np.append(w, np.zeros(pad))
         block, rows = _moment_block(n_max, len(t))
         powers = np.empty((len(t), block))
         powers[:, 0] = 1.0

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise DomainError(f"unsupported config version {self.version!r}; expected {CONFIG_VERSION}")
         if not 0.0 < self.resolution_scale < math.inf:
             raise DomainError("resolution_scale must be positive and finite")
+        # A float, so that resolution_scale=1 and 1.0 render the same report bytes.
+        object.__setattr__(self, "resolution_scale", float(self.resolution_scale))
         if not isinstance(self.options, dict):
             raise DomainError("options must be an object")
 

@@ -338,11 +338,14 @@ def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
             raise ConstructionError(f"level s={levels}: no radius found with nu = {targets[-1]:g}")
     y_lo = np.full(levels, y_lo)
     y_hi = np.zeros(levels)  # gap = 1, nu = nu(0) = 1 > every target
+    # A step that moves no bracket leaves the next step the same inputs, so the loop stops there.
     for _ in range(128):
         mid = 0.5 * (y_lo + y_hi)
         below = w.value_from_gap(2.0**mid) < targets
-        y_lo = np.where(below, mid, y_lo)
-        y_hi = np.where(below, y_hi, mid)
+        lo, hi = np.where(below, mid, y_lo), np.where(below, y_hi, mid)
+        if np.array_equal(lo, y_lo) and np.array_equal(hi, y_hi):
+            break
+        y_lo, y_hi = lo, hi
     gaps = 2.0 ** (0.5 * (y_lo + y_hi))
     if gaps[-1] <= 2.0**-63:
         raise ConstructionError(f"level s={levels}: exponent floor(1/gap) exceeds the int64 limit 2^63 - 1")

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import hilbloch
+from hilbloch import cli
 from hilbloch.cli import main
 from hilbloch.measures import moments_to_csv
 from hilbloch.measures import lebesgue
@@ -53,6 +54,32 @@ class TestVerify:
     def test_unknown_suite_flag_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "T9.9"])
+
+    def test_consecutive_calls_share_no_suite_or_config_list(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        run_suite = cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg.suite) or run_suite(cfg))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "suite": "E3.1"}))
+        assert main(["verify", "--suite", "E3.1", "--suite", "E3.1"]) == 0
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert main(["verify"]) == 2
+        assert "at least one" in capsys.readouterr().err
+        assert ran == ["E3.1"] * 3
+
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            assert main(["moments", "--measure", "lebesgue", "--n-max", "2"]) == 0
+            assert main(["moments", "--measure", "lebesgue", "--n-max", "3"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().out.count("n,mu_n") == 2
+        assert build_parser() is not build_parser()
 
     def test_resolution_scale_flag(self, capsys):
         code = main(["verify", "--suite", "E3.1", "--resolution-scale", "2.0", "--format", "json"])

@@ -217,6 +217,31 @@ class TestBlockedMoments:
         assert len(seen) == grids + bool(atoms)
         assert len(set(seen)) == len(seen)
 
+    # Density nodes deep in the tail, where t = -expm1(-u) rounds to 1.0, fold into one node.
+    @pytest.mark.parametrize("n_max", [2**8, 2**14, 2**18])
+    @pytest.mark.parametrize("name", DENSITY_MEASURES)
+    @pytest.mark.parametrize("case", ["density", "atoms_and_phi"])
+    def test_nodes_at_one_fold_into_one_node(self, case, name, n_max):
+        phi, atoms = None, ()
+        if case == "atoms_and_phi":
+            phi, atoms = (lambda t, omt: 1.0 + omt), MIXED_ATOMS
+        mu = radial_measure(atoms=atoms, density=builtin_measures()[name].density)
+        t, w = mu._moment_nodes(n_max, phi, 1e-10)
+        grid_t, grid_w = mu._density_grid(n_max, phi, 1e-10)
+        at_one = grid_t == 1.0
+        kept = len(atoms) + int(np.count_nonzero(~at_one))
+        assert np.count_nonzero(t == 1.0) == int(at_one.any())
+        assert len(t) == kept + int(at_one.any())
+        assert np.array_equal(t[len(atoms) : kept], grid_t[~at_one])
+        assert np.array_equal(w[len(atoms) : kept], grid_w[~at_one])
+        if at_one.any():
+            assert (t[-1], w[-1]) == (1.0, math.fsum(grid_w[at_one]))
+
+    def test_lebesgue_folds_its_tail_at_two_to_the_18(self):
+        # 1028 of the 2240 density nodes round to t = 1 at 2^18.
+        t, _ = lebesgue()._moment_nodes(2**18, None, 1e-10)
+        assert len(t) == 2240 - 1028 + 1
+
     @pytest.mark.parametrize("nodes", [1, 5, 1024, 3328, 2**17, 2**18])
     @pytest.mark.parametrize("n_max", [0, 1, 100, 2**14, 2**18])
     def test_block_is_a_capped_power_of_two(self, nodes, n_max):

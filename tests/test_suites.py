@@ -139,6 +139,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(suite="E3.1", resolution_scale=-1.0)
 
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_integer_resolution_scale_renders_as_its_float(self, scale):
+        as_int = ExperimentConfig(suite="E3.1", resolution_scale=scale)
+        as_float = ExperimentConfig(suite="E3.1", resolution_scale=float(scale))
+        assert type(as_int.resolution_scale) is float
+        assert report_digest(run_suite(as_int)) == report_digest(run_suite(as_float))
+
     def test_unknown_option_key_rejected(self):
         cfg = ExperimentConfig(suite="E3.1", options={"bogus": 1})
         with pytest.raises(DomainError):
@@ -265,12 +272,18 @@ class TestRunSuite:
     def test_reports_do_not_depend_on_the_blas_thread_count(self):
         # A BLAS reduction may split its work by thread count and so round
         # differently; a report and a moment table must read the same under any.
+        # The mixed measure, an atom plus (1-t)^2 dt, read differently at 2^14 before
+        # contiguous_moments padded its node set.
         script = (
             "import hashlib\n"
             "from hilbloch.catalog import builtin_measures\n"
             "from hilbloch.cli import main\n"
+            "from hilbloch.measures import power_log_density, radial_measure\n"
             "main(['verify', '--suite', 'T3.3', '--resolution-scale', '2', '--format', 'json'])\n"
-            "print(hashlib.sha256(builtin_measures()['density_-0.5'].contiguous_moments(2**18)).hexdigest())\n"
+            "mixed = radial_measure(atoms=[(0.5, 1.0)], density=power_log_density(2.0))\n"
+            "tables = [builtin_measures()['density_-0.5'].contiguous_moments(2**18)]\n"
+            "tables += [mixed.contiguous_moments(n) for n in (2**14, 2**18)]\n"
+            "print(hashlib.sha256(b''.join(table.tobytes() for table in tables)).hexdigest())\n"
         )
         src = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
         outputs = []

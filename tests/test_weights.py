@@ -274,7 +274,52 @@ class TestGrowthGauge:
         assert growth_gauge(w, t) < growth_gauge(w, t + 0.05)
 
 
+def bisected_gaps(w, levels):
+    """The level gaps of build_extremal from all 128 bisection steps, with no early stop."""
+    targets = 2.0 ** -np.arange(1, levels + 1, dtype=float)
+    y_lo = -1.0
+    while w.value_from_gap(2.0**y_lo) >= targets[-1]:
+        y_lo -= 1.0
+    y_lo = np.full(levels, y_lo)
+    y_hi = np.zeros(levels)
+    for _ in range(128):
+        mid = 0.5 * (y_lo + y_hi)
+        below = w.value_from_gap(2.0**mid) < targets
+        y_lo = np.where(below, mid, y_lo)
+        y_hi = np.where(below, y_hi, mid)
+    return 2.0 ** (0.5 * (y_lo + y_hi))
+
+
 class TestExtremalSeries:
+    # Every buildable builtin weight: log_power_-2 does not decrease on the dyadic grid,
+    # and power_0.5's level-40 exponent leaves int64.
+    @pytest.mark.parametrize(
+        "name, levels",
+        [
+            (name, levels)
+            for levels in (10, 20, 40)
+            for name in sorted(builtin_weights())
+            if name != "log_power_-2" and (name, levels) != ("power_0.5", 40)
+        ],
+    )
+    def test_bisection_stops_at_its_fixed_point(self, monkeypatch, name, levels):
+        w = builtin_weights()[name]
+        steps = []
+        value_from_gap = weights.NormalWeight.value_from_gap
+
+        def counting(self, gap):
+            if np.size(gap) == levels:
+                steps.append(1)
+            return value_from_gap(self, gap)
+
+        monkeypatch.setattr(weights.NormalWeight, "value_from_gap", counting)
+        g = build_extremal(w, levels)
+        assert len(steps) < 64
+        monkeypatch.undo()
+        gaps = bisected_gaps(w, levels)
+        assert np.array_equal(g.radii, 1.0 - gaps)
+        assert np.array_equal(g.exponents, np.floor(1.0 / gaps).astype(np.int64))
+
     def test_levels_track_weight_decay(self):
         for name in ("power_1", "power_2", "power_log_1_1"):
             w = builtin_weights()[name]

@@ -22,15 +22,17 @@ TAIL_CAP = 680.0
 
 
 def panel_points(edges: np.ndarray, panels_per_segment: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights for each segment split into equal panels."""
+    """Gauss-Legendre nodes and weights for each segment split into equal panels.
+
+    The panel starts of all segments come from one broadcast of np.linspace's
+    arithmetic, lo + k * ((hi - lo) / n) with the last one set to hi.
+    """
     edges = np.asarray(edges, dtype=float)
-    starts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        starts.append(np.linspace(lo, hi, panels_per_segment + 1))
-    sub = np.concatenate([s[:-1] for s in starts])
-    widths = np.concatenate([np.diff(s) for s in starts])
-    mid = sub + 0.5 * widths
-    half = 0.5 * widths
+    lo, hi = edges[:-1, None], edges[1:, None]
+    starts = np.arange(panels_per_segment + 1) * ((hi - lo) / panels_per_segment) + lo
+    starts[:, -1] = edges[1:]
+    half = 0.5 * np.diff(starts, axis=1).ravel()
+    mid = starts[:, :-1].ravel() + half
     x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return x, w

@@ -516,7 +516,7 @@ def _dyadic_depths(scale: float) -> dict:
 
 def _compare_dyadic_sum(case: Case, ctx: dict) -> CaseResult:
     def ladder_sup(depth: int) -> float:
-        return max(dyadic_sum_ratio(case.item, r, j_max=depth + 30) for r in radius_ladder(depth))
+        return float(np.max(dyadic_sum_ratio(case.item, radius_ladder(depth), j_max=depth + 30)))
 
     base = ladder_sup(ctx["base_depth"])
     deep = ladder_sup(ctx["deep_depth"])

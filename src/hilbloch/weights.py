@@ -356,9 +356,13 @@ def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
 
     # Sample only the constructed range [0, r_levels]: beyond the deepest
     # solved radius the truncated series saturates and the profile decays.
-    grid = 1.0 - np.exp(np.linspace(0.0, math.log(gaps[-1]), 4 * levels + 1))
-    series = ExtremalSeries(radii, exponents, 0.0, 0.0, np.zeros_like(grid))
-    series.profile = np.asarray(w.value(grid), dtype=float) * np.asarray(series.value(grid), dtype=float)
+    # The weight is read through the gap, which keeps full precision where
+    # the radius 1 - gap rounds to 1.
+    grid_gaps = np.exp(np.linspace(0.0, math.log(gaps[-1]), 4 * levels + 1))
+    series = ExtremalSeries(radii, exponents, 0.0, 0.0, np.zeros_like(grid_gaps))
+    series.profile = np.asarray(w.value_from_gap(grid_gaps), dtype=float) * np.asarray(
+        series.value(1.0 - grid_gaps), dtype=float
+    )
     series.lower_bound = float(np.min(series.profile))
     series.upper_bound = float(np.max(series.profile))
     return series
@@ -431,20 +435,34 @@ def laplace_tail_sweep(w: NormalWeight, deltas: Sequence[float]) -> LaplaceTailR
 # -- lacunary dyadic sum -------------------------------------------------
 
 
-def dyadic_sum_ratio(w: NormalWeight, r: float, j_max: int = 60) -> float:
-    """nu(r) * sum_{j>=1} r^{2^j} / nu(1-2^{-j}), for 1/2 <= r < 1.
+def dyadic_sum_ratio(w: NormalWeight, r, j_max: int = 60):
+    """nu(r) * sum_{j>=1} r^{2^j} / nu(1-2^{-j}), for 1/2 <= r < 1; r may be an array of radii.
 
     Terms are accumulated until they fall below machine-relative size; the
     ratio staying bounded over deep radii is the summability estimate this
-    function exists to probe.
+    function exists to probe.  The weight is read once per call: nu(r) on
+    every radius, and nu(1-2^{-j}) for the j up to j_max that any radius can
+    reach.  From the first j at which the largest r^{2^j} underflows to 0.0,
+    every term is 0.0 and every sum has stopped.
     """
-    if not 0.5 <= r < 1.0:
+    radii = np.asarray(r, dtype=float)
+    if not np.all((0.5 <= radii) & (radii < 1.0)):
         raise DomainError("the dyadic sum ratio is defined for 1/2 <= r < 1")
-    log_r = math.log(r)
-    total = 0.0
-    for j in range(1, j_max + 1):
-        term = math.exp((2.0**j) * log_r) / float(w.value_from_gap(2.0**-j))
-        total += term
-        if term < 1e-18 * total:
-            break
-    return float(w.value(r)) * total
+    log_top = math.log(float(radii.max(initial=0.5)))
+    j_top = 1
+    while j_top < j_max and math.exp((2.0**j_top) * log_top) > 0.0:
+        j_top += 1
+    powers = 2.0 ** np.arange(1.0, min(j_top, j_max) + 1.0)
+    steps = list(zip(powers.tolist(), w.value_from_gap(1.0 / powers).tolist()))
+    totals = []
+    for radius in radii.ravel().tolist():
+        log_r = math.log(radius)
+        total = 0.0
+        for power, nu_j in steps:
+            term = math.exp(power * log_r) / nu_j
+            total += term
+            if term < 1e-18 * total:
+                break
+        totals.append(total)
+    ratios = np.asarray(w.value(radii), dtype=float) * np.reshape(totals, radii.shape)
+    return ratios if ratios.shape else float(ratios)

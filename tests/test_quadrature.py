@@ -9,11 +9,27 @@ from hypothesis import given, strategies as st
 from hilbloch.errors import NumericsError
 from hilbloch.quadrature import (
     TAIL_CAP,
+    _GL_NODES,
+    _GL_WEIGHTS,
     integrate_radial,
     integrate_segments,
     integrate_tail,
     panel_points,
 )
+
+
+def linspace_panel_points(edges, panels_per_segment):
+    """panel_points as it was before it broadcast over segments, one linspace per segment, kept verbatim."""
+    starts = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        starts.append(np.linspace(lo, hi, panels_per_segment + 1))
+    sub = np.concatenate([s[:-1] for s in starts])
+    widths = np.concatenate([np.diff(s) for s in starts])
+    mid = sub + 0.5 * widths
+    half = 0.5 * widths
+    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return x, w
 
 
 class TestPanelPoints:
@@ -24,6 +40,16 @@ class TestPanelPoints:
         assert np.all(nodes > 0.0) and np.all(nodes < 3.0)
         # Weights of a Gauss rule over [0, 3] sum to the interval length.
         assert math.isclose(weights.sum(), 3.0, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("panels", [1, 2, 3, 5, 7, 12, 64, 100, 1024])
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, 1.0], [0.0, 3.7, 16.0, 40.5], [8.0, 16.0], [226.0, 680.0], [0.0, 0.1, 0.2, 0.3], [1.0, 13.815510557964274]],
+    )
+    def test_matches_a_linspace_per_segment(self, edges, panels):
+        nodes, weights = panel_points(np.array(edges), panels)
+        want_nodes, want_weights = linspace_panel_points(np.array(edges), panels)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
 
     def test_refinement_adds_nodes(self):
         edges = np.array([0.0, 1.0])

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from hilbloch import weights
 from hilbloch.catalog import builtin_weights
 from hilbloch.errors import ConstructionError, DomainError, NumericsError
+from hilbloch.trend import radius_ladder
 from hilbloch.weights import (
     build_extremal,
     dyadic_sum_ratio,
@@ -348,6 +349,13 @@ class TestExtremalSeries:
             with pytest.raises(ConstructionError, match=r"level s=40: .*int64 limit"):
                 build_extremal(power_weight(0.5), 40)
 
+    @pytest.mark.parametrize("name, levels", [("power_1", 56), ("power_0.5", 28)])
+    def test_builds_where_the_deepest_radius_rounds_to_one(self, name, levels):
+        # The deepest level gaps lie below 2^-53, where 1 - gap rounds to 1.0; the profile reads nu from the gap.
+        g = build_extremal(builtin_weights()[name], levels)
+        assert 1.0 - g.radii[-1] < 2.0**-53
+        assert np.all(np.isfinite(g.profile)) and 0.0 < g.lower_bound <= g.upper_bound < math.inf
+
     def test_unreachable_level_raises(self):
         # nu = (1-r^2)^0.01 stays above 2^-11 at every positive double gap.
         with pytest.raises(ConstructionError, match="no radius found"):
@@ -435,13 +443,60 @@ class TestLaplaceTail:
         assert report.slope == 0.0
 
 
+def scalar_dyadic_sum_ratio(w, r, j_max=60):
+    """dyadic_sum_ratio as it was before it took arrays, one weight read per term, kept verbatim as the reference."""
+    if not 0.5 <= r < 1.0:
+        raise DomainError("the dyadic sum ratio is defined for 1/2 <= r < 1")
+    log_r = math.log(r)
+    total = 0.0
+    for j in range(1, j_max + 1):
+        term = math.exp((2.0**j) * log_r) / float(w.value_from_gap(2.0**-j))
+        total += term
+        if term < 1e-18 * total:
+            break
+    return float(w.value(r)) * total
+
+
 class TestDyadicSumRatio:
-    def test_radius_domain(self):
+    @pytest.mark.parametrize("r", [0.25, 1.0, -0.5, math.nan, [0.75, 1.0], [0.5, 0.49]])
+    def test_radius_domain(self, r):
+        with pytest.raises(DomainError):
+            dyadic_sum_ratio(power_weight(1.0), r)
+
+    @pytest.mark.parametrize("name", sorted(builtin_weights()))
+    def test_ladder_matches_the_scalar_loop(self, name):
+        w = builtin_weights()[name]
+        radii = radius_ladder(48)
+        want = np.array([scalar_dyadic_sum_ratio(w, r, j_max=78) for r in radii])
+        got = dyadic_sum_ratio(w, radii, j_max=78)
+        assert isinstance(got, np.ndarray) and got.shape == radii.shape
+        assert np.array_equal(got, want)
+
+    def test_scalar_radius_returns_a_float(self):
         w = power_weight(1.0)
-        with pytest.raises(DomainError):
-            dyadic_sum_ratio(w, 0.25)
-        with pytest.raises(DomainError):
-            dyadic_sum_ratio(w, 1.0)
+        for r in (0.75, np.float64(0.75), np.array(0.75)):
+            got = dyadic_sum_ratio(w, r, j_max=40)
+            assert type(got) is float
+            assert got == scalar_dyadic_sum_ratio(w, 0.75, j_max=40)
+
+    def test_one_weight_read_per_ladder(self, monkeypatch):
+        reads = []
+        value_from_gap = weights.NormalWeight.value_from_gap
+        monkeypatch.setattr(
+            weights.NormalWeight, "value_from_gap", lambda self, gap: reads.append(1) or value_from_gap(self, gap)
+        )
+        dyadic_sum_ratio(power_weight(1.0), radius_ladder(40), j_max=70)
+        assert len(reads) <= 2
+
+    def test_table_weight_is_read_only_as_deep_as_the_sums_run(self):
+        # Past the j where the largest r^(2^j) underflows, no sum reads nu(1 - 2^-j): a table
+        # sampled to 1 - 2^-30 serves a depth-20 ladder with j_max = 50.
+        gaps = 2.0 ** -np.arange(1.0, 31.0)
+        samples = [[0.0, 1.0], *([1.0 - g, g * (2.0 - g)] for g in gaps)]
+        w = table_weight(samples, 1.0, 1.0)
+        radii = radius_ladder(20)
+        want = [scalar_dyadic_sum_ratio(w, r, j_max=50) for r in radii]
+        assert np.array_equal(dyadic_sum_ratio(w, radii, j_max=50), want)
 
     def test_ratio_is_bounded_along_ladder(self):
         for name, w in builtin_weights().items():

@@ -123,21 +123,6 @@ def _real_series(f: TaylorSeries, who: str) -> TaylorSeries:
     return f
 
 
-def _real_values(f: TaylorSeries, t) -> np.ndarray:
-    """f(t) as floats, evaluated once for all the points where t is exactly 1.0.
-
-    Deep density nodes round to t = 1.0, about half of a fine grid; a single
-    real point runs the same row Horner with the same bits.
-    """
-    t = np.asarray(t, dtype=float)
-    at_one = t == 1.0
-    out = np.empty(t.shape)
-    out[~at_one] = f(t[~at_one])
-    if at_one.any():
-        out[at_one] = f(1.0)
-    return out
-
-
 def _image(cfg: OperatorConfig, phi, breakpoints: Sequence[float] = ()) -> TaylorSeries:
     """Output series b_n = c_n * integral of t^n phi(t) dmu, n <= truncation."""
     try:
@@ -152,7 +137,7 @@ def _image(cfg: OperatorConfig, phi, breakpoints: Sequence[float] = ()) -> Taylo
 def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Output series b_n = c_n * integral of t^n f(t) dmu, n <= truncation."""
     _real_series(f, "coefficient mode")
-    return _image(cfg, lambda t, omt: _real_values(f, t))
+    return _image(cfg, lambda t, omt: np.asarray(f(t), dtype=float))
 
 
 def sign_change_points(f: TaylorSeries) -> tuple[float, ...]:
@@ -174,7 +159,7 @@ def sign_change_points(f: TaylorSeries) -> tuple[float, ...]:
 def apply_sublinear(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Companion with |f(t)| in the integrand; output coefficients are nonnegative."""
     _real_series(f, "sublinear mode")
-    return _image(cfg, lambda t, omt: np.abs(_real_values(f, t)), sign_change_points(f))
+    return _image(cfg, lambda t, omt: np.abs(np.asarray(f(t), dtype=float)), sign_change_points(f))
 
 
 def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> complex:

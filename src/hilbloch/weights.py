@@ -304,6 +304,18 @@ class ExtremalSeries:
         out = sum(coeff * zeta**n for n, coeff in self.coefficient_pairs())
         return out if out.shape else out[()]
 
+    def value_from_gap(self, gap):
+        """value(1 - gap) for real gaps in (0, 1], each power read as exp(n log1p(-gap)).
+
+        The radius 1 - gap rounds to 1.0 once gap <= 2^-54; read through the
+        gap, each sample stays at the point where the weight's value_from_gap
+        reads nu.
+        """
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, and exp(-inf) = 0 = 0^n
+            log_r = np.log1p(-np.asarray(gap, dtype=float))
+        out = 1.0 + sum(coeff * np.exp(n * log_r) for n, coeff in self.coefficient_pairs()[1:])
+        return out if out.shape else float(out)
+
     def coefficient_pairs(self) -> list[tuple[int, float]]:
         """Sparse (exponent, coefficient) view, including the constant term."""
         return [(0, 1.0)] + [(int(n), 2.0**s) for s, n in enumerate(self.exponents, start=1)]
@@ -356,13 +368,11 @@ def build_extremal(w: NormalWeight, levels: int = 10) -> ExtremalSeries:
 
     # Sample only the constructed range [0, r_levels]: beyond the deepest
     # solved radius the truncated series saturates and the profile decays.
-    # The weight is read through the gap, which keeps full precision where
-    # the radius 1 - gap rounds to 1.
+    # The weight and the series are both read at each grid gap, which stays
+    # exact where the radius 1 - gap rounds to 1.
     grid_gaps = np.exp(np.linspace(0.0, math.log(gaps[-1]), 4 * levels + 1))
     series = ExtremalSeries(radii, exponents, 0.0, 0.0, np.zeros_like(grid_gaps))
-    series.profile = np.asarray(w.value_from_gap(grid_gaps), dtype=float) * np.asarray(
-        series.value(1.0 - grid_gaps), dtype=float
-    )
+    series.profile = np.asarray(w.value_from_gap(grid_gaps), dtype=float) * series.value_from_gap(grid_gaps)
     series.lower_bound = float(np.min(series.profile))
     series.upper_bound = float(np.max(series.profile))
     return series
@@ -441,25 +451,27 @@ def dyadic_sum_ratio(w: NormalWeight, r, j_max: int = 60):
     Terms are accumulated until they fall below machine-relative size; the
     ratio staying bounded over deep radii is the summability estimate this
     function exists to probe.  The weight is read once per call: nu(r) on
-    every radius, and nu(1-2^{-j}) for the j up to j_max that any radius can
-    reach.  From the first j at which the largest r^{2^j} underflows to 0.0,
-    every term is 0.0 and every sum has stopped.
+    every radius, and nu(1-2^{-j}) for j = 1..j_max.  A weight that does not
+    reach 1-2^{-j_max} (a table sampled short of it) is read one j at a time
+    instead, when a sum first needs that j, so only a j some sum reaches can
+    raise DomainError.
     """
     radii = np.asarray(r, dtype=float)
     if not np.all((0.5 <= radii) & (radii < 1.0)):
         raise DomainError("the dyadic sum ratio is defined for 1/2 <= r < 1")
-    log_top = math.log(float(radii.max(initial=0.5)))
-    j_top = 1
-    while j_top < j_max and math.exp((2.0**j_top) * log_top) > 0.0:
-        j_top += 1
-    powers = 2.0 ** np.arange(1.0, min(j_top, j_max) + 1.0)
-    steps = list(zip(powers.tolist(), w.value_from_gap(1.0 / powers).tolist()))
+    powers = [2.0**j for j in range(1, j_max + 1)]
+    try:
+        nu_at = w.value_from_gap(np.reciprocal(powers)).tolist()
+    except DomainError:
+        nu_at = []
     totals = []
     for radius in radii.ravel().tolist():
         log_r = math.log(radius)
         total = 0.0
-        for power, nu_j in steps:
-            term = math.exp(power * log_r) / nu_j
+        for j, power in enumerate(powers):
+            if j == len(nu_at):
+                nu_at.append(float(w.value_from_gap(1.0 / power)))
+            term = math.exp(power * log_r) / nu_at[j]
             total += term
             if term < 1e-18 * total:
                 break

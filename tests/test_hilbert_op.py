@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
-from hilbloch import hilbert_op
 from hilbloch.catalog import builtin_measures, builtin_weights, probe_functions
 from hilbloch.errors import DomainError, NumericsError, PreconditionError
 from hilbloch.hilbert_op import (
@@ -168,30 +167,6 @@ class TestApplyModes:
         cfg = OperatorConfig(alpha=0.0, measure=lebesgue(), truncation=8)
         with pytest.raises(DomainError):
             apply_quadrature(TaylorSeries([1.0]), cfg, 1.0)
-
-    @pytest.mark.parametrize("measure", ["lebesgue", "density_-0.5"])
-    def test_points_at_one_share_one_evaluation(self, monkeypatch, measure):
-        # Deep density nodes round to t = 1.0; f sees that point at most once per grid, and
-        # the image keeps the bits of evaluating f on every node.
-        f = TaylorSeries(np.concatenate([[1.0], -np.ones(1023) / np.arange(1.0, 1024.0) ** 2]))
-        cfg = OperatorConfig(alpha=0.5, measure=builtin_measures()[measure], truncation=1024)
-        ones = []
-        call = TaylorSeries.__call__
-
-        def counting(self, z):
-            ones.append(int(np.count_nonzero(np.asarray(z) == 1.0)))
-            return call(self, z)
-
-        monkeypatch.setattr(TaylorSeries, "__call__", counting)
-        plain, sub = apply_coefficient(f, cfg), apply_sublinear(f, cfg)
-        assert max(ones) == 1
-        monkeypatch.undo()
-        every_node = hilbert_op._image(cfg, lambda t, omt: np.asarray(f(t), dtype=float))
-        assert np.array_equal(plain.coefficients, every_node.coefficients)
-        every_node = hilbert_op._image(
-            cfg, lambda t, omt: np.abs(np.asarray(f(t), dtype=float)), sign_change_points(f)
-        )
-        assert np.array_equal(sub.coefficients, every_node.coefficients)
 
     @given(st.floats(min_value=-0.8, max_value=0.8))
     def test_operator_is_linear_in_input(self, z):

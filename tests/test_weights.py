@@ -349,12 +349,23 @@ class TestExtremalSeries:
             with pytest.raises(ConstructionError, match=r"level s=40: .*int64 limit"):
                 build_extremal(power_weight(0.5), 40)
 
-    @pytest.mark.parametrize("name, levels", [("power_1", 56), ("power_0.5", 28)])
-    def test_builds_where_the_deepest_radius_rounds_to_one(self, name, levels):
-        # The deepest level gaps lie below 2^-53, where 1 - gap rounds to 1.0; the profile reads nu from the gap.
-        g = build_extremal(builtin_weights()[name], levels)
+    # The deepest level gaps lie below 2^-53, where 1 - gap rounds to 1.0.  Each deep profile
+    # sample is nu(1 - g) * (1 + sum_s 2^s (1 - g)^n_s) at its grid gap g, in 50-digit mpmath.
+    @pytest.mark.parametrize("gamma, levels", [(1.0, 56), (0.5, 28)])
+    def test_deep_profile_matches_mpmath(self, gamma, levels):
+        w = power_weight(gamma)
+        g = build_extremal(w, levels)
         assert 1.0 - g.radii[-1] < 2.0**-53
-        assert np.all(np.isfinite(g.profile)) and 0.0 < g.lower_bound <= g.upper_bound < math.inf
+        grid = np.exp(np.linspace(0.0, math.log(bisected_gaps(w, levels)[-1]), 4 * levels + 1))
+        deep = np.flatnonzero(grid < 2.0**-53)
+        assert deep.size >= 8
+        with mpmath.workdps(50):
+            for k in deep.tolist():
+                gap = mpmath.mpf(grid[k])
+                series = 1 + sum(mpmath.mpf(2) ** s * (1 - gap) ** n for s, n in enumerate(g.exponents.tolist(), 1))
+                want = float((gap * (2 - gap)) ** gamma * series)
+                assert g.profile[k] == pytest.approx(want, rel=1e-13)
+        assert g.upper_bound == np.max(g.profile) < 2.0
 
     def test_unreachable_level_raises(self):
         # nu = (1-r^2)^0.01 stays above 2^-11 at every positive double gap.
@@ -458,8 +469,15 @@ def scalar_dyadic_sum_ratio(w, r, j_max=60):
 
 
 class TestDyadicSumRatio:
-    @pytest.mark.parametrize("r", [0.25, 1.0, -0.5, math.nan, [0.75, 1.0], [0.5, 0.49]])
-    def test_radius_domain(self, r):
+    def test_radius_domain(self):
+        w = power_weight(1.0)
+        with pytest.raises(DomainError):
+            dyadic_sum_ratio(w, 0.25)
+        with pytest.raises(DomainError):
+            dyadic_sum_ratio(w, 1.0)
+
+    @pytest.mark.parametrize("r", [-0.5, math.nan, [0.75, 1.0], [0.5, 0.49], [0.75, math.nan]])
+    def test_any_radius_outside_the_domain_raises(self, r):
         with pytest.raises(DomainError):
             dyadic_sum_ratio(power_weight(1.0), r)
 
@@ -488,15 +506,23 @@ class TestDyadicSumRatio:
         dyadic_sum_ratio(power_weight(1.0), radius_ladder(40), j_max=70)
         assert len(reads) <= 2
 
-    def test_table_weight_is_read_only_as_deep_as_the_sums_run(self):
-        # Past the j where the largest r^(2^j) underflows, no sum reads nu(1 - 2^-j): a table
-        # sampled to 1 - 2^-30 serves a depth-20 ladder with j_max = 50.
-        gaps = 2.0 ** -np.arange(1.0, 31.0)
+    # A table sampled to 1 - 2^-table_depth under a depth-20 ladder with j_max = 50: the sums
+    # stop at j = 26, so a table short of that raises DomainError, and one reaching it, though
+    # not 1 - 2^-50, gives the per-term loop's ratios.
+    @pytest.mark.parametrize("table_depth, raises", [(20, True), (25, True), (26, False), (27, False), (29, False)])
+    def test_table_weight_is_read_only_as_deep_as_the_sums_run(self, table_depth, raises):
+        gaps = 2.0 ** -np.arange(1.0, table_depth + 1.0)
         samples = [[0.0, 1.0], *([1.0 - g, g * (2.0 - g)] for g in gaps)]
         w = table_weight(samples, 1.0, 1.0)
         radii = radius_ladder(20)
-        want = [scalar_dyadic_sum_ratio(w, r, j_max=50) for r in radii]
-        assert np.array_equal(dyadic_sum_ratio(w, radii, j_max=50), want)
+        if raises:
+            with pytest.raises(DomainError, match="table weight sampled only up to"):
+                dyadic_sum_ratio(w, radii, j_max=50)
+            with pytest.raises(DomainError, match="table weight sampled only up to"):
+                scalar_dyadic_sum_ratio(w, radii[-1], j_max=50)
+        else:
+            want = [scalar_dyadic_sum_ratio(w, r, j_max=50) for r in radii]
+            assert np.array_equal(dyadic_sum_ratio(w, radii, j_max=50), want)
 
     def test_ratio_is_bounded_along_ladder(self):
         for name, w in builtin_weights().items():

@@ -9,7 +9,7 @@ the criterion on both sides of the critical exponent.
 
 from hilbloch.catalog import probe_functions
 from hilbloch.hilbert_op import OperatorConfig, criterion_beta_spaces, criterion_moment, operator_norm_probe
-from hilbloch.measures import power_log_density, radial_measure
+from hilbloch.measures import RadialMeasure, power_log_density
 from hilbloch.weights import power_weight
 
 
@@ -17,7 +17,7 @@ def sweep(alpha: float, beta: float, gamma: float, threshold: float) -> None:
     print(f"alpha={alpha} beta={beta} gamma={gamma}  (predicted threshold sigma = {threshold})")
     for offset in (-0.5, -0.1, 0.1, 0.5):
         sigma = threshold + offset
-        mu = radial_measure(density=power_log_density(sigma))
+        mu = RadialMeasure(density=power_log_density(sigma))
         result = criterion_beta_spaces(mu, alpha=alpha, beta=beta, gamma=gamma, depth=24)
         marker = "above" if offset > 0 else "below"
         print(f"  sigma = {sigma:>5.2f} ({marker}):  verdict = {result.verdict}")
@@ -31,7 +31,7 @@ def main() -> None:
     omega = power_weight(0.5)
     print("probe corroboration at alpha=0, omega=nu=(1-t)^0.5:")
     for sigma, tag in ((0.0, "critical"), (1.0, "subcritical")):
-        mu = radial_measure(density=power_log_density(sigma))
+        mu = RadialMeasure(density=power_log_density(sigma))
         crit = criterion_moment(mu, omega, omega, 0.0, n_max=2**16)
         cfg = OperatorConfig(alpha=0.0, measure=mu, truncation=2**10)
         probe = operator_norm_probe(cfg, omega, omega, probe_functions(omega, 2**10))

@@ -18,7 +18,6 @@ from .bloch import (
     block_peaks,
     coefficient_sum_form,
     dyadic_block_form,
-    growth_envelope_ratio,
     monotone_form,
     norm_coefficient_sum,
     norm_direct,
@@ -74,7 +73,6 @@ from .measures import (
     point_mass,
     power_log_density,
     power_reweight,
-    radial_measure,
     reweight_agreement,
 )
 from .reports import emit_report, render_csv, render_json, render_markdown, write_report
@@ -82,10 +80,8 @@ from .series import (
     BlockPolynomial,
     TaylorSeries,
     block_polynomial,
-    hardy_norm,
     phi_cutoff,
     psi_cutoff,
-    reconstruction_defect,
     series_from_csv,
     series_from_json,
     series_to_csv,

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from .errors import PreconditionError
 from .series import TaylorSeries, _circle_peak, block_polynomial, sup_norm
 from .trend import VERDICT_UNBOUNDED, PreparedLadder, radius_ladder, summarize_ladder
-from .weights import NormalWeight, growth_gauge_from_gaps
+from .weights import NormalWeight
 
 METHOD_DIRECT = "direct"
 METHOD_COEFFICIENT_SUM = "coefficient_sum"
@@ -208,19 +208,3 @@ def bloch_norm(f: TaylorSeries, w: NormalWeight, method: str = METHOD_DIRECT) ->
     except KeyError:
         raise PreconditionError(f"unknown norm method {method!r}; choose from {sorted(_METHODS)}") from None
     return fn(f, w)
-
-
-def growth_envelope_ratio(f: TaylorSeries, w: NormalWeight, radial_depth: int = 12) -> float:
-    """sup over dyadic radii of |f(r)| / ((gauge(r) + 1) * norm).
-
-    It measures the constant C of the pointwise estimate
-    ``|f(z)| <= C ||f|| (1 + gauge(|z|))``, where the gauge is the integral of
-    1/nu.  The well-definedness gate (``hilbert_op.well_defined_check``) rests
-    on that estimate: the operator is defined on the space when the gauge is
-    integrable against the measure.
-    """
-    norm_value = norm_direct(f, w, radial_depth=radial_depth).value
-    radii = np.concatenate([[0.0], radius_ladder(radial_depth)])
-    gauges = growth_gauge_from_gaps(w, 1.0 - radii)
-    values = np.abs(np.asarray(f(radii), dtype=complex))
-    return float(np.max(values / ((gauges + 1.0) * norm_value)))

@@ -14,14 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .measures import (
-    RadialMeasure,
-    lebesgue,
-    measure_from_json,
-    point_mass,
-    power_log_density,
-    radial_measure,
-)
+from .measures import RadialMeasure, lebesgue, measure_from_json, point_mass, power_log_density
 from .series import TaylorSeries, series_from_json
 from .weights import (
     NormalWeight,
@@ -56,16 +49,16 @@ def builtin_weights() -> dict[str, NormalWeight]:
 def atom_ladder(levels: int = 16) -> RadialMeasure:
     """Atoms 2^{-s} at radii 1-2^{-s}; tails are exactly 2^{1-m} at depth m."""
     atoms = [(1.0 - 2.0**-s, 2.0**-s) for s in range(1, levels + 1)]
-    return radial_measure(atoms=atoms, label=f"atom ladder ({levels} levels)")
+    return RadialMeasure(atoms=atoms, label=f"atom ladder ({levels} levels)")
 
 
 _MEASURE_FACTORIES = {
     "lebesgue": lebesgue,
     "atom_half": lambda: point_mass(0.5),
-    "density_1": lambda: radial_measure(density=power_log_density(1.0)),
-    "density_2": lambda: radial_measure(density=power_log_density(2.0)),
-    "density_-0.5": lambda: radial_measure(density=power_log_density(-0.5)),
-    "density_1_log-1": lambda: radial_measure(density=power_log_density(1.0, -1.0)),
+    "density_1": lambda: RadialMeasure(density=power_log_density(1.0)),
+    "density_2": lambda: RadialMeasure(density=power_log_density(2.0)),
+    "density_-0.5": lambda: RadialMeasure(density=power_log_density(-0.5)),
+    "density_1_log-1": lambda: RadialMeasure(density=power_log_density(1.0, -1.0)),
     "atom_ladder_16": lambda: atom_ladder(16),
 }
 

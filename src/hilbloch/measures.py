@@ -188,18 +188,12 @@ class RadialMeasure:
             w_dens = np.append(w_dens[~at_one], math.fsum(w_dens[at_one]))
         return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
 
-    def moments_at(
-        self, ns: Sequence[int], phi=None, rel_tol: float = 1e-10, breakpoints: Sequence[float] = ()
-    ) -> np.ndarray:
-        """Moments (or phi-weighted moments) at the given indices.
-
-        breakpoints lists radii in (0, 1) where phi has kinks; panel edges are
-        pinned there so the composite rule keeps its convergence rate.
-        """
+    def moments_at(self, ns: Sequence[int], phi=None, rel_tol: float = 1e-10) -> np.ndarray:
+        """Moments (or phi-weighted moments) at the given indices."""
         ns = [int(n) for n in ns]
         if any(n < 0 for n in ns):
             raise DomainError("moment index must be nonnegative")
-        return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol, breakpoints), ns)
+        return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol), ns)
 
     def moment(self, n: int, rel_tol: float = 1e-10) -> float:
         return float(self.moments_at([int(n)], rel_tol=rel_tol)[0])
@@ -250,14 +244,7 @@ class RadialMeasure:
             table *= step
         return out[: n_max + 1]
 
-    def integral(
-        self,
-        fn,
-        rel_tol: float = 1e-10,
-        breakpoints: Sequence[float] = (),
-        abs_floor: float = 0.0,
-        upper: float = 1.0,
-    ) -> float:
+    def integral(self, fn, rel_tol: float = 1e-10, abs_floor: float = 0.0, upper: float = 1.0) -> float:
         """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError.
 
         fn takes arrays: the atoms at or below upper all in one call, in atom
@@ -276,7 +263,6 @@ class RadialMeasure:
                 0.0,
                 upper,
                 rel_tol=rel_tol,
-                breakpoints=breakpoints,
                 abs_floor=abs_floor,
             )
         return total
@@ -305,14 +291,6 @@ class RadialMeasure:
 
 
 # -- constructors ---------------------------------------------------------
-
-
-def radial_measure(
-    atoms: Sequence[tuple[float, float]] = (),
-    density: Density | None = None,
-    label: str | None = None,
-) -> RadialMeasure:
-    return RadialMeasure(atoms, density, label)
 
 
 def lebesgue() -> RadialMeasure:

@@ -115,7 +115,6 @@ def integrate_radial(
     lower: float = 0.0,
     upper: float = 1.0,
     rel_tol: float = DEFAULT_REL_TOL,
-    breakpoints: Sequence[float] = (),
     abs_floor: float = 0.0,
     extrapolate: bool = False,
 ) -> float:
@@ -136,12 +135,9 @@ def integrate_radial(
         return np.asarray(fn(t, omt), dtype=float) * omt
 
     u_lo = -np.log1p(-lower)
-    inner = [-np.log1p(-b) for b in breakpoints if lower < b < upper]
     if upper < 1.0:
-        u_hi = -np.log1p(-upper)
-        edges = [u_lo, *inner, u_hi]
-        return integrate_segments(g, edges, rel_tol=rel_tol, abs_floor=abs_floor)
-    u0 = max(8.0, u_lo + 4.0, *(b + 2.0 for b in inner)) if inner else max(8.0, u_lo + 4.0)
-    core = integrate_segments(g, [u_lo, *inner, u0], rel_tol=rel_tol, abs_floor=abs_floor)
+        return integrate_segments(g, [u_lo, -np.log1p(-upper)], rel_tol=rel_tol, abs_floor=abs_floor)
+    u0 = max(8.0, u_lo + 4.0)
+    core = integrate_segments(g, [u_lo, u0], rel_tol=rel_tol, abs_floor=abs_floor)
     tail = integrate_tail(g, u0, rel_tol=rel_tol, scale=max(abs(core), abs_floor), extrapolate=extrapolate)
     return core + tail

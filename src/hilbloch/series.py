@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, require_number
+from .errors import DomainError, require_number
 
 # Elements per temporary in `_evaluate`: 2^16 complex values are 1 MiB.
 _CHUNK_ELEMENTS = 2**16
@@ -77,16 +77,13 @@ class TaylorSeries:
         k = np.arange(1, len(self.coefficients))
         return TaylorSeries(self.coefficients[1:] * k)
 
-    def antiderivative(self, constant: float = 0.0) -> "TaylorSeries":
-        k = np.arange(1, len(self.coefficients) + 1)
-        out = np.concatenate([[constant], self.coefficients / k])
-        return TaylorSeries(out)
-
     def hadamard(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(len(self.coefficients), len(other.coefficients))
         return TaylorSeries(self.coefficients[:n] * other.coefficients[:n])
 
     def pad(self, truncation: int) -> "TaylorSeries":
+        if truncation < 0:
+            raise DomainError(f"truncation must be nonnegative, got {truncation}")
         if truncation + 1 <= len(self.coefficients):
             return TaylorSeries(self.coefficients[: truncation + 1])
         out = np.zeros(truncation + 1, dtype=self.coefficients.dtype)
@@ -159,15 +156,26 @@ def series_to_json(f: TaylorSeries) -> list[float]:
 
 
 def series_from_csv(text: str) -> TaylorSeries:
-    """Read (index, coefficient) rows; indices must cover 0..N once each."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if rows and not rows[0][0].strip().isdigit():
-        rows = rows[1:]
-    entries = {int(idx): float(val) for idx, val, *_ in rows}
-    n_max = max(entries)
-    if set(entries) != set(range(n_max + 1)):
+    """Read (index, coefficient) rows; indices must cover 0..N once each.
+
+    A first row that does not parse as an integer and a number is a header and
+    is skipped; any later such row, a repeated index or a gap is a DomainError.
+    Blank lines and columns past the second are ignored.
+    """
+    entries: dict[int, float] = {}
+    for line, row in enumerate(row for row in csv.reader(io.StringIO(text)) if row):
+        try:
+            idx, val = int(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if line == 0:
+                continue
+            raise DomainError(f"series CSV row {row!r} is not an (index, coefficient) pair") from None
+        if idx in entries:
+            raise DomainError(f"series CSV lists index {idx} twice")
+        entries[idx] = val
+    if not entries or set(entries) != set(range(len(entries))):
         raise DomainError("series CSV must list every index 0..N exactly once")
-    return TaylorSeries(np.array([entries[k] for k in range(n_max + 1)]))
+    return TaylorSeries(np.array([entries[k] for k in range(len(entries))]))
 
 
 def series_to_csv(f: TaylorSeries, stream=None) -> str:
@@ -213,11 +221,6 @@ class BlockPolynomial:
     def degree(self) -> int:
         return self.offset + len(self.values) - 1
 
-    def to_series(self) -> TaylorSeries:
-        out = np.zeros(self.degree + 1)
-        out[self.offset :] = self.values
-        return TaylorSeries(out)
-
     def hadamard(self, f: TaylorSeries) -> np.ndarray:
         """Coefficients of block * f on the block's support."""
         segment = np.zeros(len(self.values), dtype=f.coefficients.dtype)
@@ -241,38 +244,7 @@ def block_polynomial(n: int) -> BlockPolynomial:
     return BlockPolynomial(offset, values)
 
 
-def reconstruction_defect(f: TaylorSeries, depth: int) -> float:
-    """Max coefficient defect of sum_{n<=depth} block_n * f against f.
-
-    Requires 2^{depth+1} - 1 >= N.  Cancellation is exact (up to rounding)
-    for exponents k <= 2^depth; deeper exponents sit in the partially
-    covered outer band and contribute their honest defect.
-    """
-    n_max = f.truncation
-    if 2 ** (depth + 1) - 1 < n_max:
-        raise PreconditionError(
-            f"depth {depth} covers exponents only up to {2 ** (depth + 1) - 1} < {n_max}"
-        )
-    acc = np.zeros(n_max + 1, dtype=f.coefficients.dtype)
-    for n in range(depth + 1):
-        block = block_polynomial(n)
-        if block.offset > n_max:
-            break
-        vals = block.hadamard(f)
-        hi = min(block.degree + 1, n_max + 1)
-        acc[block.offset : hi] += vals[: hi - block.offset]
-    return float(np.max(np.abs(acc - f.coefficients)))
-
-
 # -- circle norms ------------------------------------------------------------
-
-
-def _as_coefficients(poly) -> np.ndarray:
-    if isinstance(poly, TaylorSeries):
-        return poly.coefficients
-    if isinstance(poly, BlockPolynomial):
-        return poly.values  # |z^offset P(z)| = |P(z)| on the circle
-    return TaylorSeries(poly).coefficients  # the same checks as a series
 
 
 def _circle_peak(coeffs: np.ndarray, m: int) -> float:
@@ -293,17 +265,5 @@ def sup_norm(poly) -> float:
     symmetry), complex ones the full transform.  Raw arrays must be nonempty,
     finite and 1-d, as for `TaylorSeries`.
     """
-    coeffs = _as_coefficients(poly)
+    coeffs = (poly if isinstance(poly, TaylorSeries) else TaylorSeries(poly)).coefficients
     return _circle_peak(coeffs, 8 * len(coeffs))
-
-
-def hardy_norm(poly, p: float) -> float:
-    """Circle-average norm: p = 2 exactly from coefficients, p = 1 by quadrature on the full FFT."""
-    coeffs = _as_coefficients(poly)
-    if p == 2:
-        return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
-    if p == 1:
-        degree = len(coeffs) - 1
-        m = 8 * (degree + 1)
-        return float(np.mean(np.abs(np.fft.fft(coeffs, m))))
-    raise DomainError("hardy_norm supports p in {1, 2}")

@@ -299,11 +299,6 @@ class ExtremalSeries:
     upper_bound: float
     profile: np.ndarray = field(repr=False)
 
-    def value(self, zeta):
-        zeta = np.asarray(zeta)
-        out = sum(coeff * zeta**n for n, coeff in self.coefficient_pairs())
-        return out if out.shape else out[()]
-
     def value_from_gap(self, gap):
         """value(1 - gap) for real gaps in (0, 1], each power read as exp(n log1p(-gap)).
 

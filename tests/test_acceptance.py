@@ -21,8 +21,8 @@ from hilbloch.hilbert_op import (
     criterion_log_spaces,
     hankel_apply,
 )
-from hilbloch.measures import lebesgue, power_log_density, radial_measure
-from hilbloch.series import TaylorSeries, block_polynomial, hardy_norm, reconstruction_defect, sup_norm
+from hilbloch.measures import RadialMeasure, lebesgue, power_log_density
+from hilbloch.series import TaylorSeries, block_polynomial, sup_norm
 from hilbloch.suites import default_config, run_suite
 from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED
 
@@ -156,7 +156,7 @@ def test_criterion_11_power_scale_boundary_flip():
     for proto in protocols:
         for offset in (-0.75, -0.25, 0.25, 0.75):
             sigma = proto["threshold"] + offset
-            mu = radial_measure(density=power_log_density(sigma))
+            mu = RadialMeasure(density=power_log_density(sigma))
             result = criterion_beta_spaces(
                 mu, alpha=proto["alpha"], beta=proto["beta"], gamma=proto["gamma"], depth=24
             )
@@ -165,16 +165,24 @@ def test_criterion_11_power_scale_boundary_flip():
 
 
 def test_criterion_12_block_polynomial_properties():
+    # Blocks 0..8 telescope to f on every exponent up to 2^8.
     rng = np.random.default_rng(20260814)
     for f in (TaylorSeries(rng.standard_normal(257)), series_catalog(256)["harmonic"]):
-        assert reconstruction_defect(f, depth=8) < 1e-12
+        rebuilt = np.zeros(len(f.coefficients))
+        for n in range(9):
+            block = block_polynomial(n)
+            piece = block.hadamard(f)[: len(rebuilt) - block.offset]
+            rebuilt[block.offset : block.offset + len(piece)] += piece
+        assert np.max(np.abs(rebuilt - f.coefficients)) < 1e-12
 
+    # Sup, H^2 and H^1 norms of block n scale like 2^n, 2^(n/2) and 1; the H^1
+    # norm is the mean of |block| over 8 (degree + 1) points of the circle.
     sup_band, two_band, one_band = [], [], []
     for n in range(1, 11):
-        vn = block_polynomial(n).to_series()
-        sup_band.append(sup_norm(vn) / 2.0**n)
-        two_band.append(hardy_norm(vn, 2) / 2.0 ** (n / 2.0))
-        one_band.append(hardy_norm(vn, 1))
+        block = block_polynomial(n)
+        sup_band.append(sup_norm(block.values) / 2.0**n)
+        two_band.append(np.linalg.norm(block.values) / 2.0 ** (n / 2.0))
+        one_band.append(np.mean(np.abs(np.fft.fft(block.values, 8 * (block.degree + 1)))))
     for band in (sup_band, two_band, one_band):
         assert max(band) / min(band) <= 4.0, band
 

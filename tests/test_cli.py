@@ -225,6 +225,25 @@ class TestErrors:
         assert "Traceback" not in proc.stderr
         assert "not valid JSON" in proc.stderr
 
+    def test_malformed_series_csv_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,coefficient\n0,1.0\n1,abc\n")
+        src = str(pathlib.Path(hilbloch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        cmd = [sys.executable, "-m", "hilbloch.cli", "bloch-norm", "--weight", "power_1", "--series", str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not an (index, coefficient) pair" in proc.stderr
+
+    def test_negative_truncation_of_a_csv_series_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("index,coefficient\n" + "".join(f"{k},1.0\n" for k in range(7)))
+        code = main(["bloch-norm", "--series", str(path), "--weight", "power_1", "--truncation", "-2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "truncation must be nonnegative" in captured.err
+
     @pytest.mark.parametrize(
         "weight", ['{"kind": "power", "gamma": "1"}', '{"kind": "power"}', '{"kind": "power", "gamma": NaN}']
     )

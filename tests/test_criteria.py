@@ -25,7 +25,7 @@ from hilbloch.hilbert_op import (
     criterion_log_spaces,
     criterion_moment,
 )
-from hilbloch.measures import power_log_density, radial_measure
+from hilbloch.measures import RadialMeasure, power_log_density
 from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED
 from hilbloch.weights import power_weight
 
@@ -308,14 +308,14 @@ def _paper_verdict(s: float, alpha: float, gamma: float) -> str:
 @given(power_scale_draws(beta_max=1.0))
 def test_beta_spaces_match_the_paper_for_small_beta(draw):
     s, alpha, beta, gamma = draw
-    result = criterion_beta_spaces(radial_measure(density=power_log_density(s)), alpha, beta, gamma)
+    result = criterion_beta_spaces(RadialMeasure(density=power_log_density(s)), alpha, beta, gamma)
     assert result.verdict == _paper_verdict(s, alpha, gamma)
 
 
 @given(power_scale_draws(beta_max=0.95))
 def test_moment_criterion_matches_the_paper_for_power_weights(draw):
     s, alpha, beta, gamma = draw
-    mu = radial_measure(density=power_log_density(s))
+    mu = RadialMeasure(density=power_log_density(s))
     result = criterion_moment(mu, power_weight(beta), power_weight(gamma), alpha, n_max=2**16)
     assert result.verdict == _paper_verdict(s, alpha, gamma)
 
@@ -336,7 +336,7 @@ def large_beta_draws(draw):
 @given(large_beta_draws())
 def test_beta_spaces_match_the_paper_for_large_beta(draw):
     s, alpha, beta, gamma = draw
-    mu = radial_measure(density=power_log_density(s))
+    mu = RadialMeasure(density=power_log_density(s))
     if s < beta - 2.0:
         with pytest.raises(PreconditionError):
             criterion_beta_spaces(mu, alpha, beta, gamma)
@@ -351,6 +351,6 @@ def test_beta_spaces_just_above_the_gate_border(alpha, beta):
     # s = beta - 2 + BAND passes the gate; the reweighted density (1-t)^(-15/16) dt
     # must build, and s + 1 < alpha + 1 + beta - gamma reads unbounded.
     s = beta - 2.0 + BAND
-    result = criterion_beta_spaces(radial_measure(density=power_log_density(s)), alpha, beta, 1.0)
+    result = criterion_beta_spaces(RadialMeasure(density=power_log_density(s)), alpha, beta, 1.0)
     assert result.verdict == VERDICT_UNBOUNDED
     assert result.details["forms_agree"]

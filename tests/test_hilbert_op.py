@@ -251,14 +251,14 @@ class TestCriteria:
 
     def test_beta_spaces_large_beta_threshold(self):
         # Threshold sigma = alpha + beta - gamma = 1.5 for these parameters.
-        from hilbloch.measures import power_log_density, radial_measure
+        from hilbloch.measures import RadialMeasure, power_log_density
 
-        bounded = radial_measure(density=power_log_density(2.25))
+        bounded = RadialMeasure(density=power_log_density(2.25))
         result = criterion_beta_spaces(bounded, alpha=0.5, beta=2.0, gamma=1.0, depth=20)
         assert result.verdict == VERDICT_BOUNDED
         assert "reweighted_form" in result.details
 
-        unbounded = radial_measure(density=power_log_density(0.75))
+        unbounded = RadialMeasure(density=power_log_density(0.75))
         result = criterion_beta_spaces(unbounded, alpha=0.5, beta=2.0, gamma=1.0, depth=20)
         assert result.verdict == VERDICT_UNBOUNDED
 

@@ -127,10 +127,6 @@ class TestIntegrateRadial:
         val = integrate_radial(lambda t, omt: -np.log(omt))
         assert math.isclose(val, 1.0, rel_tol=1e-9)
 
-    def test_breakpoint_resolves_kink(self):
-        val = integrate_radial(lambda t, omt: np.abs(2.0 * t - 1.0), breakpoints=(0.5,))
-        assert math.isclose(val, 0.5, rel_tol=1e-11)
-
     def test_subinterval_bounds(self):
         val = integrate_radial(lambda t, omt: np.ones_like(t), lower=0.25, upper=0.75)
         assert math.isclose(val, 0.5, rel_tol=1e-12)

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
-every private name or constant it defines is read somewhere, and none reaches
-polyfit or lstsq."""
+every private name or constant it defines is read somewhere, the public
+functions that only tests call are a pinned few, and none reaches polyfit or
+lstsq."""
 
 import ast
 from pathlib import Path
@@ -11,8 +12,11 @@ import hilbloch
 
 PACKAGE = Path(hilbloch.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
 # Code that may read a module's private names: the package and the benchmark harness.
-READERS = sorted(PACKAGE.glob("*.py")) + sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+# Code that counts as a caller of a public function: the package, the benchmark harness and the demos.
+CALLERS = READERS + sorted((REPO / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -81,6 +85,53 @@ def test_detector_sees_an_unread_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unread_name(path):
     assert unread_names(path.read_text(), [reader.read_text() for reader in READERS]) == []
+
+
+def public_callables(source: str) -> dict[str, int]:
+    """Public module-level functions and public methods ("Class.method"), with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef):
+            found.update({f"{node.name}.{item.name}": item.lineno for item in node.body if isinstance(item, ast.FunctionDef)})
+    return {name: line for name, line in found.items() if not name.rsplit(".", 1)[-1].startswith("_")}
+
+
+def uncalled_public(sources: list[str], callers: list[str]) -> set[str]:
+    """Public functions and methods of the sources whose name no caller reads (by name or attribute)."""
+    read = set().union(*(names_read(text) for text in callers))
+    return {name for source in sources for name in public_callables(source) if name.rsplit(".", 1)[-1] not in read}
+
+
+def test_detector_sees_an_uncalled_public_function():
+    source = (
+        "def used():\n    return 1\n\ndef spare():\n    pass\n\ndef _private():\n    pass\n\n"
+        "class Box:\n    def open(self):\n        pass\n\n    def shut(self):\n        pass\n\n    def __len__(self):\n        return 0\n"
+    )
+    caller = "import mod\nmod.used()\nmod.Box().open()\n"
+    assert uncalled_public([source], [source, caller]) == {"spare", "Box.shut"}
+
+
+# Public functions no package module, demo or benchmark file calls: the JSON
+# writers, the output half of the descriptors the CLI reads, and catalog and
+# trend entry points kept for library users.  A helper that only tests call
+# belongs in the test that needs it, not in this set.
+UNCALLED_PUBLIC = {
+    "config_to_json",
+    "measure_to_json",
+    "series_to_json",
+    "weight_to_json",
+    "builtin_measures",
+    "series_catalog",
+    "monotone_family",
+    "trend_slopes",
+}
+
+
+def test_only_the_pinned_public_functions_go_uncalled():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert uncalled_public(sources, [caller.read_text() for caller in CALLERS]) == UNCALLED_PUBLIC
 
 
 # Slopes are fitted in closed form by one helper in trend.py; a second fit path

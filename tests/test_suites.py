@@ -278,9 +278,9 @@ class TestRunSuite:
             "import hashlib\n"
             "from hilbloch.catalog import builtin_measures\n"
             "from hilbloch.cli import main\n"
-            "from hilbloch.measures import power_log_density, radial_measure\n"
+            "from hilbloch.measures import RadialMeasure, power_log_density\n"
             "main(['verify', '--suite', 'T3.3', '--resolution-scale', '2', '--format', 'json'])\n"
-            "mixed = radial_measure(atoms=[(0.5, 1.0)], density=power_log_density(2.0))\n"
+            "mixed = RadialMeasure(atoms=[(0.5, 1.0)], density=power_log_density(2.0))\n"
             "tables = [builtin_measures()['density_-0.5'].contiguous_moments(2**18)]\n"
             "tables += [mixed.contiguous_moments(n) for n in (2**14, 2**18)]\n"
             "print(hashlib.sha256(b''.join(table.tobytes() for table in tables)).hexdigest())\n"

@@ -401,11 +401,11 @@ class TestExtremalSeries:
         ratio = F / envelope
         assert np.max(ratio) / np.min(ratio) < 16.0
 
-    def test_value_matches_coefficients(self):
+    def test_value_from_gap_matches_coefficients(self):
         g = build_extremal(power_weight(1.0), levels=6)
         z = 0.75
         direct = sum(c * z**n for n, c in g.coefficient_pairs())
-        assert g.value(z) == pytest.approx(direct, rel=1e-12)
+        assert g.value_from_gap(1.0 - z) == pytest.approx(direct, rel=1e-12)
 
 
 class TestRatioBound:

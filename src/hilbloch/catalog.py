@@ -165,15 +165,13 @@ def _build_named(factories: dict, kind: str, name: str, *args):
 
 def resolve_weight(spec) -> NormalWeight:
     """Catalog name or JSON descriptor to a weight."""
-    if isinstance(spec, NormalWeight):
-        return spec
     if isinstance(spec, str):
         return _build_named(_WEIGHT_FACTORIES, "weight", spec)
     return weight_from_json(spec)
 
 
 def resolve_measure(spec) -> RadialMeasure:
-    """Catalog name or JSON descriptor to a measure."""
+    """Catalog name or JSON descriptor to a measure; a measure itself passes through."""
     if isinstance(spec, RadialMeasure):
         return spec
     if isinstance(spec, str):
@@ -182,9 +180,14 @@ def resolve_measure(spec) -> RadialMeasure:
 
 
 def resolve_series(spec, truncation: int = DEFAULT_SERIES_TRUNCATION) -> TaylorSeries:
-    """Catalog name or JSON coefficient array to a series, cut at truncation."""
-    if isinstance(spec, TaylorSeries):
-        return spec
+    """Catalog name or JSON coefficient array to a series at truncation.
+
+    A JSON array is cut or zero-padded to truncation + 1 coefficients; a
+    catalog name builds its entry at truncation, and its fixed polynomials
+    keep their own length.
+    """
+    if truncation < 0:
+        raise DomainError(f"truncation must be nonnegative, got {truncation}")
     if isinstance(spec, str):
         return _build_named(_SERIES_FACTORIES, "series", spec, truncation)
-    return series_from_json(spec)
+    return series_from_json(spec).pad(truncation)

@@ -67,20 +67,17 @@ def gamma_table(n_max: int, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Kernel exponent, measure, output truncation, and quadrature tolerance."""
+    """Kernel exponent, measure and output truncation."""
 
     alpha: float
     measure: RadialMeasure
     truncation: int
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         _require_alpha(self.alpha)
         if int(self.truncation) < 1:
             raise DomainError("truncation must be at least 1")
         object.__setattr__(self, "truncation", int(self.truncation))
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError("rel_tol must lie in (0, 1)")
 
 
 # -- well-definedness gate -------------------------------------------------------
@@ -126,7 +123,7 @@ def _real_series(f: TaylorSeries, who: str) -> TaylorSeries:
 def _image(cfg: OperatorConfig, phi, breakpoints: Sequence[float] = ()) -> TaylorSeries:
     """Output series b_n = c_n * integral of t^n phi(t) dmu, n <= truncation."""
     try:
-        moments = cfg.measure.contiguous_moments(cfg.truncation, phi=phi, rel_tol=cfg.rel_tol, breakpoints=breakpoints)
+        moments = cfg.measure.contiguous_moments(cfg.truncation, phi=phi, breakpoints=breakpoints)
     except NumericsError as exc:
         raise NumericsError(
             "weighted moments diverge; the operator is not well defined on this source"
@@ -163,7 +160,7 @@ def apply_sublinear(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
 
 
 def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> complex:
-    """Direct kernel quadrature at one point; principal power of (1-tz).
+    """Direct kernel quadrature at one point, to quadrature.DEFAULT_REL_TOL; principal power of (1-tz).
 
     Re(1-tz) >= 1-|z| > 0 on the admissible domain, so the principal branch
     is smooth along the integration path.
@@ -172,7 +169,7 @@ def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> comple
     if abs(z) >= 1.0:
         raise DomainError("evaluation point must satisfy |z| < 1")
     power = -(cfg.alpha + 1.0)
-    floor = 1e-14 * (1.0 + cfg.measure.mass)
+    floor = 1e-14 * (1.0 + cfg.measure.tail(0.0))
 
     def part(which: str):
         def fn(t, omt):
@@ -181,10 +178,10 @@ def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> comple
 
         return fn
 
-    real = cfg.measure.integral(part("real"), rel_tol=cfg.rel_tol, abs_floor=floor)
+    real = cfg.measure.integral(part("real"), abs_floor=floor)
     if z.imag == 0.0 and not np.iscomplexobj(f.coefficients):
         return complex(real, 0.0)
-    imag = cfg.measure.integral(part("imag"), rel_tol=cfg.rel_tol, abs_floor=floor)
+    imag = cfg.measure.integral(part("imag"), abs_floor=floor)
     return complex(real, imag)
 
 
@@ -300,16 +297,15 @@ def criterion_bloch_to_gamma(
     mu: RadialMeasure,
     alpha: float,
     gamma: float,
-    mode: str = "carleson",
     n_max: int = 2**20,
     depth: int = 24,
 ) -> CriterionResult:
     """Source = unweighted Bloch, target gap power gamma in (0, alpha+2).
 
-    mode selects the reported quantity: "carleson" probes the log-weighted
-    tail bound with exponent alpha+2-gamma, "moment" probes
-    n^(alpha+2-gamma) * integral of t^n log(e/(1-t)) dmu.  Both are always
-    evaluated; disagreement downgrades the verdict to inconclusive.
+    The reported quantity probes the log-weighted tail bound with exponent
+    alpha+2-gamma; the moment form n^(alpha+2-gamma) * integral of
+    t^n log(e/(1-t)) dmu is attached under details["moment_form"], and
+    disagreement downgrades the verdict to inconclusive.
     """
     alpha = _require_alpha(alpha)
     gamma = require_number(gamma, "gamma", DomainError)
@@ -325,17 +321,13 @@ def criterion_bloch_to_gamma(
             verdict=VERDICT_BOUNDED,
             details={"automatic": True, "alpha": alpha, "gamma": gamma},
         )
-    if mode not in ("carleson", "moment"):
-        raise DomainError(f"unknown mode {mode!r}; expected 'carleson' or 'moment'")
     log_weight = lambda t, omt: 1.0 - np.log(omt)  # noqa: E731
     _finite_integral(mu, log_weight, "integral of log(e/(1-t))")
     carleson = carleson_sup(mu, gamma_log=1.0, s=alpha + 2.0 - gamma, depth=depth)
     scale = lambda x, m: x ** (alpha + 2.0 - gamma) * m  # noqa: E731
     details = {"alpha": alpha, "gamma": gamma, "n_max": int(n_max)}
     moment = _moment_form(mu, log_weight, scale, "n^(alpha+2-gamma) log-weighted moment", details, n_max)
-    if mode == "carleson":
-        return _combined(carleson, moment, "moment_form")
-    return _combined(moment, carleson, "carleson_form")
+    return _combined(carleson, moment, "moment_form")
 
 
 def criterion_beta_spaces(
@@ -466,7 +458,7 @@ def operator_norm_probe(
             source = norm_direct(fn, omega, radial_depth=d)
             if source.value == 0.0:
                 raise DomainError(f"test function {label!r} has zero source norm")
-            image = apply_coefficient(fn, OperatorConfig(cfg.alpha, cfg.measure, n, cfg.rel_tol))
+            image = apply_coefficient(fn, OperatorConfig(cfg.alpha, cfg.measure, n))
             target = norm_direct(image, nu, radial_depth=d)
             row[tag] = target.value / source.value
         row["growth"] = row["doubled"] / row["base"]

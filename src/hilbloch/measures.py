@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericsError, require_number
-from .quadrature import TAIL_CAP, integrate_radial, panel_points
+from .quadrature import DEFAULT_REL_TOL, TAIL_CAP, integrate_radial, panel_points
 from .trend import CriterionResult, summarize_ladder
 
 # Both power tables of contiguous_moments together (nodes x (B + R) floats) stay within 1 MiB.
@@ -77,8 +77,11 @@ def _moment_block(n_max: int, nodes: int) -> tuple[int, int]:
 class RadialMeasure:
     """atoms + density measure; it holds only that definition, so no result depends on earlier calls.
 
-    A power density (1-t)^s dt, s > -1, takes its tails from the closed form
-    (1-t)^(s+1)/(s+1); every other density integrates them.
+    The density (1-t)^s log^gamma(e/(1-t)) dt has finite mass exactly when s
+    and gamma are finite and s > -1, or s = -1 and gamma < -1; any other
+    density raises ConstructionError.  A power density (1-t)^s dt, s > -1,
+    takes its tails from the closed form (1-t)^(s+1)/(s+1); every other
+    density integrates them.
     """
 
     def __init__(
@@ -95,18 +98,13 @@ class RadialMeasure:
             if not 0.0 < wgt < math.inf:
                 raise ConstructionError(f"atom weight {wgt} must be positive and finite")
             cleaned.append((t, wgt))
+        if density is not None:
+            s, gamma = density.s, density.gamma_log
+            if not (math.isfinite(s) and math.isfinite(gamma) and (s > -1.0 or (s == -1.0 and gamma < -1.0))):
+                raise ConstructionError(f"density mass diverges: {density.label} (needs s > -1, or s = -1 and gamma < -1)")
         self.atoms = tuple(sorted(cleaned))
         self.density = density
         self.label = label or self._default_label()
-        density_mass = 0.0
-        if density is not None:
-            try:
-                density_mass = integrate_radial(density.eval, 0.0, 1.0, rel_tol=1e-10)
-            except NumericsError as exc:
-                raise ConstructionError(f"density mass diverges: {exc}") from exc
-            if not density_mass >= 0.0:
-                raise ConstructionError(f"density must be nonnegative, got mass {density_mass}")
-        self.mass = density_mass + sum(wgt for _, wgt in self.atoms)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -149,12 +147,13 @@ class RadialMeasure:
         cur = _power_sums(*nodes(U, 1), probe)
         while True:
             U = U + max(8.0, 0.5 * U)
+            # Checked before the grid is built: no node lies past TAIL_CAP, where (1-t) underflows.
+            if U > TAIL_CAP:
+                raise NumericsError("density moments did not stabilize in the tail; measure nearly divergent")
             nxt = _power_sums(*nodes(U, 1), probe)
             floor = 0.0 if phi is None else 0.01 * float(np.abs(nodes(U, 1)[1]).sum())
             if np.all(np.abs(nxt - cur) <= 0.25 * rel_tol * (np.abs(nxt) + floor) + 1e-300):
                 break
-            if U > TAIL_CAP:
-                raise NumericsError("density moments did not stabilize in the tail; measure nearly divergent")
             cur = nxt
         level = 1
         cur = _power_sums(*nodes(U, level), probe)
@@ -188,20 +187,15 @@ class RadialMeasure:
             w_dens = np.append(w_dens[~at_one], math.fsum(w_dens[at_one]))
         return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
 
-    def moments_at(self, ns: Sequence[int], phi=None, rel_tol: float = 1e-10) -> np.ndarray:
+    def moments_at(self, ns: Sequence[int], phi=None, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
         """Moments (or phi-weighted moments) at the given indices."""
         ns = [int(n) for n in ns]
         if any(n < 0 for n in ns):
             raise DomainError("moment index must be nonnegative")
         return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol), ns)
 
-    def moment(self, n: int, rel_tol: float = 1e-10) -> float:
-        return float(self.moments_at([int(n)], rel_tol=rel_tol)[0])
-
-    def contiguous_moments(
-        self, n_max: int, phi=None, rel_tol: float = 1e-10, breakpoints: Sequence[float] = ()
-    ) -> np.ndarray:
-        """Moments for every n = 0..n_max, sharing one node grid.
+    def contiguous_moments(self, n_max: int, phi=None, breakpoints: Sequence[float] = ()) -> np.ndarray:
+        """Moments for every n = 0..n_max, stable to DEFAULT_REL_TOL, sharing one node grid.
 
         The atoms, weighted wgt * phi(t), and the density nodes, weighted
         base * phi(t), form one node set (t, w), padded with nodes (0, 0) to a
@@ -218,7 +212,7 @@ class RadialMeasure:
         n_max = int(n_max)
         if n_max < 0:
             raise DomainError("moment index must be nonnegative")
-        t, w = self._moment_nodes(n_max, phi, rel_tol, breakpoints)
+        t, w = self._moment_nodes(n_max, phi, DEFAULT_REL_TOL, breakpoints)
         if not len(t):
             return np.zeros(n_max + 1)
         pad = -len(t) % _NODE_PAD
@@ -244,7 +238,7 @@ class RadialMeasure:
             table *= step
         return out[: n_max + 1]
 
-    def integral(self, fn, rel_tol: float = 1e-10, abs_floor: float = 0.0, upper: float = 1.0) -> float:
+    def integral(self, fn, rel_tol: float = DEFAULT_REL_TOL, abs_floor: float = 0.0, upper: float = 1.0) -> float:
         """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError.
 
         fn takes arrays: the atoms at or below upper all in one call, in atom
@@ -297,8 +291,9 @@ def lebesgue() -> RadialMeasure:
     return RadialMeasure(density=power_log_density(0.0), label="lebesgue")
 
 
-def point_mass(t: float, weight: float = 1.0) -> RadialMeasure:
-    return RadialMeasure(atoms=[(t, weight)])
+def point_mass(t: float) -> RadialMeasure:
+    """A unit atom at t."""
+    return RadialMeasure(atoms=[(t, 1.0)])
 
 
 # -- JSON / CSV interface ---------------------------------------------------
@@ -345,15 +340,14 @@ def measure_to_json(mu: RadialMeasure) -> dict:
     return doc
 
 
-def moments_to_csv(mu: RadialMeasure, n_max: int, stream=None) -> str:
-    """Write moments n = 0..n_max as CSV with columns n, mu_n."""
-    buf = stream or io.StringIO()
+def moments_to_csv(mu: RadialMeasure, n_max: int) -> str:
+    """Moments n = 0..n_max as CSV text with columns n, mu_n."""
+    buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "mu_n"])
-    values = mu.contiguous_moments(n_max)
-    for n, v in enumerate(values):
+    for n, v in enumerate(mu.contiguous_moments(n_max)):
         writer.writerow([n, repr(float(v))])
-    return buf.getvalue() if stream is None else ""
+    return buf.getvalue()
 
 
 # -- Carleson quantities -----------------------------------------------------

@@ -130,11 +130,10 @@ def write_report(
     reports: VerificationReport | Sequence[VerificationReport],
     out_dir: str | Path,
     fmt: str = FORMAT_JSON,
-    stem: str = "report",
 ) -> Path:
-    """Render and write reports under out_dir; returns the written path."""
+    """Render reports and write them to out_dir/report.<fmt>; returns the written path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{stem}.{fmt}"
+    path = out / f"report.{fmt}"
     path.write_text(emit_report(reports, fmt), encoding="utf-8")
     return path

@@ -178,13 +178,13 @@ def series_from_csv(text: str) -> TaylorSeries:
     return TaylorSeries(np.array([entries[k] for k in range(len(entries))]))
 
 
-def series_to_csv(f: TaylorSeries, stream=None) -> str:
-    buf = stream or io.StringIO()
+def series_to_csv(f: TaylorSeries) -> str:
+    buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["index", "coefficient"])
     for k, c in enumerate(f.coefficients):
         writer.writerow([k, repr(float(c))])
-    return buf.getvalue() if stream is None else ""
+    return buf.getvalue()
 
 
 # -- smooth cutoff and blocks -------------------------------------------------

@@ -741,7 +741,7 @@ def _compare_log_target(case: Case, ctx: dict) -> CaseResult:
     spec = case.item
     mu = resolve_measure(spec["measure"])
     result = criterion_bloch_to_gamma(
-        mu, float(spec["alpha"]), float(spec["gamma"]), mode="carleson", n_max=ctx["n_max"], depth=ctx["depth"]
+        mu, float(spec["alpha"]), float(spec["gamma"]), n_max=ctx["n_max"], depth=ctx["depth"]
     )
     if result.details.get("automatic"):
         verdict = result.verdict

@@ -36,10 +36,12 @@ def radius_ladder(depth: int = 24) -> np.ndarray:
 
 
 def index_ladder(n_max: int = 2**20) -> np.ndarray:
-    """Indices {1..16} plus powers of two up to n_max."""
+    """Indices {1..16} plus powers of two up to n_max; n_max must stay below 2^63, the int64 range."""
+    if n_max >= 2**63:
+        raise DomainError(f"n_max must be below 2^63, got {n_max}")
     small = np.arange(1, min(16, n_max) + 1)
     if n_max >= 32:
-        powers = 2 ** np.arange(5, int(np.floor(np.log2(n_max))) + 1)
+        powers = 2 ** np.arange(5, int(n_max).bit_length())
         return np.concatenate([small, powers]).astype(np.int64)
     return small.astype(np.int64)
 

@@ -239,15 +239,18 @@ def growth_gauge(w: NormalWeight, t: float) -> float:
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Relative change between panel doublings at which growth_gauge_from_gaps accepts its sweep.
+GAUGE_REL_TOL = 1e-11
 
 
-def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float], rel_tol: float = 1e-11) -> np.ndarray:
+def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float]) -> np.ndarray:
     """Gauge values at radii 1 - gap for many gaps in one cumulative sweep.
 
     Working from the gaps keeps deep radii exact where t itself would round
     to 1.  Segments between consecutive depths are integrated with nested
-    Gauss panels, doubled until the cumulative profile stabilizes; a profile
-    still moving at 2^10 panels per segment raises NumericsError.
+    Gauss panels, doubled until the cumulative profile is stable to
+    GAUGE_REL_TOL; a profile still moving at 2^10 panels per segment raises
+    NumericsError.
     """
     gaps = np.asarray(gaps, dtype=float)
     if gaps.size == 0:
@@ -270,12 +273,12 @@ def growth_gauge_from_gaps(w: NormalWeight, gaps: Sequence[float], rel_tol: floa
         increments = ((g * _GL8_WEIGHTS[None, None, :]).sum(axis=2) * half[:, :, 0]).sum(axis=1)
         totals = np.cumsum(increments)
         if prev_totals is not None and np.all(
-            np.abs(totals - prev_totals) <= rel_tol * (np.abs(totals) + 1e-300)
+            np.abs(totals - prev_totals) <= GAUGE_REL_TOL * (np.abs(totals) + 1e-300)
         ):
             break
         prev_totals = totals
     else:
-        raise NumericsError(f"gauge sweep not converged to rel_tol={rel_tol:g} with {splits} Gauss panels per segment")
+        raise NumericsError(f"gauge sweep not converged to {GAUGE_REL_TOL:g} with {splits} Gauss panels per segment")
     out = np.empty_like(totals)
     out[order] = totals
     return out

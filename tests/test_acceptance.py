@@ -40,7 +40,7 @@ def run_and_check(suite: str):
 
 
 def test_criterion_01_classic_hilbert_closed_form():
-    cfg = OperatorConfig(alpha=0.0, measure=lebesgue(), truncation=2**12, rel_tol=1e-12)
+    cfg = OperatorConfig(alpha=0.0, measure=lebesgue(), truncation=2**12)
     image = apply_coefficient(TaylorSeries([1.0]), cfg)
     n = np.arange(2**12 + 1, dtype=float)
     assert np.max(np.abs(image.coefficients - 1.0 / (n + 1.0))) < 1e-10

@@ -85,7 +85,7 @@ class TestBuiltins:
         weights = [w for _, w in mu.atoms]
         assert positions == [1.0 - 2.0**-s for s in range(1, 9)]
         assert weights == [2.0**-s for s in range(1, 9)]
-        assert mu.mass == pytest.approx(1.0 - 2.0**-8)
+        assert mu.tail(0.0) == pytest.approx(1.0 - 2.0**-8)
 
     def test_series_catalog_roster_and_truncation(self):
         cat = series_catalog(2**6)
@@ -185,9 +185,7 @@ class TestGeneratedFamilies:
 
 
 class TestResolvers:
-    def test_weight_passthrough_and_name(self):
-        w = power_weight(1.0)
-        assert resolve_weight(w) is w
+    def test_weight_name(self):
         assert resolve_weight("power_1").value(0.5) == pytest.approx(0.75)
 
     def test_weight_descriptor(self):
@@ -201,9 +199,9 @@ class TestResolvers:
     def test_measure_passthrough_name_descriptor(self):
         mu = builtin_measures()["atom_half"]
         assert resolve_measure(mu) is mu
-        assert resolve_measure("lebesgue").moment(1) == pytest.approx(0.5, rel=1e-10)
+        assert resolve_measure("lebesgue").moments_at([1])[0] == pytest.approx(0.5, rel=1e-10)
         again = resolve_measure({"atoms": [[0.5, 1.0]]})
-        assert again.moment(2) == pytest.approx(0.25)
+        assert again.moments_at([2])[0] == pytest.approx(0.25)
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(DomainError, match="lebesgue"):
@@ -213,9 +211,19 @@ class TestResolvers:
         f = resolve_series("ones", truncation=32)
         assert f.truncation == 32
 
-    def test_series_inline_coefficients(self):
-        f = resolve_series([1.0, 2.0, 3.0])
-        assert np.allclose(f.coefficients, [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "truncation, expected",
+        [(1, [1.0, 2.0]), (2, [1.0, 2.0, 3.0]), (4, [1.0, 2.0, 3.0, 0.0, 0.0])],
+        ids=["cut", "kept", "padded"],
+    )
+    def test_series_inline_coefficients(self, truncation, expected):
+        # An inline array is cut or zero-padded to the truncation, as a CSV series is.
+        assert resolve_series([1.0, 2.0, 3.0], truncation).coefficients.tolist() == expected
+
+    @pytest.mark.parametrize("spec", ["harmonic", [1.0, 2.0]], ids=["name", "inline"])
+    def test_negative_series_truncation_rejected(self, spec):
+        with pytest.raises(DomainError, match="truncation must be nonnegative"):
+            resolve_series(spec, -2)
 
     def test_unknown_series_rejected(self):
         known = sorted(series_catalog(1))

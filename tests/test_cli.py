@@ -114,6 +114,13 @@ class TestUtilities:
         assert doc["value"] == pytest.approx(2.0, rel=1e-9)
         assert doc["method"] == "direct"
 
+    def test_inline_series_is_cut_at_the_truncation(self, capsys):
+        values = []
+        for series in ("[1, 1, 1, 1]", "[1, 1]"):
+            assert main(["bloch-norm", "--series", series, "--weight", "power_1", "--truncation", "1"]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[0] == values[1] == pytest.approx(2.0, rel=1e-9)
+
     def test_bloch_norm_alternate_method(self, capsys):
         code = main(
             ["bloch-norm", "--series", "ones", "--weight", "power_1", "--method", "coefficient_sum", "--truncation", "512"]
@@ -243,6 +250,24 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "truncation must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("spec", ["harmonic", "[1, 1, 1]"], ids=["name", "inline"])
+    def test_negative_truncation_of_a_named_or_inline_series_exits_2(self, spec, capsys):
+        code = main(["bloch-norm", "--series", spec, "--weight", "power_1", "--truncation", "-2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "truncation must be nonnegative" in captured.err
+
+    @pytest.mark.parametrize("exponent", ["63", "64"])
+    def test_n_max_exponent_past_int64_exits_2_without_traceback(self, exponent):
+        src = str(pathlib.Path(hilbloch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        cmd = [sys.executable, "-m", "hilbloch.cli", "criterion", "--kind", "moment", "--measure", "lebesgue"]
+        cmd += ["--omega", "power_0.5", "--nu", "power_1", "--alpha", "0", "--n-max-exponent", exponent]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "n_max must be below 2^63" in proc.stderr
 
     @pytest.mark.parametrize(
         "weight", ['{"kind": "power", "gamma": "1"}', '{"kind": "power"}', '{"kind": "power", "gamma": NaN}']

@@ -1,6 +1,6 @@
 """Criteria: their outward shape pinned case by case, and the paper's boundaries on power densities.
 
-The contract table pins, for every regime, mode, automatic path and error path
+The contract table pins, for every regime, automatic path and error path
 of the five criteria on ``lebesgue`` and ``atom_half``, the reported
 ``quantity``, the sorted ``details`` keys and the verdict, or the error type and
 message.  It holds no float, so it reads the same on every machine.
@@ -71,21 +71,12 @@ CONTRACT = {
         ),
     ),
     "bloch_to_gamma|lebesgue|carleson": (
-        {"alpha": 0.5, "gamma": 1.0, "mode": "carleson"},
+        {"alpha": 0.5, "gamma": 1.0},
         (
             "tail * log^1 / (1-t)^1.5",
             ["depth", "forms_agree", "moment_form", "primary_verdict", "tails"],
             "unbounded",
             "n^(alpha+2-gamma) log-weighted moment",
-        ),
-    ),
-    "bloch_to_gamma|lebesgue|moment": (
-        {"alpha": 0.5, "gamma": 1.0, "mode": "moment"},
-        (
-            "n^(alpha+2-gamma) log-weighted moment",
-            ["alpha", "carleson_form", "forms_agree", "gamma", "n_max", "primary_verdict"],
-            "unbounded",
-            "tail * log^1 / (1-t)^1.5",
         ),
     ),
     "bloch_to_gamma|lebesgue|automatic": (
@@ -100,10 +91,6 @@ CONTRACT = {
     "bloch_to_gamma|lebesgue|gamma<=0": (
         {"alpha": 0.5, "gamma": 0.0},
         ("DomainError", "target gap power gamma must be positive"),
-    ),
-    "bloch_to_gamma|lebesgue|bad-mode": (
-        {"alpha": 0.5, "gamma": 1.0, "mode": "vibes"},
-        ("DomainError", "unknown mode 'vibes'; expected 'carleson' or 'moment'"),
     ),
     "beta|lebesgue|large": (
         {"alpha": 0.5, "beta": 1.5, "gamma": 1.0},
@@ -182,21 +169,12 @@ CONTRACT = {
         ),
     ),
     "bloch_to_gamma|atom_half|carleson": (
-        {"alpha": 0.5, "gamma": 1.0, "mode": "carleson"},
+        {"alpha": 0.5, "gamma": 1.0},
         (
             "tail * log^1 / (1-t)^1.5",
             ["depth", "forms_agree", "moment_form", "primary_verdict", "tails"],
             "bounded",
             "n^(alpha+2-gamma) log-weighted moment",
-        ),
-    ),
-    "bloch_to_gamma|atom_half|moment": (
-        {"alpha": 0.5, "gamma": 1.0, "mode": "moment"},
-        (
-            "n^(alpha+2-gamma) log-weighted moment",
-            ["alpha", "carleson_form", "forms_agree", "gamma", "n_max", "primary_verdict"],
-            "bounded",
-            "tail * log^1 / (1-t)^1.5",
         ),
     ),
     "bloch_to_gamma|atom_half|automatic": (
@@ -211,10 +189,6 @@ CONTRACT = {
     "bloch_to_gamma|atom_half|gamma<=0": (
         {"alpha": 0.5, "gamma": 0.0},
         ("DomainError", "target gap power gamma must be positive"),
-    ),
-    "bloch_to_gamma|atom_half|bad-mode": (
-        {"alpha": 0.5, "gamma": 1.0, "mode": "vibes"},
-        ("DomainError", "unknown mode 'vibes'; expected 'carleson' or 'moment'"),
     ),
     "beta|atom_half|large": (
         {"alpha": 0.5, "beta": 1.5, "gamma": 1.0},

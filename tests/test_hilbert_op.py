@@ -29,7 +29,7 @@ from hilbloch.hilbert_op import (
     sign_change_points,
     well_defined_check,
 )
-from hilbloch.measures import lebesgue, point_mass
+from hilbloch.measures import RadialMeasure, lebesgue, point_mass, power_log_density
 from hilbloch.series import TaylorSeries
 from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED
 from hilbloch.weights import power_weight
@@ -234,16 +234,11 @@ class TestCriteria:
         result = criterion_bloch_to_gamma(lebesgue(), alpha=0.0, gamma=1.0, n_max=2**16, depth=20)
         assert result.verdict == VERDICT_UNBOUNDED
 
-    def test_bloch_to_gamma_modes_share_verdict(self):
+    def test_bloch_to_gamma_forms_share_verdict(self):
         mu = builtin_measures()["density_2"]
-        for mode in ("carleson", "moment"):
-            result = criterion_bloch_to_gamma(mu, alpha=1.0, gamma=1.0, mode=mode, n_max=2**16, depth=20)
-            assert result.verdict == VERDICT_BOUNDED
-            assert result.details["forms_agree"]
-
-    def test_bloch_to_gamma_rejects_bad_mode(self):
-        with pytest.raises(DomainError):
-            criterion_bloch_to_gamma(lebesgue(), alpha=0.0, gamma=1.0, mode="vibes")
+        result = criterion_bloch_to_gamma(mu, alpha=1.0, gamma=1.0, n_max=2**16, depth=20)
+        assert result.verdict == result.details["moment_form"]["verdict"] == VERDICT_BOUNDED
+        assert result.details["forms_agree"]
 
     def test_beta_spaces_rejects_unit_beta(self):
         with pytest.raises(DomainError):
@@ -251,8 +246,6 @@ class TestCriteria:
 
     def test_beta_spaces_large_beta_threshold(self):
         # Threshold sigma = alpha + beta - gamma = 1.5 for these parameters.
-        from hilbloch.measures import RadialMeasure, power_log_density
-
         bounded = RadialMeasure(density=power_log_density(2.25))
         result = criterion_beta_spaces(bounded, alpha=0.5, beta=2.0, gamma=1.0, depth=20)
         assert result.verdict == VERDICT_BOUNDED
@@ -261,6 +254,13 @@ class TestCriteria:
         unbounded = RadialMeasure(density=power_log_density(0.75))
         result = criterion_beta_spaces(unbounded, alpha=0.5, beta=2.0, gamma=1.0, depth=20)
         assert result.verdict == VERDICT_UNBOUNDED
+
+    def test_beta_spaces_gate_passes_a_heavy_finite_reweighting(self):
+        # dmu/(1-t)^(beta-1) = (1-t)^-0.99 dt has mass 100; sigma = 0.01 lies below the threshold 1.5.
+        mu = RadialMeasure(density=power_log_density(0.01))
+        result = criterion_beta_spaces(mu, alpha=0.5, beta=2.0, gamma=1.0)
+        assert result.verdict == VERDICT_UNBOUNDED
+        assert result.details["forms_agree"]
 
     def test_beta_spaces_small_beta_reports_compactness(self):
         result = criterion_beta_spaces(lebesgue(), alpha=0.5, beta=0.5, gamma=1.0, depth=20)

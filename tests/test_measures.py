@@ -1,6 +1,5 @@
 """Measure layer: moments against closed forms, tails, Carleson quantities."""
 
-import io
 import math
 
 import mpmath
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hilbloch.catalog import atom_ladder, builtin_measures, resolve_weight
-from hilbloch.errors import ConstructionError, DomainError
+from hilbloch.errors import ConstructionError, DomainError, NumericsError
 from hilbloch.measures import (
     RadialMeasure,
     _moment_block,
@@ -23,6 +22,7 @@ from hilbloch.measures import (
     power_reweight,
     reweight_agreement,
 )
+from hilbloch.quadrature import TAIL_CAP
 from hilbloch.series import TaylorSeries
 from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED, index_ladder
 from hilbloch.weights import growth_gauge_from_gaps
@@ -71,36 +71,36 @@ class TestMoments:
     def test_lebesgue_moments(self):
         mu = lebesgue()
         for n in (0, 1, 5, 31, 200):
-            assert mu.moment(n) == pytest.approx(1.0 / (n + 1.0), rel=1e-11)
+            assert mu.moments_at([n])[0] == pytest.approx(1.0 / (n + 1.0), rel=1e-11)
 
     def test_linear_density_moments(self):
         mu = builtin_measures()["density_1"]
         for n in (0, 3, 17):
             oracle = 1.0 / ((n + 1.0) * (n + 2.0))
-            assert mu.moment(n) == pytest.approx(oracle, rel=1e-10)
+            assert mu.moments_at([n])[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_beta_moments_with_endpoint_singularity(self):
         mu = builtin_measures()["density_-0.5"]
         for n in (0, 2, 16):
             oracle = math.exp(log_beta(n + 1.0, 0.5))
-            assert mu.moment(n) == pytest.approx(oracle, rel=1e-9)
+            assert mu.moments_at([n])[0] == pytest.approx(oracle, rel=1e-9)
 
     def test_logarithmic_moments(self):
         # density log(e/(1-t)): moment_n = 1/(n+1) + H_{n+1}/(n+1).
         mu = RadialMeasure(density=power_log_density(0.0, 1.0))
         for n in (0, 4, 12):
             oracle = (1.0 + harmonic(n + 1)) / (n + 1.0)
-            assert mu.moment(n) == pytest.approx(oracle, rel=1e-9)
+            assert mu.moments_at([n])[0] == pytest.approx(oracle, rel=1e-9)
 
     def test_atom_moments(self):
-        mu = point_mass(0.5, weight=2.0)
-        assert mu.moment(0) == pytest.approx(2.0)
-        assert mu.moment(10) == pytest.approx(2.0 * 0.5**10, rel=1e-13)
+        mu = RadialMeasure(atoms=[(0.5, 2.0)])
+        assert mu.moments_at([0])[0] == pytest.approx(2.0)
+        assert mu.moments_at([10])[0] == pytest.approx(2.0 * 0.5**10, rel=1e-13)
 
     def test_mixture_is_additive(self):
         mixed = RadialMeasure(atoms=[(0.5, 1.0)], density=power_log_density(0.0))
         for n in (0, 3, 9):
-            assert mixed.moment(n) == pytest.approx(0.5**n + 1.0 / (n + 1.0), rel=1e-10)
+            assert mixed.moments_at([n])[0] == pytest.approx(0.5**n + 1.0 / (n + 1.0), rel=1e-10)
 
     def test_weighted_moments_apply_phi_to_atoms(self):
         mixed = RadialMeasure(atoms=[(0.5, 1.0)], density=power_log_density(0.0))
@@ -257,6 +257,20 @@ class TestBlockedMoments:
         with pytest.raises(DomainError):
             lebesgue().contiguous_moments(-1)
 
+    def test_unsettled_tail_search_stops_before_the_tail_cap(self):
+        # The |1 - 3t| weighting keeps this grid search from settling.  It must raise
+        # before it builds a grid past TAIL_CAP, where 1 - t underflows to zero.
+        mu = RadialMeasure(atoms=[(0.5, 1.0)], density=power_log_density(-0.5, 1.0))
+        smallest = []
+
+        def phi(t, omt):
+            smallest.append(float(np.min(omt)))
+            return np.abs(1.0 - 3.0 * t)
+
+        with pytest.raises(NumericsError, match="did not stabilize in the tail"):
+            mu.moments_at([0, 1, 16], phi=phi)
+        assert min(smallest) >= math.exp(-TAIL_CAP)
+
     @pytest.mark.parametrize("name", DENSITY_MEASURES)
     def test_moments_do_not_depend_on_earlier_calls(self, name):
         # One object read before and after a history of calls, and a second
@@ -277,6 +291,28 @@ class TestBlockedMoments:
         for reads in (read(mu), read(other)):
             assert np.array_equal(reads[0], before[0])
             assert np.array_equal(reads[1], before[1])
+
+
+class TestFiniteMass:
+    """A density (1-t)^s log^gamma(e/(1-t)) dt is finite exactly when s > -1, or s = -1 with gamma < -1."""
+
+    @pytest.mark.parametrize("s, gamma", [(-0.99, 0.0), (-0.95, 5.0), (-1.0, -1.5)])
+    def test_heavy_finite_densities_build(self, s, gamma):
+        assert RadialMeasure(density=power_log_density(s, gamma)).density == power_log_density(s, gamma)
+
+    @pytest.mark.parametrize(
+        "s, gamma", [(-1.01, 0.0), (-1.0, -1.0), (-1.0, 0.0), (-3.0, -5.0), (math.nan, 0.0), (0.0, math.inf)]
+    )
+    def test_infinite_densities_raise(self, s, gamma):
+        with pytest.raises(ConstructionError, match="density mass diverges"):
+            RadialMeasure(density=power_log_density(s, gamma))
+
+    @pytest.mark.parametrize("m", [0, 1, 8, 20, 40])
+    def test_heavy_power_density_tail_matches_closed_form(self, m):
+        # Tail of (1-t)^-0.99 dt at t = 1 - g is g^0.01 / 0.01; the whole mass is 100.
+        g = 2.0**-m
+        mu = RadialMeasure(density=power_log_density(-0.99))
+        assert mu.tail(1.0 - g) == pytest.approx(g**0.01 / 0.01, rel=1e-12)
 
 
 class TestIntegralAndTail:
@@ -361,7 +397,7 @@ class TestIntegralAndTail:
             with mpmath.workdps(30):
                 return float(mpmath.quad(lambda w: k * w ** (k * (s + 1) - 1), [0, mpmath.mpf(g) ** (1.0 / k)]))
 
-        assert mu.mass == pytest.approx(oracle(1.0), rel=1e-9)
+        assert mu.tail(0.0) == pytest.approx(oracle(1.0), rel=1e-9)
         for m in range(1, 13):
             assert mu.tail(1.0 - 2.0**-m) == pytest.approx(oracle(2.0**-m), rel=1e-12), m
 
@@ -376,7 +412,7 @@ class TestIntegralAndTail:
             ts = np.linspace(0.0, 0.99, 12)
             tails = np.array([mu.tail(float(t)) for t in ts])
             assert np.all(np.diff(tails) <= 1e-10), name
-            assert tails[0] == pytest.approx(mu.mass, rel=1e-9), name
+            assert tails[0] == pytest.approx(mu.moments_at([0])[0], rel=1e-9), name
 
 
 class TestJsonAndCsv:
@@ -396,8 +432,8 @@ class TestJsonAndCsv:
 
     def test_empty_descriptor_builds_zero_measure(self):
         mu = measure_from_json({})
-        assert mu.mass == 0.0
-        assert mu.moment(0) == 0.0
+        assert mu.tail(0.0) == 0.0
+        assert mu.moments_at([0])[0] == 0.0
 
     def test_moments_csv_layout(self):
         text = moments_to_csv(lebesgue(), 3)
@@ -406,11 +442,6 @@ class TestJsonAndCsv:
         assert len(lines) == 5
         n, value = lines[2].split(",")
         assert (int(n), float(value)) == (1, pytest.approx(0.5, rel=1e-10))
-
-    def test_moments_csv_stream(self):
-        buf = io.StringIO()
-        moments_to_csv(lebesgue(), 2, stream=buf)
-        assert buf.getvalue().startswith("n,mu_n")
 
 
 class TestCarleson:
@@ -449,16 +480,16 @@ class TestCarleson:
 
 class TestReweight:
     def test_atoms_reweight_exactly(self):
-        mu = point_mass(0.5, weight=3.0)
+        mu = RadialMeasure(atoms=[(0.5, 3.0)])
         out = power_reweight(mu, 2.0)
-        assert out.moment(0) == pytest.approx(3.0 / 0.25, rel=1e-12)
+        assert out.moments_at([0])[0] == pytest.approx(3.0 / 0.25, rel=1e-12)
 
     def test_density_shifts_exponent(self):
         mu = builtin_measures()["density_2"]
         out = power_reweight(mu, 1.0)
         for n in (0, 5):
             oracle = 1.0 / ((n + 1.0) * (n + 2.0))
-            assert out.moment(n) == pytest.approx(oracle, rel=1e-10)
+            assert out.moments_at([n])[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_equivalence_on_bounded_case(self):
         report = reweight_agreement(lebesgue(), beta=0.5, gamma=0.5, depth=20)

@@ -1,6 +1,5 @@
 """Series layer: Taylor containers, IO, smooth cutoffs, dyadic blocks."""
 
-import io
 import math
 
 import mpmath
@@ -197,11 +196,6 @@ class TestSeriesIO:
 
     def test_csv_without_header_keeps_its_first_row(self):
         assert series_from_csv("0,1.5\n1,-2\n").coefficients.tolist() == [1.5, -2.0]
-
-    def test_csv_stream_target(self):
-        buf = io.StringIO()
-        series_to_csv(TaylorSeries([1.0, 2.0]), stream=buf)
-        assert buf.getvalue().splitlines()[0] == "index,coefficient"
 
 
 class TestCutoffs:

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
 every private name or constant it defines is read somewhere, the public
-functions that only tests call are a pinned few, and none reaches polyfit or
+functions that only tests call are a pinned few, so are the optional
+parameters of public functions and methods, and none reaches polyfit or
 lstsq."""
 
 import ast
@@ -132,6 +133,114 @@ UNCALLED_PUBLIC = {
 def test_only_the_pinned_public_functions_go_uncalled():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert uncalled_public(sources, [caller.read_text() for caller in CALLERS]) == UNCALLED_PUBLIC
+
+
+def optional_parameters(source: str) -> set[tuple[str, str]]:
+    """(callable, parameter) for every parameter with a default, and every **kwargs, of the public
+    functions and methods ("Class.method", constructors included)."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for name, fn in defs:
+            last = name.rsplit(".", 1)[-1]
+            if last.startswith("_") and not (last.startswith("__") and last.endswith("__")):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            found |= {(name, arg.arg) for arg in positional[len(positional) - len(args.defaults) :]}
+            found |= {(name, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None}
+            if args.kwarg is not None:
+                found.add((name, "**" + args.kwarg.arg))
+    return found
+
+
+def test_detector_sees_optional_parameters():
+    source = (
+        "def f(a, b=1, *, c, d=2, **extra):\n    pass\n\ndef _g(x=1):\n    pass\n\n"
+        "class Box:\n    def __init__(self, size=3):\n        pass\n\n    def _fit(self, tol=0.1):\n        pass\n"
+    )
+    assert optional_parameters(source) == {("f", "b"), ("f", "d"), ("f", "**extra"), ("Box.__init__", "size")}
+
+
+# Every optional parameter of the public surface, 55 in all.  Each one has a
+# caller in the package, a demo or the benchmark harness that sets it, or is a
+# default that callers rely on; a value that only tests set is a constant of
+# its module instead.
+OPTIONAL_PARAMETERS = {
+    # bloch.py
+    "norm_direct": ("radial_depth",),
+    "bloch_norm": ("method",),
+    # catalog.py
+    "atom_ladder": ("levels",),
+    "series_catalog": ("n_max",),
+    "monotone_family": ("n_max",),
+    "resolve_series": ("truncation",),
+    # cli.py
+    "main": ("argv",),
+    # errors.py
+    "require_number": ("error",),
+    # hilbert_op.py
+    "criterion_general": ("n_max",),
+    "criterion_moment": ("n_max",),
+    "criterion_bloch_to_gamma": ("n_max", "depth"),
+    "criterion_beta_spaces": ("depth",),
+    "criterion_log_spaces": ("n_max", "depth"),
+    # measures.py
+    "power_log_density": ("gamma_log",),
+    "RadialMeasure.__init__": ("atoms", "density", "label"),
+    "RadialMeasure.moments_at": ("phi", "rel_tol"),
+    "RadialMeasure.contiguous_moments": ("phi", "breakpoints"),
+    "RadialMeasure.integral": ("rel_tol", "abs_floor", "upper"),
+    "carleson_sup": ("gamma_log", "s", "depth"),
+    "reweight_agreement": ("depth",),
+    # quadrature.py
+    "integrate_segments": ("rel_tol", "abs_floor"),
+    "integrate_tail": ("rel_tol", "scale", "extrapolate"),
+    "integrate_radial": ("lower", "upper", "rel_tol", "abs_floor", "extrapolate"),
+    # reports.py
+    "emit_report": ("fmt",),
+    "write_report": ("fmt",),
+    # suites.py
+    "Case.result": ("ratio",),
+    # trend.py
+    "radius_ladder": ("depth",),
+    "index_ladder": ("n_max",),
+    "summarize_ladder": ("details",),
+    # weights.py
+    "power_weight": ("a", "b"),
+    "power_log_weight": ("a", "b"),
+    "log_power_weight": ("a", "b"),
+    "build_extremal": ("levels",),
+    "weight_ratio_bound": ("grid_depth",),
+    "dyadic_sum_ratio": ("j_max",),
+}
+PINNED_OPTIONS = {(name, param) for name, params in OPTIONAL_PARAMETERS.items() for param in params}
+
+
+def package_options(sources: dict[str, str]) -> set[tuple[str, str]]:
+    return set().union(*(optional_parameters(text) for text in sources.values()))
+
+
+def test_only_the_pinned_optional_parameters_exist():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(PINNED_OPTIONS) == 55
+    assert package_options(sources) == PINNED_OPTIONS
+
+
+def test_pin_sees_a_restored_option():
+    # A copy of the package whose write_report takes its file stem again.
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    signature = "    fmt: str = FORMAT_JSON,\n) -> Path:"
+    assert sources["reports.py"].count(signature) == 1
+    sources["reports.py"] = sources["reports.py"].replace(
+        signature, '    fmt: str = FORMAT_JSON,\n    stem: str = "report",\n) -> Path:'
+    )
+    assert package_options(sources) - PINNED_OPTIONS == {("write_report", "stem")}
 
 
 # Slopes are fitted in closed form by one helper in trend.py; a second fit path

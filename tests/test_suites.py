@@ -556,8 +556,8 @@ class TestReports:
             emit_report(sample, "xml")
 
     def test_write_report(self, sample, tmp_path):
-        path = write_report(sample, tmp_path, "csv", stem="out")
-        assert path == tmp_path / "out.csv"
+        path = write_report(sample, tmp_path, "csv")
+        assert path == tmp_path / "report.csv"
         assert path.read_text().startswith("suite,")
 
     def test_multiple_reports_concatenate(self, sample):

@@ -46,6 +46,16 @@ class TestLadders:
     def test_index_ladder_small_cap(self):
         assert index_ladder(8)[-1] <= 8
 
+    def test_index_ladder_reaches_the_top_of_int64(self):
+        # 2^63 - 1 rounds up to 2^63 as a float; its ladder still tops out at 2^62.
+        ladder = index_ladder(2**63 - 1)
+        assert ladder[-1] == 2**62 and np.all(np.diff(ladder) > 0)
+
+    @pytest.mark.parametrize("n_max", [2**63, 2**64, 2**80], ids=["2^63", "2^64", "2^80"])
+    def test_index_ladder_past_int64_rejected(self, n_max):
+        with pytest.raises(DomainError, match="below 2\\^63"):
+            index_ladder(n_max)
+
 
 class TestTrendSlopes:
     def test_power_law_slope_recovered(self):

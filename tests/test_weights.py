@@ -264,10 +264,11 @@ class TestGrowthGauge:
         got = growth_gauge_from_gaps(power_weight(gamma), [2.0**-m for m in ORACLE_DEPTHS])
         assert got == pytest.approx([power_gauge_oracle(gamma, m) for m in ORACLE_DEPTHS], rel=1e-12)
 
-    def test_unconverged_sweep_raises(self):
+    def test_unconverged_sweep_raises(self, monkeypatch):
         # No tolerance is met: every doubling moves the totals by rounding, so the sweep runs out of panels.
+        monkeypatch.setattr(weights, "GAUGE_REL_TOL", 0.0)
         with pytest.raises(NumericsError, match="not converged"):
-            growth_gauge_from_gaps(power_weight(1.0), [2.0**-40], rel_tol=0.0)
+            growth_gauge_from_gaps(power_weight(1.0), [2.0**-40])
 
     @given(st.floats(min_value=0.05, max_value=0.9))
     def test_gauge_is_increasing(self, t):

@@ -18,7 +18,8 @@ from scipy.optimize import brentq
 
 from .bloch import norm_direct
 from .errors import ConstructionError, DomainError, NumericsError, PreconditionError, require_number
-from .measures import RadialMeasure, carleson_sup, power_reweight
+from .measures import RadialMeasure, _contiguous_power_sums, carleson_sup, power_reweight
+from .quadrature import DEFAULT_REL_TOL
 from .series import TaylorSeries
 from .trend import (
     VERDICT_BOUNDED,
@@ -35,6 +36,8 @@ PROBE_GROWING_MIN = 1.3
 PROBE_STABLE = "stable"
 PROBE_GROWING = "growing"
 PROBE_INCONCLUSIVE = "inconclusive"
+
+_UNDEFINED = "weighted moments diverge; the operator is not well defined on this source"
 
 
 # -- gamma coefficient table ---------------------------------------------------
@@ -120,21 +123,30 @@ def _real_series(f: TaylorSeries, who: str) -> TaylorSeries:
     return f
 
 
-def _image(cfg: OperatorConfig, phi, breakpoints: Sequence[float] = ()) -> TaylorSeries:
-    """Output series b_n = c_n * integral of t^n phi(t) dmu, n <= truncation."""
+def _plain_nodes(mu: RadialMeasure, n_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The measure's unweighted node set (t, w) for the moments up to n_top."""
     try:
-        moments = cfg.measure.contiguous_moments(cfg.truncation, phi=phi, breakpoints=breakpoints)
+        return mu._moment_nodes(n_top, None, DEFAULT_REL_TOL)
     except NumericsError as exc:
-        raise NumericsError(
-            "weighted moments diverge; the operator is not well defined on this source"
-        ) from exc
-    return TaylorSeries(gamma_table(cfg.truncation, cfg.alpha) * moments)
+        raise NumericsError(_UNDEFINED) from exc
+
+
+def _coefficient_image(f: TaylorSeries, nodes: tuple[np.ndarray, np.ndarray], gammas: np.ndarray) -> TaylorSeries:
+    """b_n = c_n * sum_i w_i f(t_i) t_i^n for n < len(gammas), c = gammas, with f evaluated once on (t, w).
+
+    integral of t^n f dmu is the Hankel sum sum_k a_k mu_(n+k), so on a plain
+    node set for the moments up to n + degree(f) one evaluation of f serves
+    every n.
+    """
+    t, w = nodes
+    return TaylorSeries(gammas * _contiguous_power_sums(t, w * np.asarray(f(t), dtype=float), len(gammas) - 1))
 
 
 def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Output series b_n = c_n * integral of t^n f(t) dmu, n <= truncation."""
     _real_series(f, "coefficient mode")
-    return _image(cfg, lambda t, omt: np.asarray(f(t), dtype=float))
+    nodes = _plain_nodes(cfg.measure, cfg.truncation + f.degree)
+    return _coefficient_image(f, nodes, gamma_table(cfg.truncation, cfg.alpha))
 
 
 def sign_change_points(f: TaylorSeries) -> tuple[float, ...]:
@@ -156,7 +168,12 @@ def sign_change_points(f: TaylorSeries) -> tuple[float, ...]:
 def apply_sublinear(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Companion with |f(t)| in the integrand; output coefficients are nonnegative."""
     _real_series(f, "sublinear mode")
-    return _image(cfg, lambda t, omt: np.abs(np.asarray(f(t), dtype=float)), sign_change_points(f))
+    phi = lambda t, omt: np.abs(np.asarray(f(t), dtype=float))  # noqa: E731
+    try:
+        moments = cfg.measure.contiguous_moments(cfg.truncation, phi=phi, breakpoints=sign_change_points(f))
+    except NumericsError as exc:
+        raise NumericsError(_UNDEFINED) from exc
+    return TaylorSeries(gamma_table(cfg.truncation, cfg.alpha) * moments)
 
 
 def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> complex:
@@ -450,6 +467,10 @@ def operator_norm_probe(
         raise DomainError("probe needs at least one test function")
     n_base = cfg.truncation
     depth = max(12, int(math.log2(max(n_base, 2))) + 2)
+    # An image at truncation n of f padded to n reads moments up to 2n <= 4 * n_base: one
+    # node set and one kernel table serve every function at both truncations.
+    nodes = _plain_nodes(cfg.measure, 4 * n_base)
+    gammas = gamma_table(2 * n_base, cfg.alpha)
     cases = []
     for label, f in functions:
         row: dict = {"label": label}
@@ -458,7 +479,7 @@ def operator_norm_probe(
             source = norm_direct(fn, omega, radial_depth=d)
             if source.value == 0.0:
                 raise DomainError(f"test function {label!r} has zero source norm")
-            image = apply_coefficient(fn, OperatorConfig(cfg.alpha, cfg.measure, n))
+            image = _coefficient_image(_real_series(fn, "coefficient mode"), nodes, gammas[: n + 1])
             target = norm_direct(image, nu, radial_depth=d)
             row[tag] = target.value / source.value
         row["growth"] = row["doubled"] / row["base"]

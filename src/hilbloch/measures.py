@@ -21,9 +21,9 @@ from .errors import ConstructionError, DomainError, NumericsError, require_numbe
 from .quadrature import DEFAULT_REL_TOL, TAIL_CAP, integrate_radial, panel_points
 from .trend import CriterionResult, summarize_ladder
 
-# Both power tables of contiguous_moments together (nodes x (B + R) floats) stay within 1 MiB.
+# Both power tables of _contiguous_power_sums together (nodes x (B + R) floats) stay within 1 MiB.
 _MOMENT_TABLE_ELEMENTS = 2**17
-# contiguous_moments pads its node set with zero-weight nodes to a multiple of this count, at
+# _contiguous_power_sums pads its node set with zero-weight nodes to a multiple of this count, at
 # which OpenBLAS's threaded and single-threaded products round alike (a multiple of 16 does not).
 _NODE_PAD = 64
 
@@ -65,13 +65,52 @@ def _power_sums(t: np.ndarray, w: np.ndarray, ns: Sequence[int]) -> np.ndarray:
 
 
 def _moment_block(n_max: int, nodes: int) -> tuple[int, int]:
-    """Block B and row count R for contiguous_moments, both powers of two: B near sqrt(n_max + 1)
+    """Block B and row count R for _contiguous_power_sums, both powers of two: B near sqrt(n_max + 1)
     and R * B reaching n_max + 1, each capped so that its table (nodes x B or R x nodes) holds at
     most half of the 2^17-float budget."""
     half = max(1, _MOMENT_TABLE_ELEMENTS // (2 * nodes))
     cap = 1 << (half.bit_length() - 1)
     block = min(1 << (n_max.bit_length() + 1) // 2, cap)
     return block, min(1 << (-(-(n_max + 1) // block) - 1).bit_length(), cap)
+
+
+def _contiguous_power_sums(t: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
+    """Sums of w * t^n over the node set (t, w) for every n = 0..n_max.
+
+    The set is padded with nodes (0, 0) to a multiple of _NODE_PAD so that no
+    result depends on the BLAS thread count.  Two tables (see _moment_block)
+    cover the indices: the columns P[i, j] = t_i^j, j < B, come from one
+    cumulative product, and the rows T[r, i] = w_i t_i^(rB), r < R, from
+    R - 1 steps by t^B.  Each chunk of R * B consecutive indices is then one
+    matrix product T @ P, written row-major, after which T steps by t^(RB);
+    the last chunk takes only the rows it needs.  The Python loop takes
+    (n_max + 1) / (R * B) steps, t^n carries about n / (R * B) + R + B
+    roundings, and both tables together hold at most 2^17 floats.
+    """
+    if not len(t):
+        return np.zeros(n_max + 1)
+    pad = -len(t) % _NODE_PAD
+    t, w = np.append(t, np.zeros(pad)), np.append(w, np.zeros(pad))
+    block, rows = _moment_block(n_max, len(t))
+    powers = np.empty((len(t), block))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = t[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    # Steps by one power each, not from a table, so that the roundings of t^n stay few.
+    table = np.empty((rows, len(t)))
+    table[0] = w
+    step = t**block
+    for r in range(1, rows):
+        np.multiply(table[r - 1], step, out=table[r])
+    step = t ** (rows * block)
+    # Whole blocks of B moments, one per row; the tail past n_max is cut off.
+    out = np.empty(-(-(n_max + 1) // block) * block)
+    grid = out.reshape(-1, block)
+    for first in range(0, len(grid), rows):
+        chunk = grid[first : first + rows]
+        np.matmul(table[: len(chunk)], powers, out=chunk)
+        table *= step
+    return out[: n_max + 1]
 
 
 class RadialMeasure:
@@ -198,45 +237,15 @@ class RadialMeasure:
         """Moments for every n = 0..n_max, stable to DEFAULT_REL_TOL, sharing one node grid.
 
         The atoms, weighted wgt * phi(t), and the density nodes, weighted
-        base * phi(t), form one node set (t, w), padded with nodes (0, 0) to a
-        multiple of _NODE_PAD so that no result depends on the BLAS thread
-        count.  Two tables (see _moment_block) cover the indices: the columns
-        P[i, j] = t_i^j, j < B, come from one cumulative product, and the rows T[r, i] = w_i t_i^(rB),
-        r < R, from R - 1 steps by t^B.  Each chunk of R * B consecutive
-        indices is then one matrix product T @ P, written row-major, after
-        which T steps by t^(RB); the last chunk takes only the rows it needs.
-        The Python loop takes (n_max + 1) / (R * B) steps, t^n carries about
-        n / (R * B) + R + B roundings, and both tables together hold at most
-        2^17 floats.
+        base * phi(t), form one node set (t, w), summed by
+        _contiguous_power_sums.  phi is evaluated on every grid the study
+        tries; in the package only apply_sublinear passes one, |f| with the
+        sign changes of f as breakpoints.
         """
         n_max = int(n_max)
         if n_max < 0:
             raise DomainError("moment index must be nonnegative")
-        t, w = self._moment_nodes(n_max, phi, DEFAULT_REL_TOL, breakpoints)
-        if not len(t):
-            return np.zeros(n_max + 1)
-        pad = -len(t) % _NODE_PAD
-        t, w = np.append(t, np.zeros(pad)), np.append(w, np.zeros(pad))
-        block, rows = _moment_block(n_max, len(t))
-        powers = np.empty((len(t), block))
-        powers[:, 0] = 1.0
-        powers[:, 1:] = t[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        # Steps by one power each, not from a table, so that the roundings of t^n stay few.
-        table = np.empty((rows, len(t)))
-        table[0] = w
-        step = t**block
-        for r in range(1, rows):
-            np.multiply(table[r - 1], step, out=table[r])
-        step = t ** (rows * block)
-        # Whole blocks of B moments, one per row; the tail past n_max is cut off.
-        out = np.empty(-(-(n_max + 1) // block) * block)
-        grid = out.reshape(-1, block)
-        for first in range(0, len(grid), rows):
-            chunk = grid[first : first + rows]
-            np.matmul(table[: len(chunk)], powers, out=chunk)
-            table *= step
-        return out[: n_max + 1]
+        return _contiguous_power_sums(*self._moment_nodes(n_max, phi, DEFAULT_REL_TOL, breakpoints), n_max)
 
     def integral(self, fn, rel_tol: float = DEFAULT_REL_TOL, abs_floor: float = 0.0, upper: float = 1.0) -> float:
         """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError.

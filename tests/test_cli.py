@@ -269,6 +269,23 @@ class TestErrors:
         assert "Traceback" not in proc.stderr
         assert "n_max must be below 2^63" in proc.stderr
 
+    # (1-t)^-0.99 dt has mass 100, but its moment grid never settles in the tail: the image
+    # reports the operator undefined on this source, in one line.
+    @pytest.mark.parametrize(
+        "command",
+        [["probe", "--omega", "power_0.5", "--nu", "power_1"], ["apply", "--series", "constant"]],
+        ids=["probe", "apply"],
+    )
+    def test_unsettled_moment_grid_exits_2_with_one_line(self, command):
+        src = str(pathlib.Path(hilbloch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        measure = '{"density": {"kind": "power_log", "s": -0.99, "gamma": 0.0}}'
+        cmd = [sys.executable, "-m", "hilbloch.cli", *command, "--measure", measure, "--alpha", "0"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: weighted moments diverge; the operator is not well defined on this source\n"
+
     @pytest.mark.parametrize(
         "weight", ['{"kind": "power", "gamma": "1"}', '{"kind": "power"}', '{"kind": "power", "gamma": NaN}']
     )

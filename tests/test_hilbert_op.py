@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
-from hilbloch.catalog import builtin_measures, builtin_weights, probe_functions
+from hilbloch import hilbert_op, suites
+from hilbloch.catalog import (
+    builtin_measures,
+    builtin_weights,
+    probe_functions,
+    random_signed_polynomials,
+    resolve_measure,
+    resolve_weight,
+)
 from hilbloch.errors import DomainError, NumericsError, PreconditionError
 from hilbloch.hilbert_op import (
     PROBE_GROWING,
@@ -196,6 +204,79 @@ class TestHankel:
             hankel_apply([], lebesgue(), 0.0, 4)
 
 
+# The (measure, omega, alpha) of every default T4.2 and T4.3 case, each once.
+OPERATOR_CASES = list(
+    {
+        json.dumps([spec["measure"], spec["omega"], spec["alpha"]], sort_keys=True): spec
+        for suite in ("T4.2", "T4.3")
+        for spec in suites._REGISTRY[suite].defaults["cases"]
+    }.values()
+)
+
+
+def case_id(spec) -> str:
+    name = lambda x: x if isinstance(x, str) else x.get("label") or json.dumps(x, sort_keys=True)  # noqa: E731
+    return f"{name(spec['measure'])}|{name(spec['omega'])}|alpha={spec['alpha']:g}"
+
+
+def quadrature_image(f, mu, alpha, n):
+    """The image c_k * integral of t^k f dmu, k <= n, from the f-weighted moment study."""
+    return gamma_table(n, alpha) * mu.contiguous_moments(n, phi=lambda t, omt: np.asarray(f(t), dtype=float))
+
+
+def log_density_moment(n):
+    """mu_n of (1-t) / log(e/(1-t)) dt, in u = -log(1-t), where the integrand peaks near u = log n."""
+    f = lambda u: mpmath.exp(n * mpmath.log1p(-mpmath.exp(-u)) - 2 * u) / (1 + u) if u > 0 else mpmath.mpf(n == 0)  # noqa: E731
+    peak = mpmath.log(n + 1)
+    cuts = sorted({mpmath.mpf(0), *(max(mpmath.mpf(0), peak + d) for d in (-2, 2, 20))})
+    return mpmath.quad(f, [*cuts, mpmath.inf])
+
+
+class TestPlainNodeImage:
+    """Images read off the measure's plain node set against the f-weighted moment study and mpmath."""
+
+    @pytest.mark.parametrize("n", [2**8, 2**9])
+    @pytest.mark.parametrize("spec", OPERATOR_CASES, ids=case_id)
+    def test_apply_coefficient_matches_the_weighted_study(self, spec, n):
+        mu, omega, alpha = resolve_measure(spec["measure"]), resolve_weight(spec["omega"]), spec["alpha"]
+        for label, f in probe_functions(omega, 2 * n):
+            image = apply_coefficient(f, OperatorConfig(alpha, mu, n)).coefficients
+            assert image == pytest.approx(quadrature_image(f, mu, alpha, n), rel=1e-10, abs=0.0), label
+
+    @pytest.mark.parametrize("n", [2**8, 2**9])
+    @pytest.mark.parametrize("spec", OPERATOR_CASES, ids=case_id)
+    def test_probe_images_match_the_weighted_study(self, monkeypatch, spec, n):
+        mu, omega, alpha = resolve_measure(spec["measure"]), resolve_weight(spec["omega"]), spec["alpha"]
+        images = []
+        image_of = hilbert_op._coefficient_image
+
+        def recording(f, nodes, gammas):
+            images.append((f, image_of(f, nodes, gammas)))
+            return images[-1][1]
+
+        monkeypatch.setattr(hilbert_op, "_coefficient_image", recording)
+        functions = probe_functions(omega, 2 * n)
+        operator_norm_probe(OperatorConfig(alpha, mu, n), omega, omega, functions)
+        assert [f.truncation for f, _ in images] == [n, 2 * n] * len(functions)
+        for f, image in images:
+            want = quadrature_image(f, mu, alpha, f.truncation)
+            assert image.coefficients == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "density_1_log-1"])
+    def test_signed_polynomial_matches_an_mpmath_hankel_sum(self, measure):
+        [(_, f)], n_out = random_signed_polynomials(1, 64, 20250), 16
+        a = [mpmath.mpf(float(x)) for x in f.coefficients]
+        with mpmath.workdps(20):
+            if measure == "lebesgue":
+                moments = [mpmath.mpf(1) / (k + 1) for k in range(n_out + 65)]
+            else:
+                moments = [log_density_moment(k) for k in range(n_out + 65)]
+            want = [float(mpmath.fsum(a[k] * moments[n + k] for k in range(65))) for n in range(n_out + 1)]
+            scale = [float(mpmath.fsum(abs(a[k]) * moments[n + k] for k in range(65))) for n in range(n_out + 1)]
+        image = apply_coefficient(f, OperatorConfig(0.0, builtin_measures()[measure], n_out)).coefficients
+        assert np.all(np.abs(image - want) <= 1e-10 * np.array(scale))
+
+
 class TestCriteria:
     def test_general_requires_well_defined(self):
         with pytest.raises(PreconditionError):
@@ -321,6 +402,34 @@ class TestProbe:
         cfg = OperatorConfig(alpha=0.0, measure=lebesgue(), truncation=2**9)
         report = operator_norm_probe(cfg, omega, nu, probe_functions(omega, 2**10))
         assert report.classification == PROBE_GROWING
+
+    # One plain node set per probe call, and each padded function evaluated once on it,
+    # however many test functions there are: no grid study per image.
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_one_node_set_per_call(self, monkeypatch, count):
+        omega = nu = builtin_weights()["power_0.5"]
+        mu = builtin_measures()["density_-0.5"]
+        studies, node_sets, evaluated = [], [], []
+        moment_nodes, call = RadialMeasure._moment_nodes, TaylorSeries.__call__
+
+        def counting_nodes(self, n_max, phi, rel_tol, breakpoints=()):
+            studies.append((n_max, phi))
+            node_sets.append(moment_nodes(self, n_max, phi, rel_tol, breakpoints))
+            return node_sets[-1]
+
+        def counting_call(self, z):
+            if any(z is t for t, _ in node_sets):
+                evaluated.append(self)
+            return call(self, z)
+
+        monkeypatch.setattr(RadialMeasure, "_moment_nodes", counting_nodes)
+        monkeypatch.setattr(TaylorSeries, "__call__", counting_call)
+        functions = probe_functions(omega, 2**9)[:count]
+        operator_norm_probe(OperatorConfig(0.0, mu, 2**8), omega, nu, functions)
+        assert studies == [(2**10, None)]
+        assert len(evaluated) == 2 * count
+        assert len({id(f) for f in evaluated}) == 2 * count
+        assert sorted(f.truncation for f in evaluated) == sorted([2**8, 2**9] * count)
 
     def test_report_structure(self):
         omega = nu = power_weight(1.0)

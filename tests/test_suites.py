@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -563,3 +564,41 @@ class TestReports:
     def test_multiple_reports_concatenate(self, sample):
         doc = json.loads(render_json([sample, sample]))
         assert len(doc["reports"]) == 2
+
+
+def _regen_module():
+    spec = importlib.util.spec_from_file_location("regen_digests", REPO / "tests" / "data" / "regen_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDigestHelper:
+    """tests/data/regen_digests.py rewrites only the suites it names, and only under the recorded versions."""
+
+    def test_rewrites_only_the_named_suites(self, tmp_path, monkeypatch, capsys):
+        if (np.__version__, scipy.__version__) != (REPORT_DIGESTS["numpy"], REPORT_DIGESTS["scipy"]):
+            pytest.skip("the helper refuses to run under other numpy or scipy versions")
+        regen = _regen_module()
+        path = tmp_path / "report_digests.json"
+        path.write_text((REPO / "tests" / "data" / "report_digests.json").read_text())
+        monkeypatch.setattr(regen, "DIGESTS", path)
+        monkeypatch.setattr(regen, "digest", lambda suite, scale: f"{suite}@{scale}")
+        assert regen.main(["E3.1"]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["digests"].pop("E3.1") == {"1": "E3.1@1", "2": "E3.1@2"}
+        want = dict(REPORT_DIGESTS, digests={k: v for k, v in REPORT_DIGESTS["digests"].items() if k != "E3.1"})
+        assert doc == want
+        old = REPORT_DIGESTS["digests"]["E3.1"]
+        assert capsys.readouterr().out.splitlines() == [f"E3.1 scale {k}: {old[k]} -> E3.1@{k}" for k in ("1", "2")]
+
+    def test_refuses_other_library_versions(self, tmp_path, monkeypatch, capsys):
+        regen = _regen_module()
+        path = tmp_path / "report_digests.json"
+        text = (REPO / "tests" / "data" / "report_digests.json").read_text()
+        path.write_text(text)
+        monkeypatch.setattr(regen, "DIGESTS", path)
+        monkeypatch.setattr(regen, "np", type("numpy", (), {"__version__": "0.0"}))
+        assert regen.main(["E3.1"]) == 2
+        assert path.read_text() == text
+        assert "recorded under numpy" in capsys.readouterr().err

@@ -51,7 +51,6 @@ from .hilbert_op import (
     WellDefinedReport,
     apply_coefficient,
     apply_quadrature,
-    apply_sublinear,
     criterion_beta_spaces,
     criterion_bloch_to_gamma,
     criterion_general,

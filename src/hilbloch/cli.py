@@ -21,7 +21,6 @@ from .hilbert_op import (
     OperatorConfig,
     apply_coefficient,
     apply_quadrature,
-    apply_sublinear,
     criterion_beta_spaces,
     criterion_bloch_to_gamma,
     criterion_general,
@@ -122,10 +121,12 @@ def _cmd_apply(args) -> int:
     mu = resolve_measure(_load_spec(args.measure))
     series = _series_arg(args.series, args.truncation)
     cfg = OperatorConfig(alpha=args.alpha, measure=mu, truncation=args.truncation)
-    image = apply_sublinear(series, cfg) if args.sublinear else apply_coefficient(series, cfg)
+    image = apply_coefficient(series, cfg)
     if args.z is None:
         _write_text(series_to_csv(image), args.out)
         return 0
+    if len(args.z) > 2:
+        raise HilblochError(f"--z takes RE and an optional IM, got {len(args.z)} numbers")
     z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
     direct = apply_quadrature(series, cfg, z)
     from_series = image(z)
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     apply_cmd.add_argument("--series", required=True)
     apply_cmd.add_argument("--alpha", type=float, required=True)
     apply_cmd.add_argument("--truncation", type=int, default=256)
-    apply_cmd.add_argument("--sublinear", action="store_true", help="integrate |f| instead of f")
     apply_cmd.add_argument(
         "--z", type=float, nargs="+", metavar="RE [IM]", help="evaluate at z and cross-check by quadrature"
     )

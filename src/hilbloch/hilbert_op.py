@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bloch import norm_direct
 from .errors import ConstructionError, DomainError, NumericsError, PreconditionError, require_number
@@ -117,9 +116,9 @@ def well_defined_check(mu: RadialMeasure, omega: NormalWeight) -> WellDefinedRep
 # -- application modes ------------------------------------------------------------
 
 
-def _real_series(f: TaylorSeries, who: str) -> TaylorSeries:
+def _real_series(f: TaylorSeries) -> TaylorSeries:
     if np.iscomplexobj(f.coefficients):
-        raise DomainError(f"{who} needs real Taylor coefficients")
+        raise DomainError("coefficient mode needs real Taylor coefficients")
     return f
 
 
@@ -144,36 +143,9 @@ def _coefficient_image(f: TaylorSeries, nodes: tuple[np.ndarray, np.ndarray], ga
 
 def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Output series b_n = c_n * integral of t^n f(t) dmu, n <= truncation."""
-    _real_series(f, "coefficient mode")
+    _real_series(f)
     nodes = _plain_nodes(cfg.measure, cfg.truncation + f.degree)
     return _coefficient_image(f, nodes, gamma_table(cfg.truncation, cfg.alpha))
-
-
-def sign_change_points(f: TaylorSeries) -> tuple[float, ...]:
-    """Roots of f in (0, 1) where |f| has kinks; resolves roots separated by > 1/2048."""
-    _real_series(f, "sign-change scan")
-    grid = 2048
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    vals = np.asarray(f(ts), dtype=float)
-    roots: list[float] = []
-    for i in range(grid):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(ts[i]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(f, ts[i], ts[i + 1])))
-    return tuple(r for r in roots if 0.0 < r < 1.0)
-
-
-def apply_sublinear(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
-    """Companion with |f(t)| in the integrand; output coefficients are nonnegative."""
-    _real_series(f, "sublinear mode")
-    phi = lambda t, omt: np.abs(np.asarray(f(t), dtype=float))  # noqa: E731
-    try:
-        moments = cfg.measure.contiguous_moments(cfg.truncation, phi=phi, breakpoints=sign_change_points(f))
-    except NumericsError as exc:
-        raise NumericsError(_UNDEFINED) from exc
-    return TaylorSeries(gamma_table(cfg.truncation, cfg.alpha) * moments)
 
 
 def apply_quadrature(f: TaylorSeries, cfg: OperatorConfig, z: complex) -> complex:
@@ -479,7 +451,7 @@ def operator_norm_probe(
             source = norm_direct(fn, omega, radial_depth=d)
             if source.value == 0.0:
                 raise DomainError(f"test function {label!r} has zero source norm")
-            image = _coefficient_image(_real_series(fn, "coefficient mode"), nodes, gammas[: n + 1])
+            image = _coefficient_image(_real_series(fn), nodes, gammas[: n + 1])
             target = norm_direct(image, nu, radial_depth=d)
             row[tag] = target.value / source.value
         row["growth"] = row["doubled"] / row["base"]

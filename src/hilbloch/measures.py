@@ -54,11 +54,6 @@ def power_log_density(s: float, gamma_log: float = 0.0) -> Density:
     return Density(float(s), float(gamma_log))
 
 
-def _u_edges(breakpoints: Sequence[float]) -> tuple[float, ...]:
-    """Map radii in (0, 1) to panel cuts on the u = -log(1-t) axis."""
-    return tuple(sorted({-math.log1p(-float(b)) for b in breakpoints if 0.0 < b < 1.0}))
-
-
 def _power_sums(t: np.ndarray, w: np.ndarray, ns: Sequence[int]) -> np.ndarray:
     """Sums of w * t^n over the node set, one per index n."""
     return np.array([float(w @ np.power(t, n)) if n else float(w.sum()) for n in ns])
@@ -160,7 +155,7 @@ class RadialMeasure:
 
     # -- node grid ---------------------------------------------------------
 
-    def _density_grid(self, n_top: int, phi, rel_tol: float, edges=()) -> tuple[np.ndarray, np.ndarray]:
+    def _density_grid(self, n_top: int, phi, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Weighted density nodes (t, w) of a grid (U, level) on which the hardest moments are stable to rel_tol.
 
         phi is evaluated once on each grid tried; the probe sums and the
@@ -172,8 +167,7 @@ class RadialMeasure:
         def nodes(U: float, level: int) -> tuple[np.ndarray, np.ndarray]:
             """Density nodes t on u = -log(1-t) panels, weighted density * (1-t) du (times phi)."""
             if (U, level) not in weighted:
-                cuts = np.array([0.0, *(e for e in edges if 0.0 < e < U), U])
-                u, du = panel_points(cuts, max(8, int(math.ceil(U / 2.0)) * 2**level))
+                u, du = panel_points(np.array([0.0, U]), max(8, int(math.ceil(U / 2.0)) * 2**level))
                 omt = np.exp(-u)
                 t = -np.expm1(-u)
                 base = self.density.eval(t, omt) * omt * du
@@ -208,7 +202,7 @@ class RadialMeasure:
 
     # -- moments -----------------------------------------------------------
 
-    def _moment_nodes(self, n_max: int, phi, rel_tol: float, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+    def _moment_nodes(self, n_max: int, phi, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """One weighted node set (t, w) for the moments up to n_max: atoms wgt * phi(t), then density nodes.
 
         Deep in the tail t = -expm1(-u) rounds to 1.0, where every such node adds
@@ -219,7 +213,7 @@ class RadialMeasure:
             w = w * np.asarray(phi(t, 1.0 - t), dtype=float)
         if self.density is None:
             return t, w
-        t_dens, w_dens = self._density_grid(n_max, phi, rel_tol, _u_edges(breakpoints))
+        t_dens, w_dens = self._density_grid(n_max, phi, rel_tol)
         at_one = t_dens == 1.0
         if at_one.any():
             t_dens = np.append(t_dens[~at_one], 1.0)
@@ -233,19 +227,12 @@ class RadialMeasure:
             raise DomainError("moment index must be nonnegative")
         return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol), ns)
 
-    def contiguous_moments(self, n_max: int, phi=None, breakpoints: Sequence[float] = ()) -> np.ndarray:
-        """Moments for every n = 0..n_max, stable to DEFAULT_REL_TOL, sharing one node grid.
-
-        The atoms, weighted wgt * phi(t), and the density nodes, weighted
-        base * phi(t), form one node set (t, w), summed by
-        _contiguous_power_sums.  phi is evaluated on every grid the study
-        tries; in the package only apply_sublinear passes one, |f| with the
-        sign changes of f as breakpoints.
-        """
+    def contiguous_moments(self, n_max: int) -> np.ndarray:
+        """Moments for every n = 0..n_max, stable to DEFAULT_REL_TOL, summed by _contiguous_power_sums on one node set."""
         n_max = int(n_max)
         if n_max < 0:
             raise DomainError("moment index must be nonnegative")
-        return _contiguous_power_sums(*self._moment_nodes(n_max, phi, DEFAULT_REL_TOL, breakpoints), n_max)
+        return _contiguous_power_sums(*self._moment_nodes(n_max, None, DEFAULT_REL_TOL), n_max)
 
     def integral(self, fn, rel_tol: float = DEFAULT_REL_TOL, abs_floor: float = 0.0, upper: float = 1.0) -> float:
         """Integral of fn(t, 1-t) against the measure over [0, upper]; divergence raises NumericsError.
@@ -285,10 +272,10 @@ class RadialMeasure:
         return atom_part + integrate_radial(self.density.eval, t, 1.0, rel_tol=1e-11)
 
     def tail_ladder(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gaps 2^-m and tails mu([1 - 2^-m, 1)) for m = 1..depth."""
+        """Gaps 2^-m and tails mu([1 - 2^-m, 1)) for m = 1..depth; past depth 53, 1 - 2^-m rounds to 1."""
         depth = int(depth)
-        if depth < 1:
-            raise DomainError("tail ladder depth must be at least 1")
+        if not 1 <= depth <= 53:
+            raise DomainError(f"tail ladder depth must lie in [1, 53], got {depth}")
         gaps = 2.0 ** -np.arange(1, depth + 1, dtype=float)
         return gaps, np.array([self.tail(t) for t in 1.0 - gaps])
 

@@ -1,5 +1,6 @@
 """CLI layer: subcommand behavior, exit codes, file outputs."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -207,6 +208,27 @@ class TestUtilities:
         assert doc["classification"] == "stable"
 
 
+# Every flag of every subcommand, 32 in all; a new flag has to update this table.
+CLI_FLAGS = {
+    "verify": ("--config", "--suite", "--out", "--format", "--resolution-scale"),
+    "moments": ("--measure", "--n-max", "--out"),
+    "bloch-norm": ("--series", "--weight", "--method", "--truncation"),
+    "apply": ("--measure", "--series", "--alpha", "--truncation", "--z", "--out"),
+    "criterion": ("--kind", "--measure", "--omega", "--nu", "--alpha", "--beta", "--gamma", "--n-max-exponent", "--depth"),
+    "probe": ("--measure", "--omega", "--nu", "--alpha", "--truncation-exponent"),
+}
+
+
+def test_only_the_pinned_flags_exist():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: tuple(opt for action in sub._actions for opt in action.option_strings if opt not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert sum(len(v) for v in CLI_FLAGS.values()) == 32
+    assert flags == CLI_FLAGS
+
+
 class TestErrors:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -285,6 +307,19 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: weighted moments diverge; the operator is not well defined on this source\n"
+
+    def test_apply_z_takes_at_most_two_numbers(self, capsys):
+        code = main(["apply", "--measure", "lebesgue", "--series", "[1, 2]", "--alpha", "0", "--z", "0.1", "0.1", "5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --z takes RE and an optional IM, got 3 numbers\n"
+
+    def test_tail_depth_past_53_names_its_limit(self, capsys):
+        argv = ["criterion", "--kind", "beta", "--measure", "density_2", "--alpha", "0", "--beta", "2", "--gamma", "1"]
+        code = main(argv + ["--depth", "54"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: tail ladder depth must lie in [1, 53], got 54\n"
 
     @pytest.mark.parametrize(
         "weight", ['{"kind": "power", "gamma": "1"}', '{"kind": "power"}', '{"kind": "power", "gamma": NaN}']

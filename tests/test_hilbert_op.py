@@ -25,7 +25,6 @@ from hilbloch.hilbert_op import (
     OperatorConfig,
     apply_coefficient,
     apply_quadrature,
-    apply_sublinear,
     criterion_beta_spaces,
     criterion_bloch_to_gamma,
     criterion_general,
@@ -34,7 +33,6 @@ from hilbloch.hilbert_op import (
     gamma_table,
     hankel_apply,
     operator_norm_probe,
-    sign_change_points,
     well_defined_check,
 )
 from hilbloch.measures import RadialMeasure, lebesgue, point_mass, power_log_density
@@ -143,26 +141,6 @@ class TestApplyModes:
         n = np.arange(17.0)
         assert np.allclose(out.coefficients, 1.0 / (n + 1.0) + 2.0 / (n + 2.0), rtol=1e-10)
 
-    def test_sublinear_equals_plain_on_nonnegative(self):
-        cfg = OperatorConfig(alpha=0.5, measure=lebesgue(), truncation=32)
-        f = TaylorSeries([0.5, 0.25, 0.125])
-        plain = apply_coefficient(f, cfg)
-        sub = apply_sublinear(f, cfg)
-        assert np.allclose(plain.coefficients, sub.coefficients, rtol=1e-9)
-
-    def test_sublinear_dominates_signed_input(self):
-        cfg = OperatorConfig(alpha=0.0, measure=lebesgue(), truncation=32)
-        f = TaylorSeries([0.5, -1.0, 0.25])
-        plain = apply_coefficient(f, cfg)
-        sub = apply_sublinear(f, cfg)
-        assert np.all(sub.coefficients >= np.abs(plain.coefficients) - 1e-12)
-
-    def test_sign_change_points_find_roots(self):
-        f = TaylorSeries([-0.25, 0.0, 1.0])  # root at t = 1/2
-        roots = sign_change_points(f)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.5, abs=1e-10)
-
     def test_quadrature_matches_series_eval(self):
         cfg = OperatorConfig(alpha=0.5, measure=builtin_measures()["density_1"], truncation=512)
         f = TaylorSeries([1.0, -0.5, 0.25])
@@ -220,8 +198,8 @@ def case_id(spec) -> str:
 
 
 def quadrature_image(f, mu, alpha, n):
-    """The image c_k * integral of t^k f dmu, k <= n, from the f-weighted moment study."""
-    return gamma_table(n, alpha) * mu.contiguous_moments(n, phi=lambda t, omt: np.asarray(f(t), dtype=float))
+    """The image c_k * integral of t^k f dmu, k <= n, from the f-weighted moment study, index by index."""
+    return gamma_table(n, alpha) * mu.moments_at(range(n + 1), phi=lambda t, omt: np.asarray(f(t), dtype=float))
 
 
 def log_density_moment(n):
@@ -412,9 +390,9 @@ class TestProbe:
         studies, node_sets, evaluated = [], [], []
         moment_nodes, call = RadialMeasure._moment_nodes, TaylorSeries.__call__
 
-        def counting_nodes(self, n_max, phi, rel_tol, breakpoints=()):
+        def counting_nodes(self, n_max, phi, rel_tol):
             studies.append((n_max, phi))
-            node_sets.append(moment_nodes(self, n_max, phi, rel_tol, breakpoints))
+            node_sets.append(moment_nodes(self, n_max, phi, rel_tol))
             return node_sets[-1]
 
         def counting_call(self, z):

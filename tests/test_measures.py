@@ -50,9 +50,9 @@ MIXED_ATOMS = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
 DENSITY_MEASURES = sorted(name for name, mu in builtin_measures().items() if mu.density is not None)
 
 
-def reference_moments(mu, n_max, phi=None, breakpoints=()):
-    """Plain per-index loop over the weighted node set that contiguous_moments sums."""
-    t, w = mu._moment_nodes(n_max, phi, 1e-10, breakpoints)
+def reference_moments(mu, n_max, phi=None):
+    """Plain per-index loop over the (phi-weighted) node set that contiguous_moments and moments_at sum."""
+    t, w = mu._moment_nodes(n_max, phi, 1e-10)
     out = np.empty(n_max + 1)
     acc = w.copy()
     for n in range(n_max + 1):
@@ -139,22 +139,17 @@ class TestBlockedMoments:
     # or one over for every power-of-two block from 2 to 1024; CHUNK_EDGES end
     # the atoms-and-density table one short of, exactly at or one past a chunk.
     @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, *CHUNK_EDGES, 4094, 4095, 4096])
-    @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_with_breakpoints", "zero"])
+    @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "zero"])
     def test_matches_per_index_loop(self, case, n_max):
         atoms = MIXED_ATOMS
-        phi, breakpoints = None, ()
         if case == "atoms":
             mu = RadialMeasure(atoms=atoms)
         elif case == "atoms_and_density":
             mu = RadialMeasure(atoms=atoms, density=power_log_density(0.5))
-        elif case == "phi_with_breakpoints":
-            # The |f(t)| weighting of apply_sublinear, with a kink at the root of f.
-            mu = RadialMeasure(atoms=atoms, density=power_log_density(-0.5, 1.0))
-            phi, breakpoints = (lambda t, omt: np.abs(1.0 - 3.0 * t)), (1.0 / 3.0,)
         else:
             mu = RadialMeasure()
-        got = mu.contiguous_moments(n_max, phi=phi, breakpoints=breakpoints)
-        ref = reference_moments(mu, n_max, phi, breakpoints)
+        got = mu.contiguous_moments(n_max)
+        ref = reference_moments(mu, n_max)
         assert got.shape == (n_max + 1,)
         if case == "zero":
             assert np.array_equal(got, np.zeros(n_max + 1))
@@ -199,8 +194,7 @@ class TestBlockedMoments:
     # steps U until the probe sums settle, then the level loop refines.
     @pytest.mark.parametrize("name, grids", [("lebesgue", 5), ("density_1", 3), ("density_-0.5", 6)])
     @pytest.mark.parametrize("atoms", [(), ((0.5, 1.0), (0.9, 0.25))])
-    @pytest.mark.parametrize("method", ["contiguous_moments", "moments_at"])
-    def test_phi_is_evaluated_once_per_grid(self, method, atoms, name, grids):
+    def test_phi_is_evaluated_once_per_grid(self, atoms, name, grids):
         n = 2**14
         f = TaylorSeries(np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)]))
         seen = []
@@ -210,10 +204,7 @@ class TestBlockedMoments:
             return f(t)
 
         mu = RadialMeasure(atoms=atoms, density=builtin_measures()[name].density)
-        if method == "contiguous_moments":
-            mu.contiguous_moments(n, phi)
-        else:
-            mu.moments_at(index_ladder(n), phi)
+        mu.moments_at(index_ladder(n), phi)
         assert len(seen) == grids + bool(atoms)
         assert len(set(seen)) == len(seen)
 
@@ -381,6 +372,17 @@ class TestIntegralAndTail:
             lebesgue().tail_ladder(depth)
         with pytest.raises(DomainError):
             carleson_sup(lebesgue(), depth=depth)
+
+    # 1 - 2^-53 is the last rung below 1.0; at depth 54 the top rung would round to 1.0.
+    def test_tail_ladder_reaches_depth_53(self):
+        gaps, tails = lebesgue().tail_ladder(53)
+        assert gaps[-1] == 2.0**-53
+        assert np.array_equal(tails[:50], lebesgue().tail_ladder(50)[1])
+        assert tails == pytest.approx(gaps, rel=1e-10)
+
+    def test_tail_ladder_refuses_depth_past_53(self):
+        with pytest.raises(DomainError, match=r"depth must lie in \[1, 53\], got 54"):
+            lebesgue().tail_ladder(54)
 
     def test_power_density_tail(self):
         mu = builtin_measures()["density_2"]

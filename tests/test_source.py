@@ -167,7 +167,7 @@ def test_detector_sees_optional_parameters():
     assert optional_parameters(source) == {("f", "b"), ("f", "d"), ("f", "**extra"), ("Box.__init__", "size")}
 
 
-# Every optional parameter of the public surface, 55 in all.  Each one has a
+# Every optional parameter of the public surface, 53 in all.  Each one has a
 # caller in the package, a demo or the benchmark harness that sets it, or is a
 # default that callers rely on; a value that only tests set is a constant of
 # its module instead.
@@ -194,7 +194,6 @@ OPTIONAL_PARAMETERS = {
     "power_log_density": ("gamma_log",),
     "RadialMeasure.__init__": ("atoms", "density", "label"),
     "RadialMeasure.moments_at": ("phi", "rel_tol"),
-    "RadialMeasure.contiguous_moments": ("phi", "breakpoints"),
     "RadialMeasure.integral": ("rel_tol", "abs_floor", "upper"),
     "carleson_sup": ("gamma_log", "s", "depth"),
     "reweight_agreement": ("depth",),
@@ -228,7 +227,7 @@ def package_options(sources: dict[str, str]) -> set[tuple[str, str]]:
 
 def test_only_the_pinned_optional_parameters_exist():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert len(PINNED_OPTIONS) == 55
+    assert len(PINNED_OPTIONS) == 53
     assert package_options(sources) == PINNED_OPTIONS
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from hilbloch.catalog import atom_ladder, builtin_measures, resolve_weight
 from hilbloch.errors import ConstructionError, DomainError, NumericsError
 from hilbloch.measures import (
+    Density,
     RadialMeasure,
     _moment_block,
     carleson_sup,
@@ -139,17 +140,22 @@ class TestBlockedMoments:
     # or one over for every power-of-two block from 2 to 1024; CHUNK_EDGES end
     # the atoms-and-density table one short of, exactly at or one past a chunk.
     @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, *CHUNK_EDGES, 4094, 4095, 4096])
-    @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "zero"])
+    @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_weighted", "zero"])
     def test_matches_per_index_loop(self, case, n_max):
         atoms = MIXED_ATOMS
+        phi = None
         if case == "atoms":
             mu = RadialMeasure(atoms=atoms)
         elif case == "atoms_and_density":
             mu = RadialMeasure(atoms=atoms, density=power_log_density(0.5))
+        elif case == "phi_weighted":
+            # A signed weight, as apply_quadrature's f(t), read through the one phi-weighted path.
+            mu = RadialMeasure(atoms=atoms, density=power_log_density(-0.5, 1.0))
+            phi = lambda t, omt: 1.0 - 3.0 * t  # noqa: E731
         else:
             mu = RadialMeasure()
-        got = mu.contiguous_moments(n_max)
-        ref = reference_moments(mu, n_max)
+        got = mu.contiguous_moments(n_max) if phi is None else mu.moments_at(range(n_max + 1), phi=phi)
+        ref = reference_moments(mu, n_max, phi)
         assert got.shape == (n_max + 1,)
         if case == "zero":
             assert np.array_equal(got, np.zeros(n_max + 1))
@@ -206,6 +212,22 @@ class TestBlockedMoments:
         mu = RadialMeasure(atoms=atoms, density=builtin_measures()[name].density)
         mu.moments_at(index_ladder(n), phi)
         assert len(seen) == grids + bool(atoms)
+        assert len(set(seen)) == len(seen)
+
+    # Without phi the tolerance has no l1 floor, so density_1 takes one grid more than above.
+    @pytest.mark.parametrize("name, grids", [("lebesgue", 5), ("density_1", 4), ("density_-0.5", 6)])
+    @pytest.mark.parametrize("atoms", [(), ((0.5, 1.0), (0.9, 0.25))])
+    def test_density_is_evaluated_once_per_grid(self, monkeypatch, atoms, name, grids):
+        seen, density_eval = [], Density.eval
+
+        def counting_eval(self, t, omt):
+            seen.append((len(t), float(t[-1])))
+            return density_eval(self, t, omt)
+
+        monkeypatch.setattr(Density, "eval", counting_eval)
+        mu = RadialMeasure(atoms=atoms, density=builtin_measures()[name].density)
+        mu.contiguous_moments(2**14)
+        assert len(seen) == grids
         assert len(set(seen)) == len(seen)
 
     # Density nodes deep in the tail, where t = -expm1(-u) rounds to 1.0, fold into one node.

@@ -99,6 +99,13 @@ class TestConfig:
         cfg = config_from_json(json.loads(path.read_text()))
         suites._options(cfg, suites._REGISTRY[cfg.suite])
 
+    # The document README shows for `verify --config`, with no options, for every suite.
+    @pytest.mark.parametrize("suite", ALL_SUITES)
+    def test_config_without_options_is_the_default(self, suite):
+        cfg = config_from_json({"version": 1, "suite": suite, "options": {}})
+        assert cfg == default_config(suite)
+        suites._options(cfg, suites._REGISTRY[cfg.suite])
+
     def test_every_option_default_is_a_list(self):
         # Options select rows; resolution values and caps are constants of the suite.
         for suite_id, suite in suites._REGISTRY.items():

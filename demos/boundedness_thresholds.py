@@ -7,7 +7,6 @@ verdict flip.  A norm-ratio probe on concrete test functions corroborates
 the criterion on both sides of the critical exponent.
 """
 
-from hilbloch.catalog import probe_functions
 from hilbloch.hilbert_op import OperatorConfig, criterion_beta_spaces, criterion_moment, operator_norm_probe
 from hilbloch.measures import RadialMeasure, power_log_density
 from hilbloch.weights import power_weight
@@ -34,7 +33,7 @@ def main() -> None:
         mu = RadialMeasure(density=power_log_density(sigma))
         crit = criterion_moment(mu, omega, omega, 0.0, n_max=2**16)
         cfg = OperatorConfig(alpha=0.0, measure=mu, truncation=2**10)
-        probe = operator_norm_probe(cfg, omega, omega, probe_functions(omega, 2**10))
+        probe = operator_norm_probe(cfg, omega, omega)
         print(f"  sigma = {sigma}: criterion = {crit.verdict:<9}  "
               f"probe growth = {probe.growth:.3f} -> {probe.classification} ({tag})")
 

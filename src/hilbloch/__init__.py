@@ -48,7 +48,6 @@ from .errors import (
 from .hilbert_op import (
     OperatorConfig,
     ProbeReport,
-    WellDefinedReport,
     apply_coefficient,
     apply_quadrature,
     criterion_beta_spaces,

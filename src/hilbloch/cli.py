@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .bloch import _METHODS, METHOD_DIRECT, bloch_norm
-from .catalog import probe_functions, resolve_measure, resolve_series, resolve_weight
+from .catalog import resolve_measure, resolve_series, resolve_weight
 from .errors import ConstructionError, HilblochError
 from .hilbert_op import (
     OperatorConfig,
@@ -141,9 +141,16 @@ def _cmd_apply(args) -> int:
     return 0
 
 
+def _power_of_two(exponent: int, flag: str) -> int:
+    """2^exponent for the value of an exponent flag; a negative one is refused by flag name."""
+    if exponent < 0:
+        raise HilblochError(f"{flag} must be nonnegative, got {exponent}")
+    return 2**exponent
+
+
 def _cmd_criterion(args) -> int:
     mu = resolve_measure(_load_spec(args.measure))
-    n_max = 2**args.n_max_exponent
+    n_max = _power_of_two(args.n_max_exponent, "--n-max-exponent")
 
     def need(name: str):
         value = getattr(args, name)
@@ -151,14 +158,10 @@ def _cmd_criterion(args) -> int:
             raise HilblochError(f"criterion kind {args.kind!r} needs --{name.replace('_', '-')}")
         return value
 
-    if args.kind == "moment":
-        result = criterion_moment(
-            mu, resolve_weight(_load_spec(need("omega"))), resolve_weight(_load_spec(need("nu"))), need("alpha"), n_max=n_max
-        )
-    elif args.kind == "general":
-        result = criterion_general(
-            mu, resolve_weight(_load_spec(need("omega"))), resolve_weight(_load_spec(need("nu"))), need("alpha"), n_max=n_max
-        )
+    if args.kind in ("moment", "general"):
+        criterion = criterion_moment if args.kind == "moment" else criterion_general
+        omega, nu = resolve_weight(_load_spec(need("omega"))), resolve_weight(_load_spec(need("nu")))
+        result = criterion(mu, omega, nu, need("alpha"), n_max=n_max)
     elif args.kind == "log-target":
         result = criterion_bloch_to_gamma(mu, need("alpha"), need("gamma"), n_max=n_max, depth=args.depth)
     elif args.kind == "beta":
@@ -173,10 +176,8 @@ def _cmd_probe(args) -> int:
     mu = resolve_measure(_load_spec(args.measure))
     omega = resolve_weight(_load_spec(args.omega))
     nu = resolve_weight(_load_spec(args.nu))
-    n_base = 2**args.truncation_exponent
-    cfg = OperatorConfig(alpha=args.alpha, measure=mu, truncation=n_base)
-    report = operator_norm_probe(cfg, omega, nu, probe_functions(omega, 2 * n_base))
-    _print_json(report.to_dict())
+    cfg = OperatorConfig(args.alpha, mu, _power_of_two(args.truncation_exponent, "--truncation-exponent"))
+    _print_json(operator_norm_probe(cfg, omega, nu).to_dict())
     return 0
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bloch import norm_direct
+from .catalog import probe_functions
 from .errors import ConstructionError, DomainError, NumericsError, PreconditionError, require_number
 from .measures import RadialMeasure, _contiguous_power_sums, carleson_sup, power_reweight
 from .quadrature import DEFAULT_REL_TOL
@@ -85,41 +86,23 @@ class OperatorConfig:
 # -- well-definedness gate -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WellDefinedReport:
-    """Value of the source-gauge integral and whether it is finite."""
-
-    integral: float
-    finite: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _gauge_weight(omega: NormalWeight):
+    """The integrand gauge(t) + 1 of the source-gauge mass, as a measure-integral fn."""
+    return lambda t, omt: growth_gauge_from_gaps(omega, omt) + 1.0
 
 
-def well_defined_check(mu: RadialMeasure, omega: NormalWeight) -> WellDefinedReport:
-    """Evaluate integral of (gauge(t)+1) dmu; finiteness gates every application.
+def well_defined_check(mu: RadialMeasure, omega: NormalWeight) -> float:
+    """Integral of (gauge(t)+1) dmu; finiteness gates every application.
 
-    Divergence is a result, not an error: a non-stabilizing tail yields
-    finite=False with an infinite integral field.
+    Divergence is a result, not an error: a non-stabilizing tail yields inf.
     """
-
-    def fn(t, omt):
-        return growth_gauge_from_gaps(omega, omt) + 1.0
-
     try:
-        val = mu.integral(fn, rel_tol=1e-9)
+        return mu.integral(_gauge_weight(omega), rel_tol=1e-9)
     except NumericsError:
-        return WellDefinedReport(math.inf, False)
-    return WellDefinedReport(val, math.isfinite(val))
+        return math.inf
 
 
 # -- application modes ------------------------------------------------------------
-
-
-def _real_series(f: TaylorSeries) -> TaylorSeries:
-    if np.iscomplexobj(f.coefficients):
-        raise DomainError("coefficient mode needs real Taylor coefficients")
-    return f
 
 
 def _plain_nodes(mu: RadialMeasure, n_top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +126,8 @@ def _coefficient_image(f: TaylorSeries, nodes: tuple[np.ndarray, np.ndarray], ga
 
 def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:
     """Output series b_n = c_n * integral of t^n f(t) dmu, n <= truncation."""
-    _real_series(f)
+    if np.iscomplexobj(f.coefficients):
+        raise DomainError("coefficient mode needs real Taylor coefficients")
     nodes = _plain_nodes(cfg.measure, cfg.truncation + f.degree)
     return _coefficient_image(f, nodes, gamma_table(cfg.truncation, cfg.alpha))
 
@@ -207,6 +191,11 @@ def _finite_integral(mu: RadialMeasure, fn, what: str) -> float:
     return val
 
 
+def _kernel_scale(alpha: float, nu: NormalWeight):
+    """scale(n, m) = n^(alpha+2) nu(1-1/n) m, the kernel growth against the target weight."""
+    return lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)
+
+
 def _moment_form(mu: RadialMeasure, phi, scale, quantity: str, details: dict, n_max: int) -> CriterionResult:
     """Trend of q_n = scale(n, m_n) on the index ladder to n_max, m_n the phi-weighted moments of mu."""
     if not n_max >= 1:
@@ -246,16 +235,12 @@ def criterion_general(
 ) -> CriterionResult:
     """Trend of q_n = n^(alpha+2) nu(1-1/n) * integral of t^n (gauge(t)+1) dmu."""
     alpha = _require_alpha(alpha)
-    gate = well_defined_check(mu, omega)
-    if not gate.finite:
+    integral = well_defined_check(mu, omega)
+    if not math.isfinite(integral):
         raise PreconditionError("source gauge integral diverges; operator undefined on this source space")
-
-    def phi(t, omt):
-        return growth_gauge_from_gaps(omega, omt) + 1.0
-
-    scale = lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)  # noqa: E731
-    details = {"alpha": alpha, "n_max": int(n_max), "gauge_integral": gate.integral}
-    return _moment_form(mu, phi, scale, "n^(alpha+2) nu(1-1/n) gauge-weighted moment", details, n_max)
+    details = {"alpha": alpha, "n_max": int(n_max), "gauge_integral": integral}
+    quantity = "n^(alpha+2) nu(1-1/n) gauge-weighted moment"
+    return _moment_form(mu, _gauge_weight(omega), _kernel_scale(alpha, nu), quantity, details, n_max)
 
 
 def criterion_moment(
@@ -276,9 +261,8 @@ def criterion_moment(
         raise PreconditionError(
             "source gauge grows without bound; plain moments lose the gauge factor, use criterion_general"
         )
-    scale = lambda x, m: x ** (alpha + 2.0) * m * nu.value_from_gap(1.0 / x)  # noqa: E731
     details = {"alpha": alpha, "n_max": int(n_max)}
-    moment = _moment_form(mu, None, scale, "n^(alpha+2) nu(1-1/n) mu_n", details, n_max)
+    moment = _moment_form(mu, None, _kernel_scale(alpha, nu), "n^(alpha+2) nu(1-1/n) mu_n", details, n_max)
     return _combined(moment, compact=True)
 
 
@@ -423,20 +407,14 @@ class ProbeReport:
         return asdict(self)
 
 
-def operator_norm_probe(
-    cfg: OperatorConfig,
-    omega: NormalWeight,
-    nu: NormalWeight,
-    functions: Sequence[tuple[str, TaylorSeries]],
-) -> ProbeReport:
-    """Max over test functions of norm(I f)/norm(f), at truncation N and 2N.
+def operator_norm_probe(cfg: OperatorConfig, omega: NormalWeight, nu: NormalWeight) -> ProbeReport:
+    """Max over f in probe_functions(omega, 2N) of norm(I f)/norm(f), at truncation N and 2N.
 
-    The per-function growth of that ratio under truncation doubling is the
+    Each f has a_0 = 1 or a_1 = 1, so its source norm is at least 1.  The
+    per-function growth of the ratio under truncation doubling is the
     desk-scale stand-in for boundedness: stable ratios corroborate a bounded
     verdict, growing ratios an unbounded one.
     """
-    if not functions:
-        raise DomainError("probe needs at least one test function")
     n_base = cfg.truncation
     depth = max(12, int(math.log2(max(n_base, 2))) + 2)
     # An image at truncation n of f padded to n reads moments up to 2n <= 4 * n_base: one
@@ -444,16 +422,13 @@ def operator_norm_probe(
     nodes = _plain_nodes(cfg.measure, 4 * n_base)
     gammas = gamma_table(2 * n_base, cfg.alpha)
     cases = []
-    for label, f in functions:
+    for label, f in probe_functions(omega, 2 * n_base):
         row: dict = {"label": label}
         for tag, n, d in (("base", n_base, depth), ("doubled", 2 * n_base, depth + 1)):
             fn = f.pad(n)
-            source = norm_direct(fn, omega, radial_depth=d)
-            if source.value == 0.0:
-                raise DomainError(f"test function {label!r} has zero source norm")
-            image = _coefficient_image(_real_series(fn), nodes, gammas[: n + 1])
-            target = norm_direct(image, nu, radial_depth=d)
-            row[tag] = target.value / source.value
+            source = norm_direct(fn, omega, radial_depth=d).value
+            target = norm_direct(_coefficient_image(fn, nodes, gammas[: n + 1]), nu, radial_depth=d).value
+            row[tag] = target / source
         row["growth"] = row["doubled"] / row["base"]
         cases.append(row)
     growth = max(row["growth"] for row in cases)

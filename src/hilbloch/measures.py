@@ -384,8 +384,6 @@ class ReweightAgreement:
 
     original: CriterionResult
     transformed: CriterionResult
-    beta: float
-    gamma: float
     agree: bool
 
 
@@ -393,10 +391,4 @@ def reweight_agreement(mu: RadialMeasure, beta: float, gamma: float, depth: int 
     """Check that mu is (beta+gamma)-Carleson exactly when d mu/(1-t)^gamma is beta-Carleson."""
     original = carleson_sup(mu, 0.0, beta + gamma, depth)
     transformed = carleson_sup(power_reweight(mu, gamma), 0.0, beta, depth)
-    return ReweightAgreement(
-        original,
-        transformed,
-        beta,
-        gamma,
-        agree=original.verdict == transformed.verdict,
-    )
+    return ReweightAgreement(original, transformed, agree=original.verdict == transformed.verdict)

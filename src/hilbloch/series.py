@@ -77,10 +77,6 @@ class TaylorSeries:
         k = np.arange(1, len(self.coefficients))
         return TaylorSeries(self.coefficients[1:] * k)
 
-    def hadamard(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(len(self.coefficients), len(other.coefficients))
-        return TaylorSeries(self.coefficients[:n] * other.coefficients[:n])
-
     def pad(self, truncation: int) -> "TaylorSeries":
         if truncation < 0:
             raise DomainError(f"truncation must be nonnegative, got {truncation}")

@@ -41,7 +41,6 @@ from .catalog import (
     _SERIES_FACTORIES,
     _build_named,
     atom_ladder,
-    probe_functions,
     resolve_measure,
     resolve_weight,
 )
@@ -50,6 +49,7 @@ from .hilbert_op import (
     PROBE_GROWING,
     PROBE_STABLE,
     OperatorConfig,
+    _gauge_weight,
     criterion_beta_spaces,
     criterion_bloch_to_gamma,
     criterion_general,
@@ -70,7 +70,6 @@ from .weights import (
     NormalWeight,
     build_extremal,
     dyadic_sum_ratio,
-    growth_gauge_from_gaps,
     laplace_tail_sweep,
     weight_ratio_bound,
 )
@@ -556,21 +555,17 @@ def _compare_reweight(case: Case, ctx: dict) -> CaseResult:
 def _witness_values(weight: NormalWeight, gap_target: float):
     """Antiderivative of the comparison series, evaluated sparsely.
 
-    The level count is the first rung of 8, 14, ..., 62 whose deepest radius
-    reaches gap_target, so the witness keeps growing through every atom the
-    suite places.  Level s solves nu(r_s) = 2^-s, so the rung is read off
-    nu(1 - gap_target); the loop adds levels only if the solved radius still
-    falls short, and builds the series once when it does not.
+    Level s sits at the radius r_s with nu(r_s) = 2^-s, so the level count is
+    read off nu(1 - gap_target): the first rung of 8, 14, ..., 62 with
+    2^-levels <= nu(1 - gap_target) puts the deepest radius at gap at most
+    gap_target (62 is the cap), and the witness keeps growing through every
+    atom the suite places.  The series is built once, at that rung.
     """
     nu_target = float(weight.value_from_gap(gap_target))
     levels = 8
     while levels < 58 and 2.0**-levels > nu_target:
         levels += 6
-    while True:
-        ext = build_extremal(weight, levels)
-        if 1.0 - ext.radii[-1] <= gap_target or levels >= 58:
-            break
-        levels += 6
+    ext = build_extremal(weight, levels)
     pairs = ext.coefficient_pairs()
 
     def values(ts: np.ndarray) -> np.ndarray:
@@ -615,7 +610,7 @@ def _compare_atom_family(case: Case, ctx: dict) -> CaseResult:
     apply_side = np.empty(len(levels))
     for i, lv in enumerate(levels):
         mu = atom_ladder(lv)
-        gauge_side[i] = well_defined_check(mu, case.item).integral
+        gauge_side[i] = well_defined_check(mu, case.item)
         apply_side[i] = mu.integral(lambda t, omt: witness(t))
     gauge_trend = summarize_ladder(xs, gauge_side, "gauge integral over atom family")
     apply_trend = summarize_ladder(xs, apply_side, "witness image at the origin")
@@ -636,16 +631,16 @@ def _compare_well_defined(case: Case, ctx: dict) -> CaseResult:
         return _compare_atom_family(case, ctx)
     mu = resolve_measure(case.item["measure"])
     weight = resolve_weight(case.item["weight"])
-    report = well_defined_check(mu, weight)
+    integral = well_defined_check(mu, weight)
     depths = ctx["partial_depths"]
     gaps = 2.0 ** -np.asarray(depths, dtype=float)
-    gauge = lambda t, omt: growth_gauge_from_gaps(weight, omt) + 1.0  # noqa: E731
+    gauge = _gauge_weight(weight)
     partials = np.array([mu.integral(gauge, rel_tol=1e-9, upper=r) for r in 1.0 - gaps])
     trend = summarize_ladder(1.0 / gaps, partials, "partial gauge integral")
-    left, right = _flag(not report.finite), _trend_flag(trend.verdict)
+    left, right = _flag(not math.isfinite(integral)), _trend_flag(trend.verdict)
     agree = left == right and right != VERDICT_INCONCLUSIVE
     detail = {"partials": partials, "depths": list(depths), "slope": trend.log_slope}
-    return case.result(report.integral, float(partials[-1]), left, right, agree, detail)
+    return case.result(integral, float(partials[-1]), left, right, agree, detail)
 
 
 # -- operator criteria against probes -------------------------------------------
@@ -684,9 +679,7 @@ def _operator_args(case: Case) -> tuple:
 
 def _run_probe(mu, omega, nu, alpha, ctx: dict):
     """Norm-ratio probe at the suite's probe truncation, and the verdict it reads as."""
-    n_base = ctx["probe_truncation"]
-    functions = probe_functions(omega, 2 * n_base)
-    probe = operator_norm_probe(OperatorConfig(alpha, mu, n_base), omega, nu, functions)
+    probe = operator_norm_probe(OperatorConfig(alpha, mu, ctx["probe_truncation"]), omega, nu)
     return probe, _probe_verdict(probe.classification)
 
 

@@ -188,8 +188,6 @@ def weight_to_json(w: NormalWeight) -> dict:
 class NormalityReport:
     c_decreasing: float
     c_increasing: float
-    ceiling: float
-    grid_depth: int
     passed: bool
 
 
@@ -209,7 +207,7 @@ def normality_check(w: NormalWeight) -> NormalityReport:
     c_dec = float(np.max(h_dec / np.minimum.accumulate(h_dec)))
     c_inc = float(np.max(np.maximum.accumulate(h_inc) / h_inc))
     passed = c_dec <= NORMALITY_CEILING and c_inc <= NORMALITY_CEILING
-    return NormalityReport(c_dec, c_inc, NORMALITY_CEILING, NORMALITY_GRID_DEPTH, passed)
+    return NormalityReport(c_dec, c_inc, passed)
 
 
 # -- growth gauge: cumulative integral of 1/nu --------------------------

@@ -308,6 +308,23 @@ class TestErrors:
         assert proc.stdout == ""
         assert proc.stderr == "error: weighted moments diverge; the operator is not well defined on this source\n"
 
+    # 2^-1 and 2^-3 are no truncation: the error names the flag and the value the user typed.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["criterion", "--kind", "moment", "--omega", "power_0.5", "--nu", "power_1", "--n-max-exponent", "-1"],
+             "error: --n-max-exponent must be nonnegative, got -1\n"),
+            (["probe", "--omega", "power_0.5", "--nu", "power_1", "--truncation-exponent", "-3"],
+             "error: --truncation-exponent must be nonnegative, got -3\n"),
+        ],
+        ids=["criterion", "probe"],
+    )
+    def test_negative_exponent_names_its_flag(self, argv, message, capsys):
+        code = main(argv + ["--measure", "lebesgue", "--alpha", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == message
+
     def test_apply_z_takes_at_most_two_numbers(self, capsys):
         code = main(["apply", "--measure", "lebesgue", "--series", "[1, 2]", "--alpha", "0", "--z", "0.1", "0.1", "5"])
         captured = capsys.readouterr()

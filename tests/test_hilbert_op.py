@@ -92,28 +92,22 @@ class TestOperatorConfig:
 
 class TestWellDefined:
     def test_arcsine_gauge_integral(self):
-        report = well_defined_check(lebesgue(), power_weight(0.5))
-        assert report.finite
-        assert report.integral == pytest.approx(math.pi / 2.0, rel=1e-7)
+        assert well_defined_check(lebesgue(), power_weight(0.5)) == pytest.approx(math.pi / 2.0, rel=1e-7)
 
     def test_atanh_gauge_integral(self):
-        report = well_defined_check(lebesgue(), power_weight(1.0))
-        assert report.finite
-        assert report.integral == pytest.approx(LN2_PLUS_1, rel=1e-8)
+        assert well_defined_check(lebesgue(), power_weight(1.0)) == pytest.approx(LN2_PLUS_1, rel=1e-8)
 
     def test_linear_density_against_quartic_weight(self):
-        report = well_defined_check(builtin_measures()["density_1"], power_weight(2.0))
-        assert report.finite
-        assert report.integral == pytest.approx(0.75, rel=1e-8)
+        integral = well_defined_check(builtin_measures()["density_1"], power_weight(2.0))
+        assert integral == pytest.approx(0.75, rel=1e-8)
 
     def test_divergent_pairing(self):
-        report = well_defined_check(lebesgue(), power_weight(2.0))
-        assert not report.finite
+        assert well_defined_check(lebesgue(), power_weight(2.0)) == math.inf
 
-    def test_report_serializes(self):
-        report = well_defined_check(point_mass(0.5), power_weight(1.0))
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["finite"] is True
+    def test_point_mass_reads_the_gauge_at_its_atom(self):
+        # gauge(t) = atanh(t) for nu = 1 - t^2, and the unit atom at 1/2 reads it there.
+        integral = well_defined_check(point_mass(0.5), power_weight(1.0))
+        assert integral == pytest.approx(1.0 + math.atanh(0.5), rel=1e-12)
 
 
 class TestApplyModes:
@@ -233,9 +227,8 @@ class TestPlainNodeImage:
             return images[-1][1]
 
         monkeypatch.setattr(hilbert_op, "_coefficient_image", recording)
-        functions = probe_functions(omega, 2 * n)
-        operator_norm_probe(OperatorConfig(alpha, mu, n), omega, omega, functions)
-        assert [f.truncation for f, _ in images] == [n, 2 * n] * len(functions)
+        operator_norm_probe(OperatorConfig(alpha, mu, n), omega, omega)
+        assert [f.truncation for f, _ in images] == [n, 2 * n] * len(probe_functions(omega, 2 * n))
         for f, image in images:
             want = quadrature_image(f, mu, alpha, f.truncation)
             assert image.coefficients == pytest.approx(want, rel=1e-10, abs=0.0)
@@ -371,14 +364,14 @@ class TestProbe:
     def test_stable_on_point_mass(self):
         omega = nu = power_weight(1.0)
         cfg = OperatorConfig(alpha=0.0, measure=point_mass(0.5), truncation=2**7)
-        report = operator_norm_probe(cfg, omega, nu, probe_functions(omega, 2**8))
+        report = operator_norm_probe(cfg, omega, nu)
         assert report.classification == PROBE_STABLE
         assert report.growth <= 1.1
 
     def test_growing_on_critical_lebesgue(self):
         omega = nu = builtin_weights()["power_0.5"]
         cfg = OperatorConfig(alpha=0.0, measure=lebesgue(), truncation=2**9)
-        report = operator_norm_probe(cfg, omega, nu, probe_functions(omega, 2**10))
+        report = operator_norm_probe(cfg, omega, nu)
         assert report.classification == PROBE_GROWING
 
     # One plain node set per probe call, and each padded function evaluated once on it,
@@ -402,8 +395,8 @@ class TestProbe:
 
         monkeypatch.setattr(RadialMeasure, "_moment_nodes", counting_nodes)
         monkeypatch.setattr(TaylorSeries, "__call__", counting_call)
-        functions = probe_functions(omega, 2**9)[:count]
-        operator_norm_probe(OperatorConfig(0.0, mu, 2**8), omega, nu, functions)
+        monkeypatch.setattr(hilbert_op, "probe_functions", lambda w, n: probe_functions(w, n)[:count])
+        operator_norm_probe(OperatorConfig(0.0, mu, 2**8), omega, nu)
         assert studies == [(2**10, None)]
         assert len(evaluated) == 2 * count
         assert len({id(f) for f in evaluated}) == 2 * count
@@ -411,9 +404,8 @@ class TestProbe:
 
     def test_report_structure(self):
         omega = nu = power_weight(1.0)
-        functions = probe_functions(omega, 2**7)
         cfg = OperatorConfig(alpha=0.0, measure=point_mass(0.5), truncation=2**6)
-        report = operator_norm_probe(cfg, omega, nu, functions)
+        report = operator_norm_probe(cfg, omega, nu)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert [case["label"] for case in payload["cases"]] == [name for name, _ in functions]
+        assert [case["label"] for case in payload["cases"]] == [name for name, _ in probe_functions(omega, 2**7)]
         assert payload["truncation"] == 2**6

@@ -68,11 +68,6 @@ class TestTaylorSeries:
         f = TaylorSeries([5.0, 1.0, 2.0, 3.0])
         assert np.allclose(f.derivative().coefficients, [1.0, 4.0, 9.0])
 
-    def test_hadamard_is_termwise(self):
-        f = TaylorSeries([1.0, 2.0, 3.0])
-        g = TaylorSeries([2.0, 0.5, -1.0])
-        assert np.allclose(f.hadamard(g).coefficients, [2.0, 1.0, -3.0])
-
     def test_pad_extends_and_truncates(self):
         f = TaylorSeries([1.0, 2.0])
         assert f.pad(4).truncation == 4
@@ -358,7 +353,7 @@ class TestImmutableSeries:
 
     def test_derived_series_are_read_only_too(self):
         f = TaylorSeries(np.arange(1.0, 9.0))
-        for g in (f.derivative(), f.pad(3), f.pad(20), f.hadamard(f)):
+        for g in (f.derivative(), f.pad(3), f.pad(20)):
             assert not g.coefficients.flags.writeable
 
     @pytest.mark.parametrize(

@@ -135,6 +135,34 @@ def test_only_the_pinned_public_functions_go_uncalled():
     assert uncalled_public(sources, [caller.read_text() for caller in CALLERS]) == UNCALLED_PUBLIC
 
 
+def shared_method_names(sources: list[str]) -> set[str]:
+    """Public method names that more than one class of the sources defines."""
+    owners: dict[str, int] = {}
+    for source in sources:
+        for name in public_callables(source):
+            if "." in name:
+                method = name.rsplit(".", 1)[-1]
+                owners[method] = owners.get(method, 0) + 1
+    return {method for method, count in owners.items() if count > 1}
+
+
+def test_detector_sees_a_shared_method_name():
+    first = "class Box:\n    def open(self):\n        pass\n\n    def shut(self):\n        pass\n"
+    second = "def open():\n    pass\n\nclass Jar:\n    def open(self):\n        pass\n\n    def __len__(self):\n        return 0\n"
+    assert shared_method_names([first, second]) == {"open"}
+
+
+# uncalled_public matches callers by bare name, so one call of a shared method
+# name counts for every class that defines it: a dead method hides behind a
+# live namesake.  The shared names are pinned here so that a new one is seen.
+SHARED_METHOD_NAMES = {"to_dict", "value_from_gap"}
+
+
+def test_only_the_pinned_method_names_are_shared():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert shared_method_names(sources) == SHARED_METHOD_NAMES
+
+
 def optional_parameters(source: str) -> set[tuple[str, str]]:
     """(callable, parameter) for every parameter with a default, and every **kwargs, of the public
     functions and methods ("Class.method", constructors included)."""

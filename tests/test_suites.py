@@ -531,6 +531,18 @@ class TestWitnessLevel:
         report = run_suite(ExperimentConfig(suite="P4.1", resolution_scale=scale))
         assert len(levels) == sum(case.label.startswith("atom_family|") for case in report.cases) == 3
 
+    # The rung read off nu(gap_target) is deep enough without a rebuild: the series
+    # reaches the deepest atom of its ladder, or it stops at the 62-level cap.
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_the_witness_reaches_the_deepest_atom(self, monkeypatch, scale):
+        built = []
+        monkeypatch.setattr(suites, "build_extremal", lambda w, n: built.append((n, build_extremal(w, n))) or built[-1][1])
+        report = run_suite(ExperimentConfig(suite="P4.1", resolution_scale=scale))
+        families = [case for case in report.cases if case.label.startswith("atom_family|")]
+        assert len(built) == len(families) == 3
+        for (n, ext), case in zip(built, families):
+            assert 1.0 - ext.radii[-1] <= 2.0 ** -max(case.detail["levels"]) or n == 62, case.label
+
 
 @pytest.fixture(scope="module")
 def sample():

@@ -13,6 +13,7 @@ from hilbloch.catalog import builtin_weights
 from hilbloch.errors import ConstructionError, DomainError, NumericsError
 from hilbloch.trend import radius_ladder
 from hilbloch.weights import (
+    NORMALITY_CEILING,
     build_extremal,
     dyadic_sum_ratio,
     growth_gauge,
@@ -199,7 +200,7 @@ class TestNormality:
         # increasing, but it still decays to zero: the constant explodes.
         report = normality_check(power_weight(1.0, a=0.1, b=0.1))
         assert not report.passed
-        assert report.c_increasing > report.ceiling
+        assert report.c_increasing > NORMALITY_CEILING
 
 
 class TestGrowthGauge:

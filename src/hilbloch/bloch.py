@@ -166,12 +166,15 @@ def block_peaks(f: TaylorSeries) -> np.ndarray:
 
     A block whose support [2^(n-1), 2^(n+1)) ([0, 2) for n = 0) holds no
     nonzero coefficient of f has the zero product, so it is not built and
-    its peak is 0.
+    its peak is 0.  Every block has nonnegative coefficients, so when f has
+    them too each product peaks at z = 1, where it is the sum of its
+    coefficients; signed and complex series take `sup_norm`.
     """
     depth = max(f.truncation.bit_length() - 1, 0)
     a = f.coefficients
+    peak = np.sum if f.has_nonnegative_coefficients else sup_norm
     return np.array(
-        [sup_norm(block_polynomial(n).hadamard(f)) if np.any(a[(1 << n) >> 1 : 2 << n]) else 0.0 for n in range(depth + 1)]
+        [peak(block_polynomial(n).hadamard(f)) if np.any(a[(1 << n) >> 1 : 2 << n]) else 0.0 for n in range(depth + 1)]
     )
 
 

@@ -105,23 +105,25 @@ def well_defined_check(mu: RadialMeasure, omega: NormalWeight) -> float:
 # -- application modes ------------------------------------------------------------
 
 
-def _plain_nodes(mu: RadialMeasure, n_top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The measure's unweighted node set (t, w) for the moments up to n_top."""
+def _plain_nodes(mu: RadialMeasure, n_top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The measure's unweighted node set (t, w, log t) for the moments up to n_top."""
     try:
         return mu._moment_nodes(n_top, None, DEFAULT_REL_TOL)
     except NumericsError as exc:
         raise NumericsError(_UNDEFINED) from exc
 
 
-def _coefficient_image(f: TaylorSeries, nodes: tuple[np.ndarray, np.ndarray], gammas: np.ndarray) -> TaylorSeries:
-    """b_n = c_n * sum_i w_i f(t_i) t_i^n for n < len(gammas), c = gammas, with f evaluated once on (t, w).
+def _coefficient_image(
+    f: TaylorSeries, nodes: tuple[np.ndarray, np.ndarray, np.ndarray], gammas: np.ndarray
+) -> TaylorSeries:
+    """b_n = c_n * sum_i w_i f(t_i) t_i^n for n < len(gammas), c = gammas, with f evaluated once on (t, w, log t).
 
     integral of t^n f dmu is the Hankel sum sum_k a_k mu_(n+k), so on a plain
     node set for the moments up to n + degree(f) one evaluation of f serves
     every n.
     """
-    t, w = nodes
-    return TaylorSeries(gammas * _contiguous_power_sums(t, w * np.asarray(f(t), dtype=float), len(gammas) - 1))
+    t, w, log_t = nodes
+    return TaylorSeries(gammas * _contiguous_power_sums(t, w * np.asarray(f(t), dtype=float), log_t, len(gammas) - 1))
 
 
 def apply_coefficient(f: TaylorSeries, cfg: OperatorConfig) -> TaylorSeries:

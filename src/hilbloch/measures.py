@@ -5,6 +5,13 @@ mu_n = integral of t^n, tails mu([t, 1)), and weighted moments with an extra
 radial factor.  One call reads a whole ladder of indices from one adaptive
 node grid, so the ladder costs a single refinement study; a measure keeps no
 state between calls, so its moments depend only on the arguments.
+
+Every node carries log t, read from the gap 1 - t for density nodes, and
+every power is t^n = exp(n log t) (the contiguous tables take t^j, j < B,
+from a cumulative product).  The rounding of t, which t^n would multiply by
+n, never enters, so a moment at n = 2^26 is as accurate as one at 2^10, and
+the grid study, which starts at level 0 (panels about 2 wide in u), settles
+at level 1 for every builtin density.
 """
 
 from __future__ import annotations
@@ -54,9 +61,10 @@ def power_log_density(s: float, gamma_log: float = 0.0) -> Density:
     return Density(float(s), float(gamma_log))
 
 
-def _power_sums(t: np.ndarray, w: np.ndarray, ns: Sequence[int]) -> np.ndarray:
-    """Sums of w * t^n over the node set, one per index n."""
-    return np.array([float(w @ np.power(t, n)) if n else float(w.sum()) for n in ns])
+def _power_sums(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], ns: Sequence[int]) -> np.ndarray:
+    """Sums of w * t^n over the node set (t, w, log t), one per index n, with t^n = exp(n log t)."""
+    _, w, log_t = nodes
+    return np.array([float(w @ np.exp(n * log_t)) if n else float(w.sum()) for n in ns])
 
 
 def _moment_block(n_max: int, nodes: int) -> tuple[int, int]:
@@ -69,35 +77,38 @@ def _moment_block(n_max: int, nodes: int) -> tuple[int, int]:
     return block, min(1 << (-(-(n_max + 1) // block) - 1).bit_length(), cap)
 
 
-def _contiguous_power_sums(t: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
-    """Sums of w * t^n over the node set (t, w) for every n = 0..n_max.
+def _contiguous_power_sums(t: np.ndarray, w: np.ndarray, log_t: np.ndarray, n_max: int) -> np.ndarray:
+    """Sums of w * t^n over the node set (t, w, log t) for every n = 0..n_max.
 
-    The set is padded with nodes (0, 0) to a multiple of _NODE_PAD so that no
-    result depends on the BLAS thread count.  Two tables (see _moment_block)
-    cover the indices: the columns P[i, j] = t_i^j, j < B, come from one
-    cumulative product, and the rows T[r, i] = w_i t_i^(rB), r < R, from
-    R - 1 steps by t^B.  Each chunk of R * B consecutive indices is then one
-    matrix product T @ P, written row-major, after which T steps by t^(RB);
-    the last chunk takes only the rows it needs.  The Python loop takes
-    (n_max + 1) / (R * B) steps, t^n carries about n / (R * B) + R + B
-    roundings, and both tables together hold at most 2^17 floats.
+    The set is padded with nodes (0, 0, -inf) to a multiple of _NODE_PAD so
+    that no result depends on the BLAS thread count.  Two tables (see
+    _moment_block) cover the indices: the columns P[i, j] = t_i^j, j < B,
+    come from one cumulative product, and the rows T[r, i] = w_i t_i^(rB),
+    r < R, from exp(rB log t_i), with row 0 the weights themselves.  Each
+    chunk of R * B consecutive indices is then one matrix product T @ P,
+    written row-major, after which T steps by exp(RB log t); the last chunk
+    takes only the rows it needs.  The Python loop takes (n_max + 1) / (R * B)
+    steps.  Only the columns raise the rounded t to a power, at most B - 1,
+    so t^n carries about n / (R * B) + 2B roundings plus |n log t|, which is
+    large only where t^n is negligible, and both tables together hold at
+    most 2^17 floats.
     """
     if not len(t):
         return np.zeros(n_max + 1)
     pad = -len(t) % _NODE_PAD
-    t, w = np.append(t, np.zeros(pad)), np.append(w, np.zeros(pad))
+    t, w, log_t = np.append(t, np.zeros(pad)), np.append(w, np.zeros(pad)), np.append(log_t, np.full(pad, -np.inf))
     block, rows = _moment_block(n_max, len(t))
     powers = np.empty((len(t), block))
     powers[:, 0] = 1.0
     powers[:, 1:] = t[:, None]
     np.cumprod(powers, axis=1, out=powers)
-    # Steps by one power each, not from a table, so that the roundings of t^n stay few.
     table = np.empty((rows, len(t)))
     table[0] = w
-    step = t**block
-    for r in range(1, rows):
-        np.multiply(table[r - 1], step, out=table[r])
-    step = t ** (rows * block)
+    # Rows 1..R-1 in place, with no temporary the size of the table.
+    np.multiply(np.arange(block, rows * block, block)[:, None], log_t, out=table[1:])
+    np.exp(table[1:], out=table[1:])
+    table[1:] *= w
+    step = np.exp(rows * block * log_t)
     # Whole blocks of B moments, one per row; the tail past n_max is cut off.
     out = np.empty(-(-(n_max + 1) // block) * block)
     grid = out.reshape(-1, block)
@@ -155,44 +166,49 @@ class RadialMeasure:
 
     # -- node grid ---------------------------------------------------------
 
-    def _density_grid(self, n_top: int, phi, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted density nodes (t, w) of a grid (U, level) on which the hardest moments are stable to rel_tol.
+    def _density_grid(self, n_top: int, phi, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weighted density nodes (t, w, log t) of a grid (U, level) on which the hardest moments are stable to rel_tol.
 
         phi is evaluated once on each grid tried; the probe sums and the
         tolerance floor (the l1 mass of the weighted integrand, which anchors
         the tolerance when moments cancel) all read those weights.
         """
-        weighted: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        weighted: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-        def nodes(U: float, level: int) -> tuple[np.ndarray, np.ndarray]:
-            """Density nodes t on u = -log(1-t) panels, weighted density * (1-t) du (times phi)."""
+        def nodes(U: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """Density nodes t on u = -log(1-t) panels, weighted density * (1-t) du (times phi).
+
+            log t = log1p(-(1-t)) comes from the gap, so it keeps its relative
+            accuracy where t itself rounds near 1 and powers t^n = exp(n log t)
+            do not multiply the rounding of t by n.
+            """
             if (U, level) not in weighted:
                 u, du = panel_points(np.array([0.0, U]), max(8, int(math.ceil(U / 2.0)) * 2**level))
                 omt = np.exp(-u)
                 t = -np.expm1(-u)
                 base = self.density.eval(t, omt) * omt * du
                 w = base if phi is None else base * np.asarray(phi(t, omt), dtype=float)
-                weighted[U, level] = (t, w)
+                weighted[U, level] = (t, w, np.log1p(-omt))
             return weighted[U, level]
 
         probe = sorted({0, int(n_top)})
         U = max(16.0, math.log(n_top + 1.0) + 8.0)
-        cur = _power_sums(*nodes(U, 1), probe)
+        cur = _power_sums(nodes(U, 1), probe)
         while True:
             U = U + max(8.0, 0.5 * U)
             # Checked before the grid is built: no node lies past TAIL_CAP, where (1-t) underflows.
             if U > TAIL_CAP:
                 raise NumericsError("density moments did not stabilize in the tail; measure nearly divergent")
-            nxt = _power_sums(*nodes(U, 1), probe)
+            nxt = _power_sums(nodes(U, 1), probe)
             floor = 0.0 if phi is None else 0.01 * float(np.abs(nodes(U, 1)[1]).sum())
             if np.all(np.abs(nxt - cur) <= 0.25 * rel_tol * (np.abs(nxt) + floor) + 1e-300):
                 break
             cur = nxt
-        level = 1
-        cur = _power_sums(*nodes(U, level), probe)
+        level = 0
+        cur = _power_sums(nodes(U, level), probe)
         while level < 10:
             level += 1
-            nxt = _power_sums(*nodes(U, level), probe)
+            nxt = _power_sums(nodes(U, level), probe)
             if np.all(np.abs(nxt - cur) <= rel_tol * (np.abs(nxt) + floor) + 1e-300):
                 break
             cur = nxt
@@ -202,30 +218,34 @@ class RadialMeasure:
 
     # -- moments -----------------------------------------------------------
 
-    def _moment_nodes(self, n_max: int, phi, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """One weighted node set (t, w) for the moments up to n_max: atoms wgt * phi(t), then density nodes.
+    def _moment_nodes(self, n_max: int, phi, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One weighted node set (t, w, log t) for the moments up to n_max: atoms wgt * phi(t), then density nodes.
 
         Deep in the tail t = -expm1(-u) rounds to 1.0, where every such node adds
-        its weight to every moment; those nodes become one node (1.0, fsum of their w).
+        its weight to every moment; those nodes become one node (1.0, fsum of
+        their w, 0.0).  An atom at t = 0 has log t = -inf, so only n = 0 reads it.
         """
         t, w = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         if phi is not None and len(t):
             w = w * np.asarray(phi(t, 1.0 - t), dtype=float)
+        with np.errstate(divide="ignore"):
+            log_t = np.log(t)
         if self.density is None:
-            return t, w
-        t_dens, w_dens = self._density_grid(n_max, phi, rel_tol)
+            return t, w, log_t
+        t_dens, w_dens, log_dens = self._density_grid(n_max, phi, rel_tol)
         at_one = t_dens == 1.0
         if at_one.any():
             t_dens = np.append(t_dens[~at_one], 1.0)
             w_dens = np.append(w_dens[~at_one], math.fsum(w_dens[at_one]))
-        return np.concatenate([t, t_dens]), np.concatenate([w, w_dens])
+            log_dens = np.append(log_dens[~at_one], 0.0)
+        return np.concatenate([t, t_dens]), np.concatenate([w, w_dens]), np.concatenate([log_t, log_dens])
 
     def moments_at(self, ns: Sequence[int], phi=None, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
         """Moments (or phi-weighted moments) at the given indices."""
         ns = [int(n) for n in ns]
         if any(n < 0 for n in ns):
             raise DomainError("moment index must be nonnegative")
-        return _power_sums(*self._moment_nodes(max(ns, default=0), phi, rel_tol), ns)
+        return _power_sums(self._moment_nodes(max(ns, default=0), phi, rel_tol), ns)
 
     def contiguous_moments(self, n_max: int) -> np.ndarray:
         """Moments for every n = 0..n_max, stable to DEFAULT_REL_TOL, summed by _contiguous_power_sums on one node set."""

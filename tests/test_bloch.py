@@ -376,8 +376,13 @@ class TestConstantsSkipThePolish:
         assert est.value == pytest.approx(Z2_NORM, rel=1e-9)
 
 
+# A block product with nonnegative coefficients peaks at z = 1: block_peaks sums it there,
+# and the circle maximum of sup_norm is the same number summed in another order.
+PEAK_REL = 4 * np.finfo(float).eps
+
+
 def _single_loop_dyadic_blocks(f, w):
-    """norm_dyadic_blocks as one loop over blocks, before it split into peaks and a weighted step."""
+    """norm_dyadic_blocks as one loop over blocks that takes every peak as the circle maximum sup_norm."""
     depth = max(f.truncation.bit_length() - 1, 0)
     a = f.coefficients
     terms = []
@@ -403,14 +408,20 @@ class TestTwoStepDyadicBlocks:
             two_step = dyadic_block_form(peaks, w)
             assert two_step == norm_dyadic_blocks(f, w)
             assert len(peaks) == two_step.resolution["blocks"]
-            assert two_step.value == float(np.max(_single_loop_dyadic_blocks(f, w)))
+            reference = float(np.max(_single_loop_dyadic_blocks(f, w)))
+            if f.has_nonnegative_coefficients:
+                assert two_step.value == pytest.approx(reference, rel=PEAK_REL)
+            else:
+                assert two_step.value == reference
 
     def test_peaks_are_weight_free_block_norms(self):
         f = series_catalog(2**8)["harmonic"]
         peaks = block_peaks(f)
         assert len(peaks) == 9
         for n, peak in enumerate(peaks):
-            assert peak == sup_norm(block_polynomial(n).hadamard(f))
+            product = block_polynomial(n).hadamard(f)
+            assert peak == float(np.sum(product))
+            assert peak == pytest.approx(sup_norm(product), rel=PEAK_REL)
 
     def test_empty_blocks_read_zero(self):
         f = TaylorSeries(np.r_[1.0, np.zeros(62), 1.0])  # 1 + z^63: blocks 1..4 hold no coefficient

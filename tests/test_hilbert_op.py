@@ -389,7 +389,7 @@ class TestProbe:
             return node_sets[-1]
 
         def counting_call(self, z):
-            if any(z is t for t, _ in node_sets):
+            if any(z is t for t, _, _ in node_sets):
                 evaluated.append(self)
             return call(self, z)
 

@@ -1,6 +1,7 @@
 """Measure layer: moments against closed forms, tails, Carleson quantities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ from hilbloch.measures import (
     power_reweight,
     reweight_agreement,
 )
-from hilbloch.quadrature import TAIL_CAP
+from hilbloch.quadrature import TAIL_CAP, panel_points
 from hilbloch.series import TaylorSeries
 from hilbloch.trend import VERDICT_BOUNDED, VERDICT_UNBOUNDED, index_ladder
 from hilbloch.weights import growth_gauge_from_gaps
@@ -44,21 +45,36 @@ BETA_DENSITIES = {"lebesgue": 0.0, "density_1": 1.0, "density_2": 2.0, "density_
 EDGE_INDICES = sorted({0, 1} | {2**k + d for k in range(1, 19) for d in (-1, 0, 1)} - {2**18 + 1})
 # About 300 indices spread linearly and geometrically over a table to 2^18.
 SPREAD_INDICES = np.unique(np.concatenate([np.linspace(0, 2**18, 150), np.geomspace(1, 2**18, 160)]).astype(int))
-# A table of MIXED_ATOMS plus (1-t)^0.5 dt at these n_max ends one short of,
-# exactly at or one past its first chunk of R * B = 1024 indices.
-CHUNK_EDGES = [1022, 1023, 1024]
+# A table of MIXED_ATOMS plus (1-t)^0.5 dt (640 nodes once padded) at these
+# n_max ends one short of, exactly at or one past its first chunk of
+# R * B = 64 * 64 = 4096 indices.
+CHUNK_EDGES = [4094, 4095, 4096]
 MIXED_ATOMS = [(0.0, 0.5), (0.3, 1.0), (0.9, 2.0), (0.99, 0.25), (0.999, 1.0)]
 DENSITY_MEASURES = sorted(name for name, mu in builtin_measures().items() if mu.density is not None)
+# Density grid nodes at n = 2^10, 2^18 and 2^26: 16 Gauss nodes on each of the
+# 2 * ceil(U / 2) level-1 panels.  Level 2 has twice as many.
+LEVEL_ONE_NODES = {
+    "density_-0.5": {10: 1952, 18: 1664, 26: 2112},
+    "density_1": {10: 576, 18: 768, 26: 960},
+    "density_1_log-1": {10: 576, 18: 768, 26: 960},
+    "density_2": {10: 384, 18: 512, 26: 640},
+    "lebesgue": {10: 864, 18: 1120, 26: 1408},
+}
 
 
 def reference_moments(mu, n_max, phi=None):
-    """Plain per-index loop over the (phi-weighted) node set that contiguous_moments and moments_at sum."""
-    t, w = mu._moment_nodes(n_max, phi, 1e-10)
+    """Plain per-index loop over the (phi-weighted) node set (t, w, log t) that contiguous_moments and moments_at sum.
+
+    Each node stands for w * exp(n log t); the loop steps by exp(log t) in
+    extended precision, so its n roundings stay far below the tolerances.
+    """
+    _, w, log_t = mu._moment_nodes(n_max, phi, 1e-10)
     out = np.empty(n_max + 1)
-    acc = w.copy()
+    acc = w.astype(np.longdouble)
+    step = np.exp(log_t.astype(np.longdouble))
     for n in range(n_max + 1):
         out[n] = acc.sum()
-        acc *= t
+        acc *= step
     return out
 
 
@@ -137,9 +153,10 @@ class TestBlockedMoments:
         assert np.all(np.diff(table) < 0.0)
 
     # n_max + 1 in {4095, 4096, 4097} ends on a block one short, exactly full
-    # or one over for every power-of-two block from 2 to 1024; CHUNK_EDGES end
-    # the atoms-and-density table one short of, exactly at or one past a chunk.
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, *CHUNK_EDGES, 4094, 4095, 4096])
+    # or one over for every power-of-two block from 2 to 1024, and so does
+    # {1023, 1024, 1025} up to 32; CHUNK_EDGES end the atoms-and-density table
+    # one short of, exactly at or one past a chunk.
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 1000, 1022, 1023, 1024, *CHUNK_EDGES])
     @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "phi_weighted", "zero"])
     def test_matches_per_index_loop(self, case, n_max):
         atoms = MIXED_ATOMS
@@ -178,7 +195,32 @@ class TestBlockedMoments:
         s = BETA_DENSITIES[name]
         with mpmath.workdps(30):
             oracle = [float(mpmath.beta(int(n) + 1, s + 1)) for n in SPREAD_INDICES]
-        assert beta_tables[name][SPREAD_INDICES] == pytest.approx(oracle, rel=1e-11)
+        assert beta_tables[name][SPREAD_INDICES] == pytest.approx(oracle, rel=1e-13)
+
+    # Powers exp(n log t), with log t read through the gap 1 - t, keep every rung of a
+    # ladder accurate far past the 2^18 tables: the rounding of t would cost n * 1e-16.
+    @pytest.mark.parametrize("k", [14, 18, 22, 26])
+    @pytest.mark.parametrize("name", sorted(BETA_DENSITIES))
+    def test_ladder_moments_match_mpmath(self, name, k):
+        ns = index_ladder(2**k)
+        with mpmath.workdps(30):
+            oracle = [float(mpmath.beta(int(n) + 1, BETA_DENSITIES[name] + 1)) for n in ns]
+        assert builtin_measures()[name].moments_at(ns) == pytest.approx(oracle, rel=1e-13)
+
+    def test_atom_at_zero_reads_only_at_index_zero(self):
+        # log 0 = -inf: every power but the zeroth is exactly 0, with no NaN and no warning.
+        mu = RadialMeasure(atoms=[(0.0, 2.0), (0.5, 1.0)])
+        oracle = 0.5 ** np.arange(4097.0)
+        oracle[0] += 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = mu.contiguous_moments(4096)
+            ladder = mu.moments_at([0, 1, 7, 2**20])
+            weighted = mu.moments_at([0, 3], phi=lambda t, omt: omt)
+        # exp(n log t) carries about |n log t| roundings: 0.5^1000 is e^-693.
+        assert table == pytest.approx(oracle, rel=1e-13, abs=1e-300)
+        assert ladder == pytest.approx([3.0, 0.5, 0.5**7, 0.0], rel=1e-15, abs=0.0)
+        assert weighted == pytest.approx([2.5, 0.5**4], rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("ns", [[0], [5], [0, 1, 7, 64, 1000], list(range(40)), [4096, 0, 17]])
     @pytest.mark.parametrize("case", ["atoms", "atoms_and_density", "log_phi"])
@@ -239,21 +281,41 @@ class TestBlockedMoments:
         if case == "atoms_and_phi":
             phi, atoms = (lambda t, omt: 1.0 + omt), MIXED_ATOMS
         mu = RadialMeasure(atoms=atoms, density=builtin_measures()[name].density)
-        t, w = mu._moment_nodes(n_max, phi, 1e-10)
-        grid_t, grid_w = mu._density_grid(n_max, phi, 1e-10)
+        t, w, log_t = mu._moment_nodes(n_max, phi, 1e-10)
+        grid_t, grid_w, grid_log_t = mu._density_grid(n_max, phi, 1e-10)
         at_one = grid_t == 1.0
         kept = len(atoms) + int(np.count_nonzero(~at_one))
         assert np.count_nonzero(t == 1.0) == int(at_one.any())
-        assert len(t) == kept + int(at_one.any())
+        assert len(t) == len(log_t) == kept + int(at_one.any())
         assert np.array_equal(t[len(atoms) : kept], grid_t[~at_one])
         assert np.array_equal(w[len(atoms) : kept], grid_w[~at_one])
+        assert np.array_equal(log_t[len(atoms) : kept], grid_log_t[~at_one])
         if at_one.any():
-            assert (t[-1], w[-1]) == (1.0, math.fsum(grid_w[at_one]))
+            assert (t[-1], w[-1], log_t[-1]) == (1.0, math.fsum(grid_w[at_one]), 0.0)
+
+    # The level study compares level 0 (panels about 2 wide in u) with level 1
+    # and returns level 1 for every builtin density: half the nodes of level 2,
+    # where a study that starts at level 1 would stop at the earliest.
+    @pytest.mark.parametrize("k", [10, 18, 26])
+    @pytest.mark.parametrize("name", DENSITY_MEASURES)
+    def test_density_grid_settles_at_level_one(self, monkeypatch, name, k):
+        built = []
+
+        def recording(edges, panels):
+            built.append((float(edges[-1]), panels))
+            return panel_points(edges, panels)
+
+        monkeypatch.setattr("hilbloch.measures.panel_points", recording)
+        t, _, _ = builtin_measures()[name]._density_grid(2**k, None, 1e-10)
+        U = built[-1][0]
+        coarsest = math.ceil(U / 2.0)
+        assert sorted(panels for u, panels in built if u == U) == [coarsest, 2 * coarsest]
+        assert len(t) == 16 * 2 * coarsest == LEVEL_ONE_NODES[name][k]
 
     def test_lebesgue_folds_its_tail_at_two_to_the_18(self):
-        # 1028 of the 2240 density nodes round to t = 1 at 2^18.
-        t, _ = lebesgue()._moment_nodes(2**18, None, 1e-10)
-        assert len(t) == 2240 - 1028 + 1
+        # 515 of the 1120 density nodes round to t = 1 at 2^18.
+        t, _, _ = lebesgue()._moment_nodes(2**18, None, 1e-10)
+        assert len(t) == 1120 - 515 + 1
 
     @pytest.mark.parametrize("nodes", [1, 5, 1024, 3328, 2**17, 2**18])
     @pytest.mark.parametrize("n_max", [0, 1, 100, 2**14, 2**18])

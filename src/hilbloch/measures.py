@@ -9,9 +9,10 @@ state between calls, so its moments depend only on the arguments.
 Every node carries log t, read from the gap 1 - t for density nodes, and
 every power is t^n = exp(n log t) (the contiguous tables take t^j, j < B,
 from a cumulative product).  The rounding of t, which t^n would multiply by
-n, never enters, so a moment at n = 2^26 is as accurate as one at 2^10, and
-the grid study, which starts at level 0 (panels about 2 wide in u), settles
-at level 1 for every builtin density.
+n, never enters, so a density moment at n = 2^30 is as accurate as one at
+2^10, and the grid study, which starts at level 0 (panels about 2 wide in
+u), settles at level 1 for every builtin density.  An atom's t is exact, so
+its powers carry about |n log t| roundings instead of one.
 """
 
 from __future__ import annotations
@@ -223,7 +224,9 @@ class RadialMeasure:
 
         Deep in the tail t = -expm1(-u) rounds to 1.0, where every such node adds
         its weight to every moment; those nodes become one node (1.0, fsum of
-        their w, 0.0).  An atom at t = 0 has log t = -inf, so only n = 0 reads it.
+        their w, the |w|-weighted mean of their log t), whose power keeps the
+        first-order term n log t of theirs.  An atom at t = 0 has log t = -inf,
+        so only n = 0 reads it.
         """
         t, w = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         if phi is not None and len(t):
@@ -235,9 +238,11 @@ class RadialMeasure:
         t_dens, w_dens, log_dens = self._density_grid(n_max, phi, rel_tol)
         at_one = t_dens == 1.0
         if at_one.any():
+            mass = np.abs(w_dens[at_one])
+            log_one = math.fsum(mass * log_dens[at_one]) / math.fsum(mass) if mass.any() else 0.0
             t_dens = np.append(t_dens[~at_one], 1.0)
             w_dens = np.append(w_dens[~at_one], math.fsum(w_dens[at_one]))
-            log_dens = np.append(log_dens[~at_one], 0.0)
+            log_dens = np.append(log_dens[~at_one], log_one)
         return np.concatenate([t, t_dens]), np.concatenate([w, w_dens]), np.concatenate([log_t, log_dens])
 
     def moments_at(self, ns: Sequence[int], phi=None, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

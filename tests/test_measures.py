@@ -144,7 +144,7 @@ class TestBlockedMoments:
         s = BETA_DENSITIES[name]
         with mpmath.workdps(30):
             oracle = [float(mpmath.beta(n + 1, s + 1)) for n in EDGE_INDICES]
-        assert beta_tables[name][EDGE_INDICES] == pytest.approx(oracle, rel=1e-10)
+        assert beta_tables[name][EDGE_INDICES] == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(BETA_DENSITIES))
     def test_positive_measure_has_positive_decreasing_moments(self, beta_tables, name):
@@ -177,7 +177,7 @@ class TestBlockedMoments:
         if case == "zero":
             assert np.array_equal(got, np.zeros(n_max + 1))
         else:
-            assert got == pytest.approx(ref, rel=1e-12)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n_max", CHUNK_EDGES)
     def test_chunk_edges_end_at_one_chunk(self, n_max):
@@ -187,7 +187,7 @@ class TestBlockedMoments:
 
     def test_lebesgue_table_matches_reciprocals(self, beta_tables):
         n = np.arange(2**18 + 1, dtype=float)
-        assert beta_tables["lebesgue"] == pytest.approx(1.0 / (n + 1.0), rel=1e-12)
+        assert beta_tables["lebesgue"] == pytest.approx(1.0 / (n + 1.0), rel=1e-12, abs=0.0)
 
     # scipy.special.betaln is no oracle here: it is off by about 1e-9 near n = 2.2e5.
     @pytest.mark.parametrize("name", ["density_1", "density_2", "density_-0.5"])
@@ -195,17 +195,17 @@ class TestBlockedMoments:
         s = BETA_DENSITIES[name]
         with mpmath.workdps(30):
             oracle = [float(mpmath.beta(int(n) + 1, s + 1)) for n in SPREAD_INDICES]
-        assert beta_tables[name][SPREAD_INDICES] == pytest.approx(oracle, rel=1e-13)
+        assert beta_tables[name][SPREAD_INDICES] == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     # Powers exp(n log t), with log t read through the gap 1 - t, keep every rung of a
     # ladder accurate far past the 2^18 tables: the rounding of t would cost n * 1e-16.
-    @pytest.mark.parametrize("k", [14, 18, 22, 26])
+    @pytest.mark.parametrize("k", [14, 18, 22, 26, 30])
     @pytest.mark.parametrize("name", sorted(BETA_DENSITIES))
     def test_ladder_moments_match_mpmath(self, name, k):
         ns = index_ladder(2**k)
         with mpmath.workdps(30):
             oracle = [float(mpmath.beta(int(n) + 1, BETA_DENSITIES[name] + 1)) for n in ns]
-        assert builtin_measures()[name].moments_at(ns) == pytest.approx(oracle, rel=1e-13)
+        assert builtin_measures()[name].moments_at(ns) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_atom_at_zero_reads_only_at_index_zero(self):
         # log 0 = -inf: every power but the zeroth is exactly 0, with no NaN and no warning.
@@ -236,7 +236,7 @@ class TestBlockedMoments:
             phi = lambda t, omt: 1.0 - np.log(omt)  # noqa: E731
         got = mu.moments_at(ns, phi=phi)
         ref = reference_moments(mu, max(ns), phi)[ns]
-        assert got == pytest.approx(ref, rel=1e-12)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     # Grids the search tries for the harmonic series at 2^14: the tail loop
     # steps U until the probe sums settle, then the level loop refines.
@@ -291,7 +291,13 @@ class TestBlockedMoments:
         assert np.array_equal(w[len(atoms) : kept], grid_w[~at_one])
         assert np.array_equal(log_t[len(atoms) : kept], grid_log_t[~at_one])
         if at_one.any():
-            assert (t[-1], w[-1], log_t[-1]) == (1.0, math.fsum(grid_w[at_one]), 0.0)
+            assert (t[-1], w[-1]) == (1.0, math.fsum(grid_w[at_one]))
+            # Its log t is a mean of theirs, so its power is the sum of theirs to first order in
+            # n log t; a log t of 0 would be off by n times their mean log t, 3.7e-9 at n = 2^26.
+            folded = grid_log_t[at_one]
+            assert folded.min() <= log_t[-1] <= folded.max() < 0.0
+            power = w[-1] * math.exp(2**26 * log_t[-1])
+            assert power == pytest.approx(math.fsum(grid_w[at_one] * np.exp(2**26 * folded)), rel=1e-15, abs=0.0)
 
     # The level study compares level 0 (panels about 2 wide in u) with level 1
     # and returns level 1 for every builtin density: half the nodes of level 2,
